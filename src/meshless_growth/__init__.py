@@ -8,7 +8,6 @@ step-bound analyzer for the explicit update.
 
 from .cloud import (
     NodeCloud,
-    Star,
     generate_jittered,
     generate_regular,
     load_cloud,
@@ -64,24 +63,16 @@ from .scheme import (
     State,
     Trajectory,
     enforce_neumann,
-    flux_term_1d,
-    flux_term_2d,
     run,
     step,
 )
 from .stability import (
     StabilityReport,
-    StarStability,
-    check_condition,
     dt_bound,
-    phi_terms,
 )
 from .stencil import (
-    Stencil,
     StencilTable,
     WeightSpec,
-    apply_stencil,
-    assemble_moment_matrix,
     build_all_stencils,
     compute_stencil,
     weight,

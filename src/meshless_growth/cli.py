@@ -100,7 +100,7 @@ def _cmd_stability(args) -> int:
     if args.dump_stencils:
         write_stencil_dump(table, os.path.join(out, "stencil_dump.csv"))
     print(f"{scenario.name}: global dt bound {report.global_dt:.6e} over "
-          f"{len(report.per_star)} interior stars; "
+          f"{report.nodes.size} interior stars; "
           f"{len(report.violations)} sign-condition failures; report in {path}")
     if scenario.scheme.dt is not None and scenario.scheme.dt > report.global_dt:
         print(f"warning: scenario dt={scenario.scheme.dt:g} exceeds the bound")

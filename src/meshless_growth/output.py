@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import os
 
+import numpy as np
+
 from .scheme import Trajectory
 from .stability import StabilityReport
 from .stencil import DERIV_NAMES, StencilTable
@@ -83,9 +85,11 @@ def write_stability_report(report: StabilityReport, path) -> str:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "phi1", "phi2", "margin", "dt_max"])
-        for row in report.per_star:
-            writer.writerow([row.node, _fmt(row.phi1), _fmt(row.phi2), _fmt(row.margin),
-                             "" if row.dt_max is None else _fmt(row.dt_max)])
+        for row in zip(report.nodes.tolist(), report.phi1.tolist(), report.phi2.tolist(),
+                       report.margin.tolist(), report.dt_max.tolist()):
+            node, phi1, phi2, margin, dt_max = row
+            writer.writerow([node, _fmt(phi1), _fmt(phi2), _fmt(margin),
+                             "" if np.isnan(dt_max) else _fmt(dt_max)])
     return str(path)
 
 
@@ -93,13 +97,15 @@ def write_stencil_dump(table: StencilTable, path) -> str:
     """Debug dump: node,deriv,coeff_center,coeff_1..coeff_s for every row."""
     names = DERIV_NAMES[table.dim] + ("lap",)
     s = table.neighbors.shape[1]
+    lap_center = table.laplacian_parts(table.center_coeffs)
+    lap_neighbors = table.laplacian_parts(table.neighbor_coeffs)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "deriv", "coeff_center"] +
                         [f"coeff_{i + 1}" for i in range(s)])
-        for node, st in enumerate(table.stencils):
-            rows = list(st.neighbor_coeffs.T) + [st.laplacian_neighbors]
-            centers = list(st.center_coeffs) + [st.laplacian_center]
+        for node in range(table.neighbors.shape[0]):
+            centers = table.center_coeffs[node].tolist() + [float(lap_center[node])]
+            rows = table.neighbor_coeffs[node].T.tolist() + [lap_neighbors[node].tolist()]
             for name, center, row in zip(names, centers, rows):
                 writer.writerow([node, name, _fmt(center)] + [_fmt(v) for v in row])
     return str(path)

@@ -17,7 +17,7 @@ import numpy as np
 from .cloud import NodeCloud
 from .errors import DegenerateBoundaryStarError, DivergenceError
 from .model import ModelParams, production, tech_rate_field
-from .stencil import StencilTable, Stencil, apply_stencil
+from .stencil import StencilTable
 
 # A field beyond this magnitude is reported as divergence rather than value.
 DIVERGENCE_LIMIT = 1e12
@@ -101,24 +101,6 @@ class Trajectory:
     diverged: DivergenceError | None = None
 
 
-def flux_term_1d(stencil: Stencil, k_star, A_star, chi: float) -> float:
-    """Taxis flux -chi k_x A_x - chi k0 A_xx at one star (values center first)."""
-    k_star = np.asarray(k_star, dtype=float)
-    A_star = np.asarray(A_star, dtype=float)
-    kx, _ = apply_stencil(stencil, k_star[0], k_star[1:])
-    ax, axx = apply_stencil(stencil, A_star[0], A_star[1:])
-    return float(-chi * kx * ax - chi * k_star[0] * axx)
-
-
-def flux_term_2d(stencil: Stencil, k_star, A_star, chi: float) -> float:
-    """Taxis flux -chi (k_x A_x + k_y A_y) - chi k0 lap(A) at one star."""
-    k_star = np.asarray(k_star, dtype=float)
-    A_star = np.asarray(A_star, dtype=float)
-    kx, ky, _, _, _ = apply_stencil(stencil, k_star[0], k_star[1:])
-    ax, ay, axx, ayy, _ = apply_stencil(stencil, A_star[0], A_star[1:])
-    return float(-chi * (kx * ax + ky * ay) - chi * k_star[0] * (axx + ayy))
-
-
 class NeumannOperator:
     """Linear solve that zeroes the stencil normal derivative on the boundary.
 
@@ -129,27 +111,29 @@ class NeumannOperator:
     def __init__(self, cloud: NodeCloud, table: StencilTable):
         b_idx = cloud.boundary_indices
         n_b = b_idx.size
-        col = {int(node): j for j, node in enumerate(b_idx)}
-        mat = np.zeros((n_b, n_b))
-        gather = np.zeros((n_b, cloud.n_nodes))
         grad_comps = slice(0, cloud.dim)  # first-derivative components
-        for row, node in enumerate(b_idx):
-            st = table.stencils[node]
-            star = table.stars[node]
-            normal = cloud.normals[node]
-            c0 = float(normal @ st.center_coeffs[grad_comps])
-            if abs(c0) < 1e-14 * np.linalg.norm(st.center_coeffs):
-                raise DegenerateBoundaryStarError(
-                    int(node), "normal derivative has no center contribution"
-                )
-            mat[row, row] = c0
-            ci = st.neighbor_coeffs[:, grad_comps] @ normal
-            for i, nbr in enumerate(star.neighbors):
-                j = col.get(int(nbr))
-                if j is None:
-                    gather[row, nbr] += ci[i]
-                else:
-                    mat[row, j] -= ci[i]
+        cc = table.center_coeffs[b_idx]                    # (n_b, nd)
+        nc = table.neighbor_coeffs[b_idx][:, :, grad_comps]  # (n_b, s, dim)
+        normal = cloud.normals[b_idx]
+        c0 = (normal[:, None, :] @ cc[:, grad_comps, None])[:, 0, 0]
+        bad = np.flatnonzero(np.abs(c0) < 1e-14 * np.linalg.norm(cc, axis=1))
+        if bad.size:
+            raise DegenerateBoundaryStarError(
+                int(b_idx[bad[0]]), "normal derivative has no center contribution"
+            )
+        ci = (nc @ normal[:, :, None])[:, :, 0]  # (n_b, s)
+        col = np.full(cloud.n_nodes, -1)
+        col[b_idx] = np.arange(n_b)
+        nbrs = table.neighbors[b_idx]
+        j = col[nbrs]
+        rows = np.broadcast_to(np.arange(n_b)[:, None], nbrs.shape)
+        on_b = j >= 0
+        mat = np.zeros((n_b, n_b))
+        mat[np.arange(n_b), np.arange(n_b)] = c0
+        # 0.0 - c and 0.0 + c rather than -c and c: a zero coefficient is +0.0.
+        mat[rows[on_b], j[on_b]] = 0.0 - ci[on_b]
+        gather = np.zeros((n_b, cloud.n_nodes))
+        gather[rows[~on_b], nbrs[~on_b]] = 0.0 + ci[~on_b]
         self.boundary_idx = b_idx
         self.solve = np.linalg.inv(mat)
         self.gather = gather

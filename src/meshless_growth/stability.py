@@ -10,9 +10,15 @@ where m00 is the center Laplacian coefficient, Phi1 collects the signed
 reaction, taxis and depreciation contributions at the center, and Phi2
 majorizes the neighbor couplings by absolute value.  The terms multiplying
 the technology error act as a forcing that vanishes under refinement and do
-not enter the bound.  The bound is evaluated at every interior star (boundary
-nodes are set by the flux condition, not by the explicit update) and the
-sharpest one is reported.
+not enter the bound.  When technology diffuses with coefficient D, its own
+update at the star is a contraction for
+
+    dt < 2 / (D (m00 + sum_i |m_i0|) - g)
+
+with g the growth rate at the center, and that bound enters the minimum too.
+The bounds are evaluated at every interior star (boundary nodes are set by
+the flux condition, not by the explicit update), all stars at once on the
+stencil table's packed arrays, and the sharpest one is reported.
 """
 
 from __future__ import annotations
@@ -23,105 +29,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAdmissibleTimeStepError
-from .model import ModelParams, production_derivative
+from .model import ModelParams, production_derivative, tech_rate_field
 from .scheme import State
-from .stencil import Stencil, StencilTable
-from .cloud import Star
+from .stencil import StencilTable
 
 log = logging.getLogger(__name__)
 
 F_PRIME_MODES = ("local", "conservative")
 
 
-def _f_prime(k_center: float, k_field: np.ndarray, params: ModelParams, mode: str) -> float:
-    """Slope of the production term entering Phi1.
+def _sup_f_prime(k_field: np.ndarray, params: ModelParams) -> float:
+    """sup |f'| over [k_floor, max k], the same for every star."""
+    k_max = max(float(np.max(k_field)), 0.0)
+    floor = 1e-8 * max(1.0, k_max)
+    grid = np.geomspace(floor, max(k_max, floor * 10.0), 64)
+    return float(np.max(np.abs(production_derivative(grid, params))))
+
+
+def _f_prime(k0: np.ndarray, k_field: np.ndarray, params: ModelParams, mode: str) -> np.ndarray:
+    """Slope of the production term entering Phi1, per star.
 
     local: f' at the center's current capital (stand-in for the mean-value
     point); conservative: sup |f'| over [k_floor, max k].  The p < 1
-    singularity at k = 0 falls back to the one-sided sup, logged.
+    singularity at k = 0 falls back to the sup, logged once per call.
     """
-    k_max = max(float(np.max(k_field)), 0.0)
-    floor = 1e-8 * max(1.0, k_max)
-
-    def sup_over(lo: float, hi: float) -> float:
-        grid = np.geomspace(max(lo, floor), max(hi, floor * 10.0), 64)
-        return float(np.max(np.abs(production_derivative(grid, params))))
-
     if mode == "conservative":
-        return sup_over(floor, k_max)
-    k0 = max(float(k_center), 0.0)
-    if params.p < 1 and k0 == 0.0:
-        log.warning("f' singular at k=0 (p=%g); using sup over [%g, %g]",
-                    params.p, floor, k_max)
-        return sup_over(floor, k_max)
-    return float(production_derivative(k0, params))
+        return np.full(k0.shape, _sup_f_prime(k_field, params))
+    k0 = np.maximum(k0, 0.0)
+    singular = (k0 == 0.0) & (params.p < 1)
+    fp = np.empty(k0.shape)
+    fp[~singular] = production_derivative(k0[~singular], params)
+    if singular.any():
+        sup = _sup_f_prime(k_field, params)
+        log.warning("f' singular at k=0 (p=%g) at %d stars; using sup %g",
+                    params.p, int(singular.sum()), sup)
+        fp[singular] = sup
+    return fp
 
 
-def phi_terms(
-    stencil: Stencil,
-    star: Star,
-    k_field: np.ndarray,
-    A_field: np.ndarray,
-    params: ModelParams,
-    *,
-    f_prime_mode: str = "local",
-) -> tuple[float, float]:
-    """Phi1 and Phi2 of one star evaluated on the current fields."""
-    if f_prime_mode not in F_PRIME_MODES:
-        raise ValueError(f"unknown f_prime_mode {f_prime_mode!r}")
-    a0 = float(A_field[star.center])
-    ai = A_field[star.neighbors]
-    m00 = stencil.laplacian_center
-    mi0 = stencil.laplacian_neighbors
-    chi = params.chi
-
-    fp = _f_prime(k_field[star.center], k_field, params, f_prime_mode)
-    lap_a = -m00 * a0 + float(mi0 @ ai)
-
-    phi1 = params.delta - a0 * fp - chi * lap_a
-    phi2 = float(np.abs(mi0).sum())
-    grad_components = 1 if stencil.dim == 1 else 2
-    for j in range(grad_components):
-        m0j = float(stencil.center_coeffs[j])
-        mij = stencil.neighbor_coeffs[:, j]
-        moment = float(mij @ ai)
-        phi1 += chi * m0j ** 2 * a0 + chi * m0j * moment
-        phi2 += abs(chi * m0j * a0) * float(np.abs(mij).sum())
-        phi2 += abs(chi) * float(np.abs(mij).sum()) * abs(moment)
-    return float(phi1), float(phi2)
-
-
-def check_condition(
-    stencil: Stencil,
-    star: Star,
-    k_field: np.ndarray,
-    A_field: np.ndarray,
-    params: ModelParams,
-    *,
-    f_prime_mode: str = "local",
-) -> tuple[bool, float]:
-    """Sign condition margin m00 + Phi1 - Phi2; positive means admissible."""
-    phi1, phi2 = phi_terms(stencil, star, k_field, A_field, params,
-                           f_prime_mode=f_prime_mode)
-    margin = stencil.laplacian_center + phi1 - phi2
-    return margin > 0, float(margin)
-
-
-@dataclass(frozen=True)
-class StarStability:
-    node: int
-    phi1: float
-    phi2: float
-    margin: float
-    dt_max: float | None
-    condition_ok: bool
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot product of two (M, s) arrays, one BLAS dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    per_star: tuple[StarStability, ...]
+    """Per interior star (arrays aligned with nodes) and the global bound.
+
+    dt_max is the capital bound 2 / (m00 + Phi1 + Phi2), NaN where that
+    denominator is not positive; dt_tech is the technology bound, NaN where
+    technology does not diffuse or its denominator is not positive.
+    """
+
+    nodes: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    margin: np.ndarray
+    dt_max: np.ndarray
+    dt_tech: np.ndarray
     global_dt: float
-    violations: tuple[int, ...]  # nodes failing the sign condition
+    violations: np.ndarray  # nodes failing the sign condition
 
 
 def dt_bound(
@@ -134,31 +101,56 @@ def dt_bound(
     """Evaluate the bound at every interior star and take the minimum.
 
     Stars failing the sign condition are listed in violations; when any star
-    passes it, the global bound is the minimum over passing stars, otherwise
+    passes it, the capital bound is the minimum over passing stars, otherwise
     it falls back to the minimum finite bound (the marginal case m00 = Phi2,
     e.g. pure diffusion with delta = 0, has zero margin yet a perfectly
     usable bound).  All stars without a positive denominator is an error.
+    The global bound is the smaller of that and the technology bound.
     """
-    rows: list[StarStability] = []
-    for node in table.cloud.interior_indices:
-        node = int(node)
-        stencil = table.stencils[node]
-        star = table.stars[node]
-        phi1, phi2 = phi_terms(stencil, star, state.k, state.A, params,
-                               f_prime_mode=f_prime_mode)
-        m00 = stencil.laplacian_center
-        margin = m00 + phi1 - phi2
-        denom = m00 + phi1 + phi2
-        dt_max = 2.0 / denom if denom > 0 else None
-        rows.append(StarStability(node, phi1, phi2, float(margin), dt_max, margin > 0))
+    if f_prime_mode not in F_PRIME_MODES:
+        raise ValueError(f"unknown f_prime_mode {f_prime_mode!r}")
+    nodes = table.cloud.interior_indices
+    cc = table.center_coeffs[nodes]     # (M, nd)
+    nc = table.neighbor_coeffs[nodes]   # (M, s, nd)
+    a0 = state.A[nodes]
+    ai = state.A[table.neighbors[nodes]]
+    m00 = table.laplacian_parts(cc)
+    mi0 = table.laplacian_parts(nc)
+    chi = params.chi
 
-    admissible = [r.dt_max for r in rows if r.condition_ok and r.dt_max is not None]
-    finite = [r.dt_max for r in rows if r.dt_max is not None]
-    if admissible:
-        global_dt = min(admissible)
-    elif finite:
-        global_dt = min(finite)
+    fp = _f_prime(state.k[nodes], state.k, params, f_prime_mode)
+    lap_a = -m00 * a0 + _row_dot(mi0, ai)
+    phi1 = params.delta - a0 * fp - chi * lap_a
+    spread = np.abs(mi0).sum(axis=1)
+    phi2 = spread
+    for j in range(table.dim):
+        m0j = cc[:, j]
+        mij = nc[:, :, j]
+        moment = _row_dot(mij, ai)
+        grad_spread = np.abs(mij).sum(axis=1)
+        phi1 = phi1 + (chi * m0j ** 2 * a0 + chi * m0j * moment)
+        phi2 = phi2 + np.abs(chi * m0j * a0) * grad_spread
+        phi2 = phi2 + abs(chi) * grad_spread * np.abs(moment)
+    margin = m00 + phi1 - phi2
+    denom = m00 + phi1 + phi2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt_max = np.where(denom > 0, 2.0 / denom, np.nan)
+    finite = denom > 0
+    admissible = finite & (margin > 0)
+    if admissible.any():
+        global_dt = float(dt_max[admissible].min())
+    elif finite.any():
+        global_dt = float(dt_max[finite].min())
     else:
         raise NoAdmissibleTimeStepError("no star yields a positive step bound")
-    violations = tuple(r.node for r in rows if not r.condition_ok)
-    return StabilityReport(tuple(rows), float(global_dt), violations)
+
+    dt_tech = np.full(nodes.size, np.nan)
+    if params.tech_diffusion != 0.0:
+        g = tech_rate_field(table.cloud, params.g_spec)[nodes]
+        tech_denom = params.tech_diffusion * (m00 + spread) - g
+        pos = tech_denom > 0
+        dt_tech[pos] = 2.0 / tech_denom[pos]
+        if pos.any():
+            global_dt = min(global_dt, float(dt_tech[pos].min()))
+    return StabilityReport(nodes, phi1, phi2, margin, dt_max, dt_tech, global_dt,
+                           nodes[~(margin > 0)])

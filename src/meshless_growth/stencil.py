@@ -14,13 +14,11 @@ coefficients are scaled back afterwards.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NodeCloud, Star, select_star
+from .cloud import NodeCloud, select_star
 from .errors import DegenerateStarError
 
 # Reciprocal-condition floor below which a moment matrix is rejected.
@@ -62,109 +60,78 @@ def weight(distance, spec: WeightSpec, star_radius: float = 1.0):
     return np.exp(-spec.shape * (d / star_radius) ** 2)
 
 
-def _taylor_rows(offsets: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        h = offsets[:, 0]
-        return np.column_stack([h, 0.5 * h ** 2])
-    h, k = offsets[:, 0], offsets[:, 1]
-    return np.column_stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k])
+def _taylor_rows(offsets: np.ndarray) -> np.ndarray:
+    if offsets.shape[-1] == 1:
+        h = offsets[..., 0]
+        return np.stack([h, 0.5 * h ** 2], axis=-1)
+    h, k = offsets[..., 0], offsets[..., 1]
+    return np.stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k], axis=-1)
 
 
-def assemble_moment_matrix(star: Star, spec: WeightSpec) -> np.ndarray:
-    """Moment matrix sum_i w_i^2 c_i c_i^T over radius-scaled offsets."""
-    dim = star.offsets.shape[1]
-    scaled = star.offsets / star.radius
-    dist = np.sqrt((scaled ** 2).sum(axis=1))
-    w = weight(dist, spec, star_radius=1.0)
-    c = _taylor_rows(scaled, dim)
-    return (c * (w ** 2)[:, None]).T @ c
+def compute_stencil(offsets: np.ndarray, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the moment systems of a stack of stars with offsets (M, s, dim).
 
-
-@dataclass(frozen=True)
-class Stencil:
-    """Per-star derivative coefficients.
-
-    neighbor_coeffs[i, j] multiplies neighbor i in derivative j (order given
-    by DERIV_NAMES for the dimension); center_coeffs[j] multiplies the center
-    with a minus sign.  The Laplacian row combines the pure second-derivative
-    components.
+    Returns center_coeffs (M, nd) and neighbor_coeffs (M, s, nd): derivative
+    j at star m is -center_coeffs[m, j] U0 + sum_i neighbor_coeffs[m, i, j] Ui,
+    components ordered as DERIV_NAMES.  Raises DegenerateStarError for the
+    first row whose moment matrix is not positive definite to reciprocal
+    condition RCOND_FLOOR; errors name rows as nodes, which they are when
+    build_all_stencils stacks one star per node.
     """
-
-    center_coeffs: np.ndarray    # (nd,)
-    neighbor_coeffs: np.ndarray  # (s, nd)
-    dim: int
-
-    @property
-    def laplacian_center(self) -> float:
-        if self.dim == 1:
-            return float(self.center_coeffs[1])
-        return float(self.center_coeffs[2] + self.center_coeffs[3])
-
-    @property
-    def laplacian_neighbors(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.neighbor_coeffs[:, 1]
-        return self.neighbor_coeffs[:, 2] + self.neighbor_coeffs[:, 3]
-
-
-def compute_stencil(star: Star, spec: WeightSpec) -> Stencil:
-    """Solve the moment system of one star.
-
-    Raises DegenerateStarError when the moment matrix is not positive
-    definite to reciprocal condition RCOND_FLOOR.
-    """
-    dim = star.offsets.shape[1]
-    r = star.radius
-    scaled = star.offsets / r
-    dist = np.sqrt((scaled ** 2).sum(axis=1))
-    if np.any(dist == 0):
-        raise ValueError(f"star at node {star.center} contains a zero offset")
-    w = weight(dist, spec, star_radius=1.0)
-    c = _taylor_rows(scaled, dim)
-    m = (c * (w ** 2)[:, None]).T @ c
+    dim = offsets.shape[2]
+    r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
+    scaled = offsets / r[:, None, None]
+    dist = np.sqrt((scaled ** 2).sum(axis=2))
+    zero = np.flatnonzero((dist == 0).any(axis=1))
+    if zero.size:
+        raise ValueError(f"star at node {zero[0]} contains a zero offset")
+    w2 = weight(dist, spec, star_radius=1.0) ** 2  # (M, s)
+    c = _taylor_rows(scaled)                        # (M, s, nd)
+    m = np.swapaxes(c * w2[..., None], 1, 2) @ c    # (M, nd, nd)
 
     eig = np.linalg.eigvalsh(m)
-    if eig[0] <= 0 or eig[0] < RCOND_FLOOR * eig[-1]:
-        raise DegenerateStarError(star.center, f"moment matrix rcond {eig[0] / eig[-1]:.2e}")
+    bad = np.flatnonzero((eig[:, 0] <= 0) | (eig[:, 0] < RCOND_FLOOR * eig[:, -1]))
+    first_bad = int(bad[0]) if bad.size else m.shape[0]
     try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStarError(star.center, str(exc)) from exc
-    q = np.linalg.inv(chol).T  # M^{-1} = Q Q^T
-    minv = q @ q.T
+        chol = np.linalg.cholesky(m[:first_bad])
+    except np.linalg.LinAlgError:
+        for row in range(first_bad):  # name the first star that fails
+            try:
+                np.linalg.cholesky(m[row])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateStarError(row, str(exc)) from exc
+        raise
+    if bad.size:
+        raise DegenerateStarError(
+            first_bad, f"moment matrix rcond {eig[first_bad, 0] / eig[first_bad, -1]:.2e}")
+    q = np.swapaxes(np.linalg.inv(chol), 1, 2)  # M^{-1} = Q Q^T
+    minv = q @ np.swapaxes(q, 1, 2)
 
-    coeffs = (w ** 2)[:, None] * (c @ minv)  # rows are m_i in scaled coords
-    scale = r ** np.asarray(DERIV_ORDERS[dim], dtype=float)
-    coeffs = coeffs / scale
-    center = coeffs.sum(axis=0)
-    return Stencil(center_coeffs=center, neighbor_coeffs=coeffs, dim=dim)
-
-
-def apply_stencil(stencil: Stencil, center_value: float, neighbor_values) -> np.ndarray:
-    """Evaluate all derivative components: -m_0j U0 + sum_i m_ij Ui."""
-    vals = np.asarray(neighbor_values, dtype=float)
-    if vals.shape != (stencil.neighbor_coeffs.shape[0],):
-        raise ValueError(
-            f"expected {stencil.neighbor_coeffs.shape[0]} neighbor values, got {vals.shape}"
-        )
-    return vals @ stencil.neighbor_coeffs - center_value * stencil.center_coeffs
+    coeffs = w2[..., None] * (c @ minv)  # rows are m_i in scaled coords
+    coeffs = coeffs / r[:, None, None] ** np.asarray(DERIV_ORDERS[dim], dtype=float)
+    return coeffs.sum(axis=1), coeffs
 
 
 class StencilTable:
-    """All stars and stencils of a cloud, packed for vectorized evaluation."""
+    """The stars and stencils of every node of a cloud as packed arrays.
 
-    def __init__(self, cloud: NodeCloud, stars: list[Star], stencils: list[Stencil]):
-        if len(stars) != cloud.n_nodes or len(stencils) != cloud.n_nodes:
+    neighbors (N, s) holds each node's star; derivative j at node n is
+    -center_coeffs[n, j] U_n + sum_i neighbor_coeffs[n, i, j] U_neighbors[n, i],
+    components ordered as DERIV_NAMES for the dimension.
+    """
+
+    def __init__(self, cloud: NodeCloud, neighbors: np.ndarray,
+                 center_coeffs: np.ndarray, neighbor_coeffs: np.ndarray):
+        n, s = neighbors.shape
+        nd = len(DERIV_NAMES[cloud.dim])
+        if n != cloud.n_nodes:
             raise ValueError("table must hold one star and stencil per node")
+        if center_coeffs.shape != (n, nd) or neighbor_coeffs.shape != (n, s, nd):
+            raise ValueError("coefficient arrays do not match the stars")
         self.cloud = cloud
-        self.stars = stars
-        self.stencils = stencils
-        s = stars[0].size
-        self.neighbors = np.vstack([st.neighbors for st in stars])          # (N, s)
-        self.neighbor_coeffs = np.stack([sc.neighbor_coeffs for sc in stencils])
-        self.center_coeffs = np.vstack([sc.center_coeffs for sc in stencils])
-        if self.neighbors.shape != (cloud.n_nodes, s):
-            raise ValueError("all stars must share the same size")
+        self.neighbors = neighbors
+        self.center_coeffs = center_coeffs
+        self.neighbor_coeffs = neighbor_coeffs
 
     @property
     def dim(self) -> int:
@@ -179,23 +146,14 @@ class StencilTable:
         )
 
     def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
+        """Sum of the pure second-derivative columns; also applies to
+        coefficient arrays, whose last axis holds the components."""
         if self.dim == 1:
-            return derivs[:, 1]
-        return derivs[:, 2] + derivs[:, 3]
+            return derivs[..., 1]
+        return derivs[..., 2] + derivs[..., 3]
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         return self.laplacian_parts(self.derivatives(field))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MESHLESS_GROWTH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MESHLESS_GROWTH_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"MESHLESS_GROWTH_THREADS must be >= 1, got {n}")
-    return n
 
 
 def build_all_stencils(
@@ -203,26 +161,9 @@ def build_all_stencils(
     s: int,
     criterion: str = "distance",
     spec: WeightSpec | None = None,
-    threads: int | None = None,
 ) -> StencilTable:
-    """Select a star and solve its stencil for every node (boundary included).
-
-    threads defaults to the MESHLESS_GROWTH_THREADS environment variable;
-    results do not depend on the thread count.
-    """
-    spec = spec or WeightSpec()
-    threads = _thread_count() if threads is None else threads
-    indices = range(cloud.n_nodes)
-
-    def build_one(i: int):
-        star = select_star(cloud, i, s, criterion)
-        return star, compute_stencil(star, spec)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(build_one, indices))
-    else:
-        pairs = [build_one(i) for i in indices]
-    stars = [p[0] for p in pairs]
-    stencils = [p[1] for p in pairs]
-    return StencilTable(cloud, stars, stencils)
+    """Select a star and solve its stencil for every node (boundary included)."""
+    neighbors = select_star(cloud, np.arange(cloud.n_nodes), s, criterion)
+    offsets = cloud.positions[neighbors] - cloud.positions[:, None, :]
+    center_coeffs, neighbor_coeffs = compute_stencil(offsets, spec or WeightSpec())
+    return StencilTable(cloud, neighbors, center_coeffs, neighbor_coeffs)

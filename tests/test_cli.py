@@ -91,15 +91,6 @@ def test_run_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_run_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    scen = write_scenario(tmp_path, QUICK)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--scenario", scen, "--out", str(a)]) == 0
-    monkeypatch.setenv("MESHLESS_GROWTH_THREADS", "4")
-    assert main(["run", "--scenario", scen, "--out", str(b)]) == 0
-    assert (a / "run_log.csv").read_bytes() == (b / "run_log.csv").read_bytes()
-
-
 def test_seed_override_changes_cloud(tmp_path):
     scen = write_scenario(tmp_path, QUICK)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -11,7 +11,8 @@ from meshless_growth import (
     CloudError,
     InsufficientNodesError,
     NodeCloud,
-    Star,
+    WeightSpec,
+    compute_stencil,
     generate_jittered,
     generate_regular,
     load_cloud,
@@ -147,25 +148,28 @@ def test_load_cloud_rejects_bad_flag(tmp_path):
 
 
 def test_star_validation():
+    # rows hold distinct neighbors and never the center itself
+    cloud = generate_jittered(9, 1.0, dim=2, jitter=0.3, seed=4)
+    for crit in ("distance", "quadrant"):
+        rows = select_star(cloud, np.arange(cloud.n_nodes), 8, crit)
+        assert rows.shape == (cloud.n_nodes, 8)
+        for center, row in enumerate(rows):
+            assert np.unique(row).size == 8 and center not in row
+    with pytest.raises(ValueError, match="zero offset"):
+        compute_stencil(np.array([[[0.1], [0.0]]]), WeightSpec())
     with pytest.raises(ValueError):
-        Star(center=0, neighbors=np.array([1, 1]), offsets=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        Star(center=0, neighbors=np.array([0, 1]), offsets=np.zeros((2, 1)))
-    star = Star(center=0, neighbors=np.array([1, 2]),
-                offsets=np.array([[0.1], [-0.3]]))
-    assert star.radius == 0.3
-    assert star.size == 2
+        select_star(cloud, np.zeros((2, 2), dtype=int), 8, "distance")
 
 
 def test_select_star_distance_matches_brute_force():
     rng = np.random.default_rng(7)
     cloud = generate_jittered(6, 1.0, dim=2, jitter=0.3, seed=3)
     for center in rng.choice(cloud.n_nodes, size=8, replace=False):
-        star = select_star(cloud, int(center), 8, "distance")
+        star = select_star(cloud, [center], 8, "distance")[0]
         d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
         order = sorted(i for i in range(cloud.n_nodes) if i != center)
         order.sort(key=lambda i: (d[i], i))
-        assert star.neighbors.tolist() == order[:8]
+        assert star.tolist() == order[:8]
 
 
 def _quadrant_oracle(h, k):
@@ -182,7 +186,7 @@ def test_select_star_quadrant_matches_brute_force():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.35, seed=11)
     for center in cloud.interior_indices[:10]:
         s = 8
-        star = select_star(cloud, int(center), s, "quadrant")
+        star = select_star(cloud, [center], s, "quadrant")[0]
         d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
         ranked = sorted((i for i in range(cloud.n_nodes) if i != center),
                         key=lambda i: (d[i], i))
@@ -200,14 +204,15 @@ def test_select_star_quadrant_matches_brute_force():
                 break
             if i not in expect:
                 expect.append(i)
-        assert star.neighbors.tolist() == expect
+        assert star.tolist() == expect
 
 
 def test_quadrant_star_on_lattice_is_eight_ring():
     cloud = generate_regular(5, 1.0, dim=2)
     center = 12  # middle of the 5x5 lattice
-    star = select_star(cloud, center, 8, "quadrant")
-    ring = sorted(map(tuple, np.round(star.offsets / 0.25).astype(int).tolist()))
+    star = select_star(cloud, [center], 8, "quadrant")[0]
+    offsets = cloud.positions[star] - cloud.positions[center]
+    ring = sorted(map(tuple, np.round(offsets / 0.25).astype(int).tolist()))
     assert ring == [(-1, -1), (-1, 0), (-1, 1), (0, -1),
                     (0, 1), (1, -1), (1, 0), (1, 1)]
 
@@ -215,10 +220,10 @@ def test_quadrant_star_on_lattice_is_eight_ring():
 def test_select_star_errors():
     cloud = generate_regular(3, 1.0, dim=1)
     with pytest.raises(InsufficientNodesError):
-        select_star(cloud, 1, 3, "distance")
+        select_star(cloud, [1], 3, "distance")
     with pytest.raises(ValueError):
-        select_star(cloud, 1, 1, "distance")
+        select_star(cloud, [1], 1, "distance")
     with pytest.raises(ValueError):
-        select_star(cloud, 1, 2, "quadrant")  # 2D only
+        select_star(cloud, [1], 2, "quadrant")  # 2D only
     with pytest.raises(ValueError):
-        select_star(generate_regular(4, 1.0, dim=2), 5, 5, "voronoi")
+        select_star(generate_regular(4, 1.0, dim=2), [5], 5, "voronoi")

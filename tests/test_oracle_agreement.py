@@ -1,0 +1,194 @@
+"""The array build, bound and dump agree with the per-node loop references.
+
+Neighbor arrays must be equal and stencil coefficients equal bit for bit,
+since the array code performs the same floating-point operations per star.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from meshless_growth import (
+    PRESET_NAMES,
+    DegenerateStarError,
+    ModelParams,
+    NodeCloud,
+    State,
+    WeightSpec,
+    build_all_stencils,
+    compute_stencil,
+    dt_bound,
+    generate_jittered,
+    generate_regular,
+    get_preset,
+    polynomial_exactness,
+    select_star,
+)
+from meshless_growth import cloud as cloud_module
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_matches_oracle(cloud, s, criterion, spec=WeightSpec()):
+    table = build_all_stencils(cloud, s, criterion, spec)
+    neighbors, center, coeffs = oracles.build_table_arrays(cloud, s, criterion, spec)
+    assert np.array_equal(table.neighbors, neighbors)
+    assert same_bits(table.center_coeffs, center)
+    assert same_bits(table.neighbor_coeffs, coeffs)
+
+
+def _cases():
+    yield "regular-1d-9", generate_regular(9, 1.0, dim=1), 2, "distance"
+    yield "regular-1d-30", generate_regular(30, 1.0, dim=1), 4, "distance"
+    for n, s in [(7, 8), (11, 8), (10, 12)]:
+        yield f"regular-2d-{n}-s{s}", generate_regular(n, 1.0, dim=2), s, "quadrant"
+    yield "regular-2d-9-distance", generate_regular(9, 1.0, dim=2), 8, "distance"
+    for crit in ("distance", "quadrant"):
+        for seed in range(20):
+            yield (f"jittered-12-seed{seed}-{crit}",
+                   generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=seed), 8, crit)
+        for seed in range(5):
+            yield (f"jittered-24-seed{seed}-{crit}",
+                   generate_jittered(24, 1.0, dim=2, jitter=0.25, seed=seed), 8, crit)
+        yield (f"jittered-48-seed11-{crit}",
+               generate_jittered(48, 1.0, dim=2, jitter=0.25, seed=11), 8, crit)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("name,cloud,s,criterion", CASES, ids=[c[0] for c in CASES])
+def test_build_matches_loop_oracle(name, cloud, s, criterion):
+    assert_matches_oracle(cloud, s, criterion)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_build_matches_loop_oracle(preset):
+    scenario = get_preset(preset)
+    cloud = scenario.cloud.build()
+    assert_matches_oracle(cloud, scenario.star.s, scenario.star.criterion, scenario.star.weight)
+
+
+def test_exponential_weight_matches_loop_oracle():
+    cloud = generate_jittered(10, 1.0, dim=2, jitter=0.3, seed=6)
+    assert_matches_oracle(cloud, 8, "quadrant", WeightSpec("exponential", shape=4.0))
+
+
+def test_corner_star_is_topped_up_from_the_global_ranking():
+    # at the corner only two quadrants hold nodes: the round robin takes two
+    # from each and the nearest remaining nodes fill the star
+    cloud = generate_regular(5, 1.0, dim=2)
+    star = select_star(cloud, [0], 8, "quadrant")[0]
+    assert star.tolist() == [1, 5, 6, 10, 2, 7, 11, 12]
+    assert star.tolist() == oracles.select_star(cloud, 0, 8, "quadrant").tolist()
+
+
+def uneven_cloud():
+    """A dense patch beside a sparse lattice, with a hole in the patch: stars
+    in the sparse part and on the rim of the hole reach past the cells
+    searched first and are recomputed against all nodes."""
+    patch = generate_jittered(20, 1.0, dim=2, jitter=0.25, seed=2)
+    dense = 0.5 * patch.positions[patch.interior_indices]
+    dense = dense[np.hypot(*(dense - 0.25).T) > 0.12]
+    sparse = generate_jittered(6, 1.0, dim=2, jitter=0.3, seed=4).positions
+    sparse = sparse[(sparse > 0.5).any(axis=1)]
+    pos = np.vstack([dense, sparse])
+    return NodeCloud(2, pos, np.zeros(len(pos), dtype=bool), np.zeros_like(pos), 1.0)
+
+
+@pytest.mark.parametrize("criterion", ["distance", "quadrant"])
+def test_rows_the_grid_cannot_prove_are_recomputed(monkeypatch, criterion):
+    cloud = uneven_cloud()
+    widths = []
+    choose = cloud_module._choose
+
+    def spy(cloud_, centers, cand, s, crit):
+        widths.append(cand.shape[1])
+        return choose(cloud_, centers, cand, s, crit)
+
+    monkeypatch.setattr(cloud_module, "_choose", spy)
+    assert_matches_oracle(cloud, 8, criterion)
+    assert cloud.n_nodes in widths
+
+
+def test_spacing_estimate_equals_dense_nearest_neighbor_median():
+    for cloud in (generate_jittered(24, 1.0, dim=2, jitter=0.3, seed=5), uneven_cloud(),
+                  generate_jittered(40, 2.0, dim=1, jitter=0.3, seed=1)):
+        diffs = cloud.positions[:, None, :] - cloud.positions[None, :, :]
+        dist = np.sqrt((diffs ** 2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        assert cloud.spacing_estimate() == float(np.median(dist.min(axis=1)))
+
+
+def test_degenerate_star_names_the_lowest_bad_node():
+    rng = np.random.default_rng(1)
+    offsets = rng.uniform(-1, 1, size=(10, 6, 2))
+    offsets[7, :, 1] = 0.0  # collinear stars
+    offsets[3, :, 1] = 0.0
+    with pytest.raises(DegenerateStarError) as err:
+        compute_stencil(offsets, WeightSpec())
+    assert err.value.node == 3
+    # the distance stars on this lattice fail first at node 1, as node by node
+    lattice = generate_regular(8, 1.0, dim=2)
+    with pytest.raises(DegenerateStarError) as err:
+        build_all_stencils(lattice, 5, "distance")
+    assert err.value.node == 1
+    with pytest.raises(DegenerateStarError) as err:
+        oracles.build_table_arrays(lattice, 5, "distance", WeightSpec())
+    assert err.value.node == 1
+
+
+def test_large_build_is_exact():
+    # N = 9,216: quadratics differentiate exactly, and sampled stars,
+    # corners and edges included, equal the loop oracle bit for bit
+    cloud = generate_jittered(96, 1.0, dim=2, jitter=0.25, seed=11)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    assert polynomial_exactness(cloud, 8, "quadrant", table=table).max_error <= 1e-9
+    rng = np.random.default_rng(0)
+    sample = np.concatenate([[0, 95, 9120, 9215], rng.choice(cloud.boundary_indices, 12),
+                             rng.choice(cloud.n_nodes, 48)])
+    for node in sample:
+        star = oracles.select_star(cloud, node, 8, "quadrant")
+        assert table.neighbors[node].tolist() == star.tolist()
+        center, coeffs = oracles.compute_stencil(
+            cloud.positions[star] - cloud.positions[node], WeightSpec(), node)
+        assert same_bits(table.center_coeffs[node], center)
+        assert same_bits(table.neighbor_coeffs[node], coeffs)
+
+
+def _bound_cases():
+    rng = np.random.default_rng(9)
+    c2 = generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=11)
+    t2 = build_all_stencils(c2, 8, "quadrant")
+    c1 = generate_jittered(15, 1.0, dim=1, jitter=0.2, seed=3)
+    t1 = build_all_stencils(c1, 4)
+    for table in (t1, t2):
+        n = table.cloud.n_nodes
+        k = rng.uniform(0.2, 2.0, n)
+        k[::5] = 0.0  # where f' is singular for p < 1
+        state = State(k=k, A=rng.uniform(0.8, 1.5, n), time=0.0)
+        for params in (ModelParams(chi=1.0, delta=0.3),
+                       ModelParams(alpha1=1e-3, chi=-0.4, delta=0.05, p=0.5, q=2.0),
+                       ModelParams(chi=0.0, delta=0.05, tech_diffusion=3.0)):
+            for mode in ("local", "conservative"):
+                yield table, state, params, mode
+
+
+BOUND_CASES = list(_bound_cases())
+
+
+@pytest.mark.parametrize("table,state,params,mode", BOUND_CASES)
+def test_dt_bound_matches_per_star_oracle(table, state, params, mode):
+    report = dt_bound(table, state, params, f_prime_mode=mode)
+    rows, global_dt = oracles.dt_bound(table, state, params, f_prime_mode=mode)
+    nodes, phi1, phi2, margin, dt_max = zip(*rows)
+    assert report.nodes.tolist() == list(nodes)
+    np.testing.assert_allclose(report.phi1, phi1, rtol=1e-12)
+    np.testing.assert_allclose(report.phi2, phi2, rtol=1e-12)
+    np.testing.assert_allclose(report.margin, margin, rtol=1e-12, atol=1e-12 * max(map(abs, margin)))
+    expect = np.array([np.nan if d is None else d for d in dt_max])
+    np.testing.assert_allclose(report.dt_max, expect, rtol=1e-12)
+    assert report.global_dt == pytest.approx(global_dt, rel=1e-12)
+    assert report.violations.tolist() == [r[0] for r in rows if not r[3] > 0]

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from meshless_growth import (
     DegenerateStarError,
-    Star,
     StencilTable,
     WeightSpec,
-    apply_stencil,
-    assemble_moment_matrix,
     build_all_stencils,
     compute_stencil,
     generate_jittered,
@@ -19,15 +16,21 @@ from meshless_growth import (
     select_star,
     weight,
 )
+from oracles import apply_stencil, assemble_moment_matrix
 
 
-def lstsq_derivatives(star, u0, ui, exponent=3.0):
+def solve_one(offsets, spec=WeightSpec()):
+    """Center and neighbor coefficients of a single star with offsets (s, dim)."""
+    center, neighbors = compute_stencil(np.asarray(offsets, dtype=float)[None], spec)
+    return center[0], neighbors[0]
+
+
+def lstsq_derivatives(off, u0, ui, exponent=3.0):
     """Independent reference: unscaled weighted least squares via lstsq.
 
     Uses raw offsets and raw distances; the production solve scales both by
     the star radius, so agreement also exercises the scaling invariance.
     """
-    off = star.offsets
     dim = off.shape[1]
     d = np.sqrt((off ** 2).sum(axis=1))
     w = d ** (-exponent)
@@ -65,32 +68,26 @@ def test_weight_spec_validation():
 def test_moment_matrix_symmetric_pair():
     # offsets +-h scale to +-1; potential weights are 1 there, so
     # M = sum c c^T with c = (+-1, 0.5) exactly
-    star = Star(center=1, neighbors=np.array([0, 2]),
-                offsets=np.array([[-0.1], [0.1]]))
-    m = assemble_moment_matrix(star, WeightSpec())
+    m = assemble_moment_matrix(np.array([[-0.1], [0.1]]), WeightSpec())
     assert np.array_equal(m, np.array([[2.0, 0.0], [0.0, 0.5]]))
 
 
 def test_symmetric_star_reproduces_central_differences():
     h = 0.1
-    star = Star(center=1, neighbors=np.array([0, 2]),
-                offsets=np.array([[-h], [h]]))
-    st = compute_stencil(star, WeightSpec())
-    assert np.allclose(st.neighbor_coeffs[:, 0], [-1 / (2 * h), 1 / (2 * h)],
+    center, coeffs = solve_one([[-h], [h]])
+    assert np.allclose(coeffs[:, 0], [-1 / (2 * h), 1 / (2 * h)],
                        rtol=0, atol=1e-12)
-    assert np.allclose(st.neighbor_coeffs[:, 1], [1 / h**2, 1 / h**2],
+    assert np.allclose(coeffs[:, 1], [1 / h**2, 1 / h**2],
                        rtol=0, atol=1e-9)
-    assert abs(st.center_coeffs[0]) < 1e-12
-    assert np.isclose(st.center_coeffs[1], 2 / h**2)
-    assert np.isclose(st.laplacian_center, 2 / h**2)
+    assert abs(center[0]) < 1e-12
+    assert np.isclose(center[1], 2 / h**2)
 
 
 def test_consistency_center_equals_neighbor_sum():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.3, seed=2)
     table = build_all_stencils(cloud, 8, "quadrant")
-    for st in table.stencils:
-        resid = np.abs(st.center_coeffs - st.neighbor_coeffs.sum(axis=0))
-        assert resid.max() <= 1e-10 * np.linalg.norm(st.center_coeffs)
+    resid = np.abs(table.center_coeffs - table.neighbor_coeffs.sum(axis=1)).max(axis=1)
+    assert np.all(resid <= 1e-10 * np.linalg.norm(table.center_coeffs, axis=1))
 
 
 def test_derivatives_match_unscaled_lstsq_fit():
@@ -98,42 +95,40 @@ def test_derivatives_match_unscaled_lstsq_fit():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.3, seed=4)
     field = rng.normal(size=cloud.n_nodes)
     table = build_all_stencils(cloud, 8, "quadrant")
+    packed = table.derivatives(field)
     for node in rng.choice(cloud.n_nodes, size=10, replace=False):
-        star = table.stars[node]
-        got = apply_stencil(table.stencils[node], field[node], field[star.neighbors])
-        ref = lstsq_derivatives(star, field[node], field[star.neighbors])
-        assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+        nbrs = table.neighbors[node]
+        ref = lstsq_derivatives(cloud.positions[nbrs] - cloud.positions[node],
+                                field[node], field[nbrs])
+        assert np.allclose(packed[node], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
 def test_scaling_invariance_of_coefficients():
     # a star scaled by factor c has coefficients scaled by 1/c^order
-    base = Star(center=0, neighbors=np.arange(1, 9),
-                offsets=np.array([[0.11, 0.02], [-0.09, 0.01], [0.03, 0.12],
-                                  [-0.01, -0.1], [0.08, 0.09], [-0.12, 0.11],
-                                  [-0.1, -0.08], [0.09, -0.11]]))
+    base = np.array([[0.11, 0.02], [-0.09, 0.01], [0.03, 0.12],
+                     [-0.01, -0.1], [0.08, 0.09], [-0.12, 0.11],
+                     [-0.1, -0.08], [0.09, -0.11]])
     factor = 37.0
-    scaled = Star(center=0, neighbors=np.arange(1, 9), offsets=base.offsets * factor)
-    a = compute_stencil(base, WeightSpec())
-    b = compute_stencil(scaled, WeightSpec())
+    _, a = solve_one(base)
+    _, b = solve_one(base * factor)
     orders = np.array([1.0, 1.0, 2.0, 2.0, 2.0])
-    rescaled = b.neighbor_coeffs * factor ** orders
-    assert np.allclose(rescaled, a.neighbor_coeffs, rtol=1e-10)
+    rescaled = b * factor ** orders
+    assert np.allclose(rescaled, a, rtol=1e-10)
 
 
 def test_collinear_star_is_degenerate():
-    star = Star(center=0, neighbors=np.arange(1, 6),
-                offsets=np.array([[0.1, 0.0], [0.2, 0.0], [-0.1, 0.0],
-                                  [-0.2, 0.0], [0.3, 0.0]]))
+    collinear = [[0.1, 0.0], [0.2, 0.0], [-0.1, 0.0], [-0.2, 0.0], [0.3, 0.0]]
     with pytest.raises(DegenerateStarError):
-        compute_stencil(star, WeightSpec())
+        solve_one(collinear)
 
 
 def test_apply_stencil_arity():
-    star = Star(center=1, neighbors=np.array([0, 2]),
-                offsets=np.array([[-0.1], [0.1]]))
-    st = compute_stencil(star, WeightSpec())
+    # a table needs exactly one star per node
+    cloud = generate_regular(5, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
     with pytest.raises(ValueError):
-        apply_stencil(st, 0.0, [1.0, 2.0, 3.0])
+        StencilTable(cloud, table.neighbors[1:], table.center_coeffs[1:],
+                     table.neighbor_coeffs[1:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,9 +142,9 @@ def test_quadratics_are_differentiated_exactly(coeffs, seed):
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]
     u = a + b * x + c * y + d * x**2 + e * y**2 + f * x * y
     node = int(cloud.interior_indices[0])
-    star = select_star(cloud, node, 8, "quadrant")
-    stn = compute_stencil(star, WeightSpec())
-    got = apply_stencil(stn, u[node], u[star.neighbors])
+    star = select_star(cloud, [node], 8, "quadrant")[0]
+    center, coeffs = solve_one(cloud.positions[star] - cloud.positions[node])
+    got = apply_stencil(center, coeffs, u[node], u[star])
     expect = np.array([b + 2 * d * x[node] + f * y[node],
                        c + 2 * e * y[node] + f * x[node],
                        2 * d, 2 * e, f])
@@ -163,39 +158,16 @@ def test_table_matches_per_star_application():
     field = rng.normal(size=cloud.n_nodes)
     packed = table.derivatives(field)
     for i in range(cloud.n_nodes):
-        star = table.stars[i]
-        one = apply_stencil(table.stencils[i], field[i], field[star.neighbors])
+        one = apply_stencil(table.center_coeffs[i], table.neighbor_coeffs[i],
+                            field[i], field[table.neighbors[i]])
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
     lap = table.laplacian(field)
     assert np.allclose(lap, packed[:, 1], rtol=0, atol=0)
-
-
-def test_thread_count_does_not_change_coefficients(monkeypatch):
-    cloud = generate_jittered(7, 1.0, dim=2, jitter=0.2, seed=5)
-    serial = build_all_stencils(cloud, 8, "quadrant", threads=1)
-    threaded = build_all_stencils(cloud, 8, "quadrant", threads=4)
-    assert np.array_equal(serial.neighbor_coeffs, threaded.neighbor_coeffs)
-    assert np.array_equal(serial.center_coeffs, threaded.center_coeffs)
-    monkeypatch.setenv("MESHLESS_GROWTH_THREADS", "3")
-    env = build_all_stencils(cloud, 8, "quadrant")
-    assert np.array_equal(serial.neighbor_coeffs, env.neighbor_coeffs)
-
-
-def test_thread_env_validation(monkeypatch):
-    cloud = generate_regular(5, 1.0, dim=1)
-    monkeypatch.setenv("MESHLESS_GROWTH_THREADS", "zero")
-    with pytest.raises(ValueError, match="MESHLESS_GROWTH_THREADS"):
-        build_all_stencils(cloud, 2)
-    monkeypatch.setenv("MESHLESS_GROWTH_THREADS", "0")
-    with pytest.raises(ValueError, match="MESHLESS_GROWTH_THREADS"):
-        build_all_stencils(cloud, 2)
 
 
 def test_table_rejects_mixed_star_sizes():
     cloud = generate_regular(5, 1.0, dim=1)
     t2 = build_all_stencils(cloud, 2)
     t3 = build_all_stencils(cloud, 3)
-    mixed_stars = t2.stars[:1] + t3.stars[1:]
-    mixed_stencils = t2.stencils[:1] + t3.stencils[1:]
     with pytest.raises(ValueError):
-        StencilTable(cloud, mixed_stars, mixed_stencils)
+        StencilTable(cloud, t2.neighbors, t3.center_coeffs, t3.neighbor_coeffs)
