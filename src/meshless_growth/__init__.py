@@ -39,7 +39,6 @@ from .model import (
     ModelParams,
     production,
     production_derivative,
-    tech_rate,
     tech_rate_field,
 )
 from .scenario import (

@@ -84,18 +84,6 @@ def production_derivative(k, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def tech_rate(position, spec: GrowthSpec) -> float:
-    """Growth rate g at a single position."""
-    if spec.kind == "constant":
-        return spec.level
-    pos = np.asarray(position, dtype=float).ravel()
-    center = np.asarray(spec.center, dtype=float).ravel()
-    if pos.size != center.size:
-        raise ValueError(f"position has {pos.size} coordinates, center has {center.size}")
-    r2 = float(((pos - center) ** 2).sum())
-    return spec.level * float(np.exp(-r2 / (2.0 * spec.sigma ** 2)))
-
-
 def tech_rate_field(cloud: NodeCloud, spec: GrowthSpec) -> np.ndarray:
     """g evaluated at every cloud node."""
     if spec.kind == "constant":

@@ -106,6 +106,10 @@ class NeumannOperator:
 
     Row b:  (n . m_0^b) U_b - sum_{i boundary} (n . m_i^b) U_i
             = sum_{i interior} (n . m_i^b) U_i
+
+    The right-hand side reads only cols, the sorted interior nodes that
+    boundary stars reach, so the solve is done once at construction:
+    closure (n_b, len(cols)) maps the values at cols to the boundary values.
     """
 
     def __init__(self, cloud: NodeCloud, table: StencilTable):
@@ -132,15 +136,19 @@ class NeumannOperator:
         mat[np.arange(n_b), np.arange(n_b)] = c0
         # 0.0 - c and 0.0 + c rather than -c and c: a zero coefficient is +0.0.
         mat[rows[on_b], j[on_b]] = 0.0 - ci[on_b]
-        gather = np.zeros((n_b, cloud.n_nodes))
-        gather[rows[~on_b], nbrs[~on_b]] = 0.0 + ci[~on_b]
+        reached = np.zeros(cloud.n_nodes, dtype=bool)
+        reached[nbrs[~on_b]] = True
+        cols = np.flatnonzero(reached)
+        col[cols] = np.arange(cols.size)  # gather columns of the interior nodes
+        gather = np.zeros((n_b, cols.size))
+        gather[rows[~on_b], col[nbrs[~on_b]]] = 0.0 + ci[~on_b]
         self.boundary_idx = b_idx
-        self.solve = np.linalg.inv(mat)
-        self.gather = gather
+        self.cols = cols
+        self.closure = np.linalg.solve(mat, gather)
 
     def project(self, field: np.ndarray) -> np.ndarray:
         out = field.copy()
-        out[self.boundary_idx] = self.solve @ (self.gather @ field)
+        out[self.boundary_idx] = self.closure @ field[self.cols]
         return out
 
 
@@ -152,6 +160,10 @@ def enforce_neumann(state: State, table: StencilTable, cloud: NodeCloud,
 
 
 def _check_finite(k: np.ndarray, A: np.ndarray, time: float) -> None:
+    # Fast path: the max of |k| is NaN if k holds a NaN, which fails the
+    # comparison, so any bad value falls through to the mask naming the node.
+    if np.abs(k).max() <= DIVERGENCE_LIMIT and np.isfinite(A).all():
+        return
     bad = ~np.isfinite(k) | ~np.isfinite(A) | (np.abs(k) > DIVERGENCE_LIMIT)
     if bad.any():
         raise DivergenceError(node=int(np.argmax(bad)), time=time)

@@ -67,11 +67,6 @@ def _f_prime(k0: np.ndarray, k_field: np.ndarray, params: ModelParams, mode: str
     return fp
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row dot product of two (M, s) arrays, one BLAS dot per row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Per interior star (arrays aligned with nodes) and the global bound.
@@ -110,24 +105,26 @@ def dt_bound(
     if f_prime_mode not in F_PRIME_MODES:
         raise ValueError(f"unknown f_prime_mode {f_prime_mode!r}")
     nodes = table.cloud.interior_indices
-    cc = table.center_coeffs[nodes]     # (M, nd)
-    nc = table.neighbor_coeffs[nodes]   # (M, s, nd)
+    # Star sums run over the first axis of the table's component-major
+    # (s, N) slices, for every node at once; results are then taken at the
+    # interior nodes, which avoids gathering the coefficients.
+    ai = state.A[table.neighbors.T]                         # (s, N)
+    mi0 = table.laplacian_parts(table.neighbor_coeffs).T    # (s, N)
+    m00_all = table.laplacian_parts(table.center_coeffs)
+    m00 = m00_all[nodes]
     a0 = state.A[nodes]
-    ai = state.A[table.neighbors[nodes]]
-    m00 = table.laplacian_parts(cc)
-    mi0 = table.laplacian_parts(nc)
     chi = params.chi
 
     fp = _f_prime(state.k[nodes], state.k, params, f_prime_mode)
-    lap_a = -m00 * a0 + _row_dot(mi0, ai)
+    lap_a = (-m00_all * state.A + (mi0 * ai).sum(axis=0))[nodes]
     phi1 = params.delta - a0 * fp - chi * lap_a
-    spread = np.abs(mi0).sum(axis=1)
+    spread = np.abs(mi0).sum(axis=0)[nodes]
     phi2 = spread
     for j in range(table.dim):
-        m0j = cc[:, j]
-        mij = nc[:, :, j]
-        moment = _row_dot(mij, ai)
-        grad_spread = np.abs(mij).sum(axis=1)
+        m0j = table.center_coeffs[nodes, j]
+        mij = table.neighbor_coeffs.T[j]                    # (s, N)
+        moment = (mij * ai).sum(axis=0)[nodes]
+        grad_spread = np.abs(mij).sum(axis=0)[nodes]
         phi1 = phi1 + (chi * m0j ** 2 * a0 + chi * m0j * moment)
         phi2 = phi2 + np.abs(chi * m0j * a0) * grad_spread
         phi2 = phi2 + abs(chi) * grad_spread * np.abs(moment)

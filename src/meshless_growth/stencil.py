@@ -117,7 +117,11 @@ class StencilTable:
 
     neighbors (N, s) holds each node's star; derivative j at node n is
     -center_coeffs[n, j] U_n + sum_i neighbor_coeffs[n, i, j] U_neighbors[n, i],
-    components ordered as DERIV_NAMES for the dimension.
+    components ordered as DERIV_NAMES for the dimension.  The table copies
+    the arrays once into component-major, C-contiguous (s, N), (nd, N) and
+    (nd, s, N) buffers, so the per-step gather and contraction run along the
+    node axis; the attributes are transposed views of those buffers, and an
+    in-place edit through them changes derivatives.
     """
 
     def __init__(self, cloud: NodeCloud, neighbors: np.ndarray,
@@ -129,21 +133,25 @@ class StencilTable:
         if center_coeffs.shape != (n, nd) or neighbor_coeffs.shape != (n, s, nd):
             raise ValueError("coefficient arrays do not match the stars")
         self.cloud = cloud
-        self.neighbors = neighbors
-        self.center_coeffs = center_coeffs
-        self.neighbor_coeffs = neighbor_coeffs
+        self.neighbors = np.array(neighbors.T, order="C").T
+        self.center_coeffs = np.array(center_coeffs.T, order="C").T
+        self.neighbor_coeffs = np.array(neighbor_coeffs.T, order="C").T
 
     @property
     def dim(self) -> int:
         return self.cloud.dim
 
     def derivatives(self, field: np.ndarray) -> np.ndarray:
-        """All derivative components at every node, shape (N, nd)."""
-        gathered = field[self.neighbors]  # (N, s)
+        """All derivative components at every node, shape (N, nd).
+
+        The result is the transpose of a C-contiguous (nd, N) array, so each
+        component column is contiguous.
+        """
+        gathered = field[self.neighbors.T]  # (s, N)
         return (
-            np.einsum("nsd,ns->nd", self.neighbor_coeffs, gathered)
-            - self.center_coeffs * field[:, None]
-        )
+            np.einsum("dsn,sn->dn", self.neighbor_coeffs.T, gathered)
+            - self.center_coeffs.T * field
+        ).T
 
     def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
         """Sum of the pure second-derivative columns; also applies to

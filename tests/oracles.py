@@ -1,22 +1,39 @@
-"""Per-node loop references for the array code of the stencil pipeline.
+"""Reference forms of what the package computes, for tests to compare against.
 
-Each function here is the one-node-at-a-time form of something the package
+Most functions here are the one-node-at-a-time form of something the package
 computes for all nodes at once: star selection over every candidate, the
-per-star moment solve, the per-star Phi terms of the step bound and the
-taxis flux.  Tests require the array code to match them.
+per-star moment solve, the per-star Phi terms of the step bound, the taxis
+flux, the growth rate and the stencil dump.  The others are the plainer
+dense forms of the per-step kernels: derivatives on node-major arrays and
+the boundary closure as a dense (n_b, N) gather times the inverse of the
+boundary matrix.  Tests require the package to match them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 
 import numpy as np
 
-from meshless_growth import DegenerateStarError, production_derivative, tech_rate, weight
+from meshless_growth import DegenerateStarError, production_derivative, weight
 from meshless_growth.stencil import DERIV_ORDERS, RCOND_FLOOR
 
 log = logging.getLogger("meshless_growth.stability")
+
+
+def tech_rate(position, spec) -> float:
+    """Growth rate g at a single position."""
+    if spec.kind == "constant":
+        return spec.level
+    pos = np.asarray(position, dtype=float).ravel()
+    center = np.asarray(spec.center, dtype=float).ravel()
+    if pos.size != center.size:
+        raise ValueError(f"position has {pos.size} coordinates, center has {center.size}")
+    r2 = float(((pos - center) ** 2).sum())
+    return spec.level * float(np.exp(-r2 / (2.0 * spec.sigma ** 2)))
 
 
 def select_star(cloud, center: int, s: int, criterion: str = "distance") -> np.ndarray:
@@ -189,3 +206,55 @@ def flux_term(table, node: int, k_field, A_field, chi: float) -> float:
     if table.dim == 1:
         return float(-chi * dk[0] * da[0] - chi * k_field[node] * da[1])
     return float(-chi * (dk[0] * da[0] + dk[1] * da[1]) - chi * k_field[node] * (da[2] + da[3]))
+
+
+def derivatives(table, field: np.ndarray) -> np.ndarray:
+    """All derivative components at every node from node-major copies of
+    the table's arrays, shape (N, nd)."""
+    coeffs = np.ascontiguousarray(table.neighbor_coeffs)
+    gathered = field[np.ascontiguousarray(table.neighbors)]
+    return np.einsum("nsd,ns->nd", coeffs, gathered) \
+        - np.ascontiguousarray(table.center_coeffs) * field[:, None]
+
+
+def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:
+    """Zero-flux projection with a dense (n_b, N) gather of the interior
+    values and the explicit inverse of the boundary matrix."""
+    b_idx = cloud.boundary_indices
+    n_b = b_idx.size
+    col = {int(b): j for j, b in enumerate(b_idx)}
+    mat = np.zeros((n_b, n_b))
+    gather = np.zeros((n_b, cloud.n_nodes))
+    for row, b in enumerate(b_idx):
+        normal = cloud.normals[b]
+        mat[row, row] = float(normal @ table.center_coeffs[b, :cloud.dim])
+        for i, nbr in enumerate(table.neighbors[b]):
+            coeff = float(normal @ table.neighbor_coeffs[b, i, :cloud.dim])
+            if int(nbr) in col:
+                mat[row, col[int(nbr)]] = -coeff
+            else:
+                gather[row, nbr] = coeff
+    out = np.array(field, dtype=float)
+    out[b_idx] = np.linalg.inv(mat) @ (gather @ field)
+    return out
+
+
+def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> str:
+    """The stencil dump CSV of node-major arrays, written row by row."""
+    names = ("x", "xx", "lap") if dim == 1 else ("x", "y", "xx", "yy", "xy", "lap")
+
+    def lap(parts):
+        return parts[1] if dim == 1 else parts[2] + parts[3]
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    s = neighbors.shape[1]
+    writer.writerow(["node", "deriv", "coeff_center"] + [f"coeff_{i + 1}" for i in range(s)])
+    for node in range(neighbors.shape[0]):
+        cc, nc = center_coeffs[node], neighbor_coeffs[node]
+        centers = [float(c) for c in cc] + [float(lap(cc))]
+        rows = [[float(v) for v in nc[:, j]] for j in range(nc.shape[1])]
+        rows.append([float(lap(nc[i])) for i in range(s)])
+        for name, center, row in zip(names, centers, rows):
+            writer.writerow([node, name, repr(center)] + [repr(v) for v in row])
+    return buf.getvalue()

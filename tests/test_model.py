@@ -11,9 +11,9 @@ from meshless_growth import (
     generate_regular,
     production,
     production_derivative,
-    tech_rate,
     tech_rate_field,
 )
+from oracles import tech_rate
 
 
 def test_production_frozen_values():

@@ -1,7 +1,10 @@
-"""The array build, bound and dump agree with the per-node loop references.
+"""The array build, bound, dump and per-step kernels agree with the references.
 
 Neighbor arrays must be equal and stencil coefficients equal bit for bit,
 since the array code performs the same floating-point operations per star.
+So must derivatives on the component-major table and the stencil dump; the
+compressed boundary closure, which solves instead of inverting, agrees with
+the dense one to rounding.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ from meshless_growth import (
     PRESET_NAMES,
     DegenerateStarError,
     ModelParams,
+    NeumannOperator,
     NodeCloud,
     State,
     WeightSpec,
@@ -25,6 +29,7 @@ from meshless_growth import (
     select_star,
 )
 from meshless_growth import cloud as cloud_module
+from meshless_growth.output import write_stencil_dump
 
 
 def same_bits(a, b):
@@ -192,3 +197,60 @@ def test_dt_bound_matches_per_star_oracle(table, state, params, mode):
     np.testing.assert_allclose(report.dt_max, expect, rtol=1e-12)
     assert report.global_dt == pytest.approx(global_dt, rel=1e-12)
     assert report.violations.tolist() == [r[0] for r in rows if not r[3] > 0]
+
+
+def _kernel_cases():
+    for preset in PRESET_NAMES:
+        scenario = get_preset(preset)
+        cloud = scenario.cloud.build()
+        yield preset, cloud, scenario.star.build_table(cloud)
+    for seed in range(20):
+        cloud = generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=seed)
+        yield f"jittered-12-seed{seed}", cloud, build_all_stencils(cloud, 8, "quadrant")
+    cloud = generate_jittered(48, 1.0, dim=2, jitter=0.25, seed=11)
+    yield "jittered-48-seed11", cloud, build_all_stencils(cloud, 8, "quadrant")
+
+
+KERNEL_CASES = list(_kernel_cases())
+KERNEL_IDS = [c[0] for c in KERNEL_CASES]
+
+
+def _fields(n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(n), rng.uniform(0.5, 2.0, n), np.exp(rng.normal(0, 3, n))]
+
+
+@pytest.mark.parametrize("name,cloud,table", KERNEL_CASES, ids=KERNEL_IDS)
+def test_compressed_closure_matches_dense_inverse(name, cloud, table):
+    op = NeumannOperator(cloud, table)
+    b_idx = cloud.boundary_indices
+    reached = set(table.neighbors[b_idx].ravel().tolist()) - set(b_idx.tolist())
+    assert op.cols.tolist() == sorted(reached)  # only the interior nodes boundary stars reach
+    assert not np.isin(op.cols, b_idx).any()
+    assert op.closure.shape == (b_idx.size, op.cols.size)
+    for field in _fields(cloud.n_nodes, 3):
+        got = op.project(field)
+        ref = oracles.dense_project(cloud, table, field)
+        assert np.array_equal(got[cloud.interior_indices], field[cloud.interior_indices])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name,cloud,table", KERNEL_CASES, ids=KERNEL_IDS)
+def test_derivatives_equal_node_major_einsum(name, cloud, table):
+    fields = _fields(cloud.n_nodes, 8) + [cloud.positions[:, 0] ** 2]
+    for field in fields:
+        assert same_bits(np.ascontiguousarray(table.derivatives(field)),
+                         oracles.derivatives(table, field))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_stencil_dump_equals_row_by_row_writer(preset, tmp_path):
+    scenario = get_preset(preset)
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    arrays = oracles.build_table_arrays(cloud, scenario.star.s, scenario.star.criterion,
+                                        scenario.star.weight)
+    path = write_stencil_dump(table, tmp_path / "dump.csv")
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert lines == oracles.stencil_dump_text(*arrays, cloud.dim).splitlines(keepends=True)

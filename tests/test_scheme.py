@@ -1,10 +1,13 @@
 """Explicit stepping: flux terms, boundary enforcement, run loop edges."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from meshless_growth import (
     DegenerateBoundaryStarError,
+    DivergenceError,
     GrowthSpec,
     ModelParams,
     NeumannOperator,
@@ -20,6 +23,7 @@ from meshless_growth import (
     step,
     tech_rate_field,
 )
+from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
 from oracles import apply_stencil, flux_term
 
 
@@ -301,3 +305,29 @@ def test_degenerate_boundary_star_detected():
     bad_table = StencilTable(cloud, table.neighbors, cc, table.neighbor_coeffs)
     with pytest.raises(DegenerateBoundaryStarError):
         NeumannOperator(cloud, bad_table)
+
+
+BAD_VALUES = [("k", np.nan), ("k", np.inf), ("k", -np.inf), ("k", 2 * DIVERGENCE_LIMIT),
+              ("k", -2 * DIVERGENCE_LIMIT), ("A", np.nan), ("A", np.inf), ("A", -np.inf)]
+
+
+@pytest.mark.parametrize("other_bad", [False, True])
+@pytest.mark.parametrize("name,value", BAD_VALUES)
+def test_check_finite_names_the_first_bad_node(name, value, other_bad):
+    fields = {"k": np.ones(30), "A": np.ones(30)}
+    fields[name][[11, 25]] = value
+    if other_bad:  # a later bad node in the other field
+        fields["k" if name == "A" else "A"][19] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        _check_finite(fields["k"], fields["A"], 1.5)
+    assert err.value.node == 11 and err.value.time == 1.5
+
+
+def test_check_finite_passes_finite_fields_at_the_limits():
+    k = np.full(30, DIVERGENCE_LIMIT)
+    k[3] = -DIVERGENCE_LIMIT
+    A = np.full(30, 1e308)  # finite values whose sum overflows
+    A[7] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_finite(k, A, 0.0)

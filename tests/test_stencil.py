@@ -171,3 +171,31 @@ def test_table_rejects_mixed_star_sizes():
     t3 = build_all_stencils(cloud, 3)
     with pytest.raises(ValueError):
         StencilTable(cloud, t2.neighbors, t3.center_coeffs, t3.neighbor_coeffs)
+
+
+def test_table_is_stored_component_major():
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    for arr in (table.neighbors, table.center_coeffs, table.neighbor_coeffs):
+        assert arr.T.flags.c_contiguous
+    # the table holds its own buffers, not the arrays it was given
+    neighbors, cc, nc = (a.copy() for a in (table.neighbors, table.center_coeffs,
+                                            table.neighbor_coeffs))
+    own = StencilTable(cloud, neighbors, cc, nc)
+    nc[5, 2, 0] += 1.0
+    assert own.neighbor_coeffs[5, 2, 0] == table.neighbor_coeffs[5, 2, 0]
+
+
+def test_in_place_coefficient_edit_reaches_derivatives():
+    rng = np.random.default_rng(12)
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    field = rng.uniform(1.0, 2.0, cloud.n_nodes)
+    before = table.derivatives(field).copy()
+    table.neighbor_coeffs[17, 3, 2] += 0.5
+    after = table.derivatives(field)
+    expect = before.copy()
+    expect[17, 2] += 0.5 * field[table.neighbors[17, 3]]
+    assert np.allclose(after, expect, rtol=1e-14, atol=0)
+    changed = after != before
+    assert changed[17, 2] and changed.sum() == 1
