@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,45 +39,42 @@ def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
-def _get_float(sec, section: str, key: str, default=None):
-    if key not in sec:
-        if default is None:
+def _require(sec, section: str, *keys: str) -> None:
+    for key in keys:
+        if key not in sec:
             _fail(f"{section}.{key}", "required key missing")
-        return default
+
+
+def _choice(*choices: str):
+    def convert(raw: str) -> str:
+        if raw not in choices:  # configparser strips values
+            raise ValueError(f"must be one of {sorted(choices)}, got {raw!r}")
+        return raw
+    return convert
+
+
+def _parse_float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(",") if x.strip())
+
+
+def _convert(sec, section: str, converters: dict, prefix: str = "") -> dict:
+    """Dataclass keyword arguments from the converters' keys (prefix + field
+    name) present in sec; an absent key takes the dataclass default."""
+    args = {}
+    for name, convert in converters.items():
+        if prefix + name in sec:
+            try:
+                args[name] = convert(sec[prefix + name])
+            except ValueError as exc:
+                _fail(f"{section}.{prefix}{name}", str(exc))
+    return args
+
+
+def _build(section: str, cls, **kwargs):
     try:
-        return float(sec[key])
-    except ValueError:
-        _fail(f"{section}.{key}", f"not a number: {sec[key]!r}")
-
-
-def _get_int(sec, section: str, key: str, default=None):
-    if key not in sec:
-        if default is None:
-            _fail(f"{section}.{key}", "required key missing")
-        return default
-    try:
-        return int(sec[key])
-    except ValueError:
-        _fail(f"{section}.{key}", f"not an integer: {sec[key]!r}")
-
-
-def _get_choice(sec, section: str, key: str, choices, default=None):
-    if key not in sec:
-        if default is None:
-            _fail(f"{section}.{key}", "required key missing")
-        return default
-    val = sec[key].strip()
-    if val not in choices:
-        _fail(f"{section}.{key}", f"must be one of {sorted(choices)}, got {val!r}")
-    return val
-
-
-def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
-    items = [x.strip() for x in raw.split(",") if x.strip()]
-    try:
-        return tuple(float(x) for x in items)
-    except ValueError:
-        _fail(where, f"not a comma-separated number list: {raw!r}")
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,11 @@ class CloudSpec:
         if self.kind == "file":
             if not self.path:
                 raise ScenarioError("cloud.path: required for kind=file")
-            return load_cloud(self.path)
+            cloud = load_cloud(self.path)
+            if cloud.dim != self.dim:
+                raise ScenarioError(f"cloud.dim: {self.path} holds a {cloud.dim}D cloud, "
+                                    f"not {self.dim}D")
+            return cloud
         raise ScenarioError(f"cloud.kind: unknown kind {self.kind!r}")
 
 
@@ -208,7 +210,7 @@ class Scenario:
         return State(k=k0, A=a0, time=0.0)
 
 
-def _parse_points(raw: str, where: str) -> tuple[tuple[float, float], ...]:
+def _parse_points(raw: str) -> tuple[tuple[float, float], ...]:
     pts = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -216,17 +218,17 @@ def _parse_points(raw: str, where: str) -> tuple[tuple[float, float], ...]:
             continue
         parts = chunk.split(":")
         if len(parts) != 2:
-            _fail(where, f"expected x:value pairs, got {chunk!r}")
+            raise ValueError(f"expected x:value pairs, got {chunk!r}")
         try:
             pts.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            _fail(where, f"bad number in {chunk!r}")
+            raise ValueError(f"bad number in {chunk!r}") from None
     if len(pts) < 2:
-        _fail(where, "need at least two x:value pairs")
+        raise ValueError("need at least two x:value pairs")
     return tuple(pts)
 
 
-def _parse_bumps(raw: str, where: str) -> tuple[tuple[float, ...], ...]:
+def _parse_bumps(raw: str) -> tuple[tuple[float, ...], ...]:
     bumps = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -235,46 +237,56 @@ def _parse_bumps(raw: str, where: str) -> tuple[tuple[float, ...], ...]:
         try:
             nums = tuple(float(x) for x in chunk.split(","))
         except ValueError:
-            _fail(where, f"bad number in bump {chunk!r}")
+            raise ValueError(f"bad number in bump {chunk!r}") from None
         if len(nums) not in (3, 4):  # amp, cx[, cy], sigma
-            _fail(where, f"bump needs amplitude,center...,sigma, got {chunk!r}")
+            raise ValueError(f"bump needs amplitude,center...,sigma, got {chunk!r}")
         bumps.append(nums)
     if not bumps:
-        _fail(where, "no bumps given")
+        raise ValueError("no bumps given")
     return tuple(bumps)
 
 
+# Converters of each section's keys, by the dataclass field they fill.
+_CLOUD_KEYS = {"kind": _choice("regular", "jittered", "file"), "dim": int,
+               "nodes_per_axis": int, "length": float, "jitter": float, "seed": int,
+               "path": str}
+_STAR_KEYS = {"s": int, "criterion": _choice("distance", "quadrant")}
+_WEIGHT_KEYS = {"weight": _choice("potential", "exponential"),  # WeightSpec.kind
+                "exponent": float, "shape": float}
+_MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
+                            float)
+_GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read as g_<field>
+                "center": _parse_float_list, "sigma": float}
+# By field kind, read as <field>_<name>; the first key is required.
+_FIELD_KEYS = {"constant": {"value": float},
+               "piecewise": {"points": _parse_points},
+               "gaussians": {"bumps": _parse_bumps, "base": float},
+               "file": {"path": str}}
+_SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_list,
+                "stability_mode": _choice("off", "check", "adapt"), "stability_interval": int}
+# Technology starts at a constant 1 unless the scenario says otherwise.
+_A0_DEFAULTS = {"A0_kind": "constant", "A0_value": "1.0"}
+
+
 def _parse_field(sec, prefix: str) -> FieldSpec:
-    kinds = ("constant", "piecewise", "gaussians", "file")
-    kind = _get_choice(sec, "initial", f"{prefix}_kind", kinds,
-                       default="constant" if prefix == "A0" else None)
-    spec = FieldSpec(kind=kind, value=1.0 if prefix == "A0" else 0.0)
-    if kind == "constant":
-        default = 1.0 if prefix == "A0" else None
-        spec = replace(spec, value=_get_float(sec, "initial", f"{prefix}_value", default))
-    elif kind == "piecewise":
-        if f"{prefix}_points" not in sec:
-            _fail(f"initial.{prefix}_points", "required for piecewise fields")
-        spec = replace(spec, points=_parse_points(sec[f"{prefix}_points"],
-                                                  f"initial.{prefix}_points"))
-    elif kind == "gaussians":
-        if f"{prefix}_bumps" not in sec:
-            _fail(f"initial.{prefix}_bumps", "required for gaussian fields")
-        spec = replace(spec,
-                       bumps=_parse_bumps(sec[f"{prefix}_bumps"], f"initial.{prefix}_bumps"),
-                       base=_get_float(sec, "initial", f"{prefix}_base", 0.0))
-    elif kind == "file":
-        if f"{prefix}_path" not in sec:
-            _fail(f"initial.{prefix}_path", "required for file fields")
-        spec = replace(spec, path=sec[f"{prefix}_path"])
-    return spec
+    prefix += "_"
+    _require(sec, "initial", prefix + "kind")
+    kind = _convert(sec, "initial", {"kind": _choice(*_FIELD_KEYS)}, prefix)["kind"]
+    converters = _FIELD_KEYS[kind]
+    _require(sec, "initial", prefix + next(iter(converters)))  # the kind's data
+    return FieldSpec(kind=kind, **_convert(sec, "initial", converters, prefix))
+
+
+def _config_parser() -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None, strict=True)
+    cp.optionxform = str  # keys are case-sensitive; typos must not slip through
+    return cp
 
 
 def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario from its text form."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   interpolation=None, strict=True)
-    cp.optionxform = str  # keys are case-sensitive; typos must not slip through
+    cp = _config_parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -291,84 +303,43 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             _fail(section, "required section missing")
 
     sec = cp["cloud"]
-    kind = _get_choice(sec, "cloud", "kind", ("regular", "jittered", "file"))
-    cloud = CloudSpec(
-        kind=kind,
-        dim=_get_int(sec, "cloud", "dim", 1),
-        nodes_per_axis=_get_int(sec, "cloud", "nodes_per_axis",
-                                11 if kind == "file" else None),
-        length=_get_float(sec, "cloud", "length", 1.0),
-        jitter=_get_float(sec, "cloud", "jitter", 0.2),
-        seed=_get_int(sec, "cloud", "seed", 0),
-        path=sec.get("path"),
-    )
+    _require(sec, "cloud", "kind")
+    cloud = CloudSpec(**_convert(sec, "cloud", _CLOUD_KEYS))
+    if cloud.kind != "file":
+        _require(sec, "cloud", "nodes_per_axis")
     if cloud.dim not in (1, 2):
         _fail("cloud.dim", f"must be 1 or 2, got {cloud.dim}")
 
     sec = cp["star"]
-    weight_kind = _get_choice(sec, "star", "weight", ("potential", "exponential"),
-                              "potential")
-    try:
-        weight = WeightSpec(kind=weight_kind,
-                            exponent=_get_float(sec, "star", "exponent", 3.0),
-                            shape=_get_float(sec, "star", "shape", 6.0))
-    except ValueError as exc:
-        raise ScenarioError(f"star: {exc}") from exc
-    star = StarSpec(
-        s=_get_int(sec, "star", "s"),
-        criterion=_get_choice(sec, "star", "criterion", ("distance", "quadrant"),
-                              "distance"),
-        weight=weight,
-    )
+    _require(sec, "star", "s")
+    weight = _convert(sec, "star", _WEIGHT_KEYS)
+    if "weight" in weight:
+        weight["kind"] = weight.pop("weight")
+    star = StarSpec(**_convert(sec, "star", _STAR_KEYS),
+                    weight=_build("star", WeightSpec, **weight))
 
     sec = cp["model"] if "model" in cp else {}
-    g_kind = _get_choice(sec, "model", "g_kind", ("constant", "gaussian"), "constant")
-    center_raw = sec.get("g_center") or ("0.5" if cloud.dim == 1 else "0.5, 0.5")
-    g_center = _parse_float_list(center_raw, "model.g_center")
-    if g_kind == "gaussian" and len(g_center) != cloud.dim:
+    growth = _convert(sec, "model", _GROWTH_KEYS, prefix="g_")
+    if not sec.get("g_center"):  # GrowthSpec's default center, on every axis
+        growth["center"] = GrowthSpec.center * cloud.dim
+    g_spec = _build("model", GrowthSpec, **growth)
+    if g_spec.kind == "gaussian" and len(g_spec.center) != cloud.dim:
         _fail("model.g_center", f"needs {cloud.dim} coordinates")
-    try:
-        model = ModelParams(
-            alpha1=_get_float(sec, "model", "alpha1", 1.0),
-            alpha2=_get_float(sec, "model", "alpha2", 1.0),
-            p=_get_float(sec, "model", "p", 2.0),
-            q=_get_float(sec, "model", "q", 3.0),
-            delta=_get_float(sec, "model", "delta", 0.05),
-            chi=_get_float(sec, "model", "chi", 0.0),
-            tech_diffusion=_get_float(sec, "model", "tech_diffusion", 0.0),
-            g_spec=GrowthSpec(kind=g_kind,
-                              level=_get_float(sec, "model", "g_level", 0.0),
-                              center=g_center,
-                              sigma=_get_float(sec, "model", "g_sigma", 0.2)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"model: {exc}") from exc
+    model = _build("model", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
 
-    sec = cp["initial"]
+    sec = {**_A0_DEFAULTS, **cp["initial"]}
     initial = InitialSpec(k0=_parse_field(sec, "k0"), A0=_parse_field(sec, "A0"))
 
     sec = cp["scheme"]
-    mode = _get_choice(sec, "scheme", "stability_mode", ("off", "check", "adapt"), "off")
-    dt: float | None
-    if "dt" in sec:
-        dt = _get_float(sec, "scheme", "dt")
-    elif mode == "adapt":
-        dt = None  # adapt derives the first step from the bound
-    else:
-        _fail("scheme.dt", "required unless stability_mode=adapt")
-    snaps = _parse_float_list(sec.get("snapshot_times", ""), "scheme.snapshot_times")
-    try:
-        scheme = SchemeConfig(
-            dt=dt,
-            t_final=_get_float(sec, "scheme", "t_final"),
-            snapshot_times=snaps,
-            stability_mode=mode,
-            stability_interval=_get_int(sec, "scheme", "stability_interval", 10),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scheme: {exc}") from exc
+    _require(sec, "scheme", "t_final")
+    args = _convert(sec, "scheme", _SCHEME_KEYS)
+    if "dt" not in args:
+        if args.get("stability_mode") != "adapt":
+            _fail("scheme.dt", "required unless stability_mode=adapt")
+        args["dt"] = None  # adapt derives the first step from the bound
+    scheme = _build("scheme", SchemeConfig, **args)
 
-    out_dir = cp["output"].get("dir", f"out/{name}") if "output" in cp else f"out/{name}"
+    out_dir = cp.get("output", "dir", fallback=f"out/{name}")
     return Scenario(name=name, cloud=cloud, star=star, model=model,
                     initial=initial, scheme=scheme, output_dir=out_dir)
 
@@ -383,13 +354,12 @@ def parse_scenario(path) -> Scenario:
     return parse_scenario_text(text, name=name)
 
 
-# Reference experiment presets.  Production coefficients use the saturating
-# p = q = 2 form so capital growth balances depreciation at a finite level;
-# exponents stay configurable per scenario.
-_PRESET_TEXTS: dict[str, str] = {
-    "growth-1d-delta005": """\
-# 1D growth, moderate depreciation, no taxis.
-# Technology improves fastest mid-domain; capital rises across the interval.
+# Reference experiment presets: one base per dimension, and per preset its
+# dimension, a description and the keys that differ from the base.
+# Production uses the saturating p = q = 2 form, so capital growth balances
+# depreciation at a finite level; exponents stay configurable per scenario.
+_PRESET_BASES = {
+    1: """\
 [cloud]
 kind = jittered
 dim = 1
@@ -429,103 +399,8 @@ t_final = 20.0
 snapshot_times = 0, 5, 10, 15, 20
 stability_mode = check
 stability_interval = 200
-
-[output]
-dir = out/growth-1d-delta005
 """,
-    "growth-1d-delta002": """\
-# 1D growth with low depreciation: capital ends above its start everywhere.
-[cloud]
-kind = jittered
-dim = 1
-nodes_per_axis = 13
-length = 1.0
-jitter = 0.15
-seed = 3
-
-[star]
-s = 2
-criterion = distance
-weight = potential
-exponent = 3.0
-
-[model]
-alpha1 = 1.0
-alpha2 = 1.0
-p = 2.0
-q = 2.0
-delta = 0.02
-chi = 0.0
-g_kind = gaussian
-g_level = 0.1
-g_center = 0.5
-g_sigma = 0.2
-
-[initial]
-k0_kind = piecewise
-k0_points = 0:5, 0.25:5, 0.75:25, 1:25
-A0_kind = constant
-A0_value = 1.0
-
-[scheme]
-dt = 0.001
-# The horizon is simulated time, not a domain length; space stays [0, 1].
-t_final = 20.0
-snapshot_times = 0, 5, 10, 15, 20
-stability_mode = check
-stability_interval = 200
-
-[output]
-dir = out/growth-1d-delta002
-""",
-    "growth-1d-chi1": """\
-# 1D taxis run: technology peaks near x = 0.1 and capital drifts toward it,
-# ending with a higher peak than the taxis-free low-depreciation run.
-[cloud]
-kind = jittered
-dim = 1
-nodes_per_axis = 13
-length = 1.0
-jitter = 0.15
-seed = 3
-
-[star]
-s = 2
-criterion = distance
-weight = potential
-exponent = 3.0
-
-[model]
-alpha1 = 1.0
-alpha2 = 1.0
-p = 2.0
-q = 2.0
-delta = 0.02
-chi = 1.0
-g_kind = gaussian
-g_level = 0.1
-g_center = 0.1
-g_sigma = 0.2
-
-[initial]
-k0_kind = piecewise
-k0_points = 0:5, 0.25:5, 0.75:25, 1:25
-A0_kind = constant
-A0_value = 1.0
-
-[scheme]
-dt = 0.001
-# The horizon is simulated time, not a domain length; space stays [0, 1].
-t_final = 20.0
-snapshot_times = 0, 5, 10, 15, 20
-stability_mode = check
-stability_interval = 200
-
-[output]
-dir = out/growth-1d-chi1
-""",
-    "growth-2d-delta005": """\
-# 2D growth, moderate depreciation, no taxis; long horizon.
+    2: """\
 [cloud]
 kind = jittered
 dim = 2
@@ -549,8 +424,6 @@ delta = 0.05
 chi = 0.0
 g_kind = gaussian
 g_level = 0.1
-g_center = 0.5, 0.5
-g_sigma = 0.2
 
 [initial]
 k0_kind = gaussians
@@ -566,159 +439,59 @@ t_final = 150.0
 snapshot_times = 0, 10, 50, 100, 150
 stability_mode = check
 stability_interval = 500
-
-[output]
-dir = out/growth-2d-delta005
-""",
-    "growth-2d-delta0085": """\
-# 2D poverty trap: frozen technology, depreciation high enough that the
-# rich bumps hold for a while and then drain away through diffusion.
-[cloud]
-kind = jittered
-dim = 2
-nodes_per_axis = 12
-length = 1.0
-jitter = 0.1
-seed = 11
-
-[star]
-s = 8
-criterion = quadrant
-weight = potential
-exponent = 3.0
-
-[model]
-alpha1 = 1.0
-alpha2 = 1.0
-p = 2.0
-q = 2.0
-delta = 0.085
-chi = 0.0
-g_kind = constant
-g_level = 0.0
-
-[initial]
-k0_kind = gaussians
-k0_bumps = 1.2, 0.3, 0.3, 0.12; 0.9, 0.7, 0.6, 0.1
-k0_base = 0.05
-A0_kind = constant
-A0_value = 1.0
-
-[scheme]
-dt = 0.001
-t_final = 50.0
-snapshot_times = 0, 5, 15, 30, 50
-stability_mode = check
-stability_interval = 500
-
-[output]
-dir = out/growth-2d-delta0085
-""",
-    "growth-2d-delta03": """\
-# 2D with very high depreciation and no taxis: capital converges to zero
-# from the start.  Technology is held constant so nothing re-ignites growth.
-[cloud]
-kind = jittered
-dim = 2
-nodes_per_axis = 12
-length = 1.0
-jitter = 0.1
-seed = 11
-
-[star]
-s = 8
-criterion = quadrant
-weight = potential
-exponent = 3.0
-
-[model]
-alpha1 = 1.0
-alpha2 = 1.0
-p = 2.0
-q = 2.0
-delta = 0.3
-chi = 0.0
-g_kind = constant
-g_level = 0.0
-
-[initial]
-k0_kind = gaussians
-k0_bumps = 0.22, 0.3, 0.3, 0.12; 0.18, 0.7, 0.6, 0.1
-k0_base = 0.02
-A0_kind = constant
-A0_value = 1.0
-
-[scheme]
-dt = 0.001
-t_final = 30.0
-snapshot_times = 0, 1, 5, 10, 30
-stability_mode = check
-stability_interval = 500
-
-[output]
-dir = out/growth-2d-delta03
-""",
-    "growth-2d-delta03-chi1": """\
-# 2D with very high depreciation but taxis on and growing technology:
-# capital first decays, then piles up near the technology peak.  Taxis
-# spikes tighten the step bound, so the step adapts to stay under it.
-[cloud]
-kind = jittered
-dim = 2
-nodes_per_axis = 12
-length = 1.0
-jitter = 0.1
-seed = 11
-
-[star]
-s = 8
-criterion = quadrant
-weight = potential
-exponent = 3.0
-
-[model]
-alpha1 = 1.0
-alpha2 = 1.0
-p = 2.0
-q = 2.0
-delta = 0.3
-chi = 1.0
-g_kind = gaussian
-g_level = 0.1
-g_center = 0.5, 0.5
-g_sigma = 0.2
-
-[initial]
-k0_kind = gaussians
-k0_bumps = 0.22, 0.3, 0.3, 0.12; 0.18, 0.7, 0.6, 0.1
-k0_base = 0.02
-A0_kind = constant
-A0_value = 1.0
-
-[scheme]
-dt = 0.001
-t_final = 30.0
-snapshot_times = 0, 1, 5, 10, 30
-stability_mode = adapt
-stability_interval = 20
-
-[output]
-dir = out/growth-2d-delta03-chi1
 """,
 }
+_GROWTH_BUMP_2D = {"g_center": "0.5, 0.5", "g_sigma": "0.2"}
+_FROZEN_TECH = {"g_kind": "constant", "g_level": "0.0"}
+_LOW_CAPITAL_2D = {"k0_bumps": "0.22, 0.3, 0.3, 0.12; 0.18, 0.7, 0.6, 0.1", "k0_base": "0.02"}
+_HORIZON_30 = {"t_final": "30.0", "snapshot_times": "0, 1, 5, 10, 30"}
+_PRESETS = {
+    "growth-1d-delta005": (
+        1, "1D growth, moderate depreciation, no taxis: capital rises across the interval.",
+        {}),
+    "growth-1d-delta002": (
+        1, "1D growth, low depreciation: capital ends above its start everywhere.",
+        {"model": {"delta": "0.02"}}),
+    "growth-1d-chi1": (
+        1, "1D taxis: capital drifts toward the technology peak near x = 0.1 and ends higher.",
+        {"model": {"delta": "0.02", "chi": "1.0", "g_center": "0.1"}}),
+    "growth-2d-delta005": (
+        2, "2D growth, moderate depreciation, no taxis; long horizon.",
+        {"model": _GROWTH_BUMP_2D}),
+    "growth-2d-delta0085": (
+        2, "2D poverty trap: with frozen technology the rich bumps hold, then drain away.",
+        {"model": {"delta": "0.085", **_FROZEN_TECH},
+         "scheme": {"t_final": "50.0", "snapshot_times": "0, 5, 15, 30, 50"}}),
+    "growth-2d-delta03": (
+        2, "2D, very high depreciation, frozen technology: capital converges to zero.",
+        {"model": {"delta": "0.3", **_FROZEN_TECH}, "initial": _LOW_CAPITAL_2D,
+         "scheme": _HORIZON_30}),
+    "growth-2d-delta03-chi1": (
+        2, "2D, very high depreciation with taxis and growing technology: capital decays, "
+           "then piles up near the technology peak; the step adapts to taxis spikes.",
+        {"model": {"delta": "0.3", "chi": "1.0", **_GROWTH_BUMP_2D},
+         "initial": _LOW_CAPITAL_2D,
+         "scheme": {**_HORIZON_30, "stability_mode": "adapt", "stability_interval": "20"}}),
+}
 
-PRESET_NAMES = tuple(sorted(_PRESET_TEXTS))
-
-
-def get_preset(name: str) -> Scenario:
-    if name not in _PRESET_TEXTS:
-        raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return parse_scenario_text(_PRESET_TEXTS[name], name=name)
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset_text(name: str) -> str:
-    if name not in _PRESET_TEXTS:
+    """The full scenario text of a preset: its base with its diff applied."""
+    if name not in _PRESETS:
         raise ScenarioError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return _PRESET_TEXTS[name]
+    dim, description, diff = _PRESETS[name]
+    cp = _config_parser()
+    cp.read_string(_PRESET_BASES[dim])
+    cp.read_dict(diff)
+    cp["output"] = {"dir": f"out/{name}"}
+    buf = io.StringIO()
+    buf.write(f"# {description}\n")
+    cp.write(buf)
+    return buf.getvalue()
+
+
+def get_preset(name: str) -> Scenario:
+    return parse_scenario_text(preset_text(name), name=name)

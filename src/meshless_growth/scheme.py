@@ -152,10 +152,9 @@ class NeumannOperator:
         return out
 
 
-def enforce_neumann(state: State, table: StencilTable, cloud: NodeCloud,
-                    operator: NeumannOperator | None = None) -> State:
+def enforce_neumann(state: State, table: StencilTable, cloud: NodeCloud) -> State:
     """Overwrite boundary values of k and A with the zero-flux solve."""
-    op = operator if operator is not None else NeumannOperator(cloud, table)
+    op = NeumannOperator(cloud, table)
     return State(k=op.project(state.k), A=op.project(state.A), time=state.time)
 
 

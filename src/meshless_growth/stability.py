@@ -35,8 +35,6 @@ from .stencil import StencilTable
 
 log = logging.getLogger(__name__)
 
-F_PRIME_MODES = ("local", "conservative")
-
 
 def _sup_f_prime(k_field: np.ndarray, params: ModelParams) -> float:
     """sup |f'| over [k_floor, max k], the same for every star."""
@@ -46,15 +44,13 @@ def _sup_f_prime(k_field: np.ndarray, params: ModelParams) -> float:
     return float(np.max(np.abs(production_derivative(grid, params))))
 
 
-def _f_prime(k0: np.ndarray, k_field: np.ndarray, params: ModelParams, mode: str) -> np.ndarray:
+def _f_prime(k0: np.ndarray, k_field: np.ndarray, params: ModelParams) -> np.ndarray:
     """Slope of the production term entering Phi1, per star.
 
-    local: f' at the center's current capital (stand-in for the mean-value
-    point); conservative: sup |f'| over [k_floor, max k].  The p < 1
-    singularity at k = 0 falls back to the sup, logged once per call.
+    f' at the center's current capital, a stand-in for the mean-value point.
+    The p < 1 singularity at k = 0 falls back to sup |f'| over
+    [k_floor, max k], logged once per call.
     """
-    if mode == "conservative":
-        return np.full(k0.shape, _sup_f_prime(k_field, params))
     k0 = np.maximum(k0, 0.0)
     singular = (k0 == 0.0) & (params.p < 1)
     fp = np.empty(k0.shape)
@@ -86,13 +82,7 @@ class StabilityReport:
     violations: np.ndarray  # nodes failing the sign condition
 
 
-def dt_bound(
-    table: StencilTable,
-    state: State,
-    params: ModelParams,
-    *,
-    f_prime_mode: str = "local",
-) -> StabilityReport:
+def dt_bound(table: StencilTable, state: State, params: ModelParams) -> StabilityReport:
     """Evaluate the bound at every interior star and take the minimum.
 
     Stars failing the sign condition are listed in violations; when any star
@@ -102,8 +92,6 @@ def dt_bound(
     usable bound).  All stars without a positive denominator is an error.
     The global bound is the smaller of that and the technology bound.
     """
-    if f_prime_mode not in F_PRIME_MODES:
-        raise ValueError(f"unknown f_prime_mode {f_prime_mode!r}")
     nodes = table.cloud.interior_indices
     # Star sums run over the first axis of the table's component-major
     # (s, N) slices, for every node at once; results are then taken at the
@@ -115,7 +103,7 @@ def dt_bound(
     a0 = state.A[nodes]
     chi = params.chi
 
-    fp = _f_prime(state.k[nodes], state.k, params, f_prime_mode)
+    fp = _f_prime(state.k[nodes], state.k, params)
     lap_a = (-m00_all * state.A + (mi0 * ai).sum(axis=0))[nodes]
     phi1 = params.delta - a0 * fp - chi * lap_a
     spread = np.abs(mi0).sum(axis=0)[nodes]

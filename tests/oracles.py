@@ -132,7 +132,7 @@ def laplacian_neighbors(table, node: int) -> np.ndarray:
     return nc[:, 1] if table.dim == 1 else nc[:, 2] + nc[:, 3]
 
 
-def f_prime(k_center: float, k_field: np.ndarray, params, mode: str) -> float:
+def f_prime(k_center: float, k_field: np.ndarray, params) -> float:
     k_max = max(float(np.max(k_field)), 0.0)
     floor = 1e-8 * max(1.0, k_max)
 
@@ -140,8 +140,6 @@ def f_prime(k_center: float, k_field: np.ndarray, params, mode: str) -> float:
         grid = np.geomspace(max(lo, floor), max(hi, floor * 10.0), 64)
         return float(np.max(np.abs(production_derivative(grid, params))))
 
-    if mode == "conservative":
-        return sup_over(floor, k_max)
     k0 = max(float(k_center), 0.0)
     if params.p < 1 and k0 == 0.0:
         log.warning("f' singular at k=0 (p=%g); using sup over [%g, %g]",
@@ -150,7 +148,7 @@ def f_prime(k_center: float, k_field: np.ndarray, params, mode: str) -> float:
     return float(production_derivative(k0, params))
 
 
-def phi_terms(table, node: int, k_field, A_field, params, *, f_prime_mode="local"):
+def phi_terms(table, node: int, k_field, A_field, params):
     """Phi1 and Phi2 of one star evaluated on the current fields."""
     nbrs = table.neighbors[node]
     a0 = float(A_field[node])
@@ -158,7 +156,7 @@ def phi_terms(table, node: int, k_field, A_field, params, *, f_prime_mode="local
     m00 = laplacian_center(table, node)
     mi0 = laplacian_neighbors(table, node)
     chi = params.chi
-    fp = f_prime(k_field[node], k_field, params, f_prime_mode)
+    fp = f_prime(k_field[node], k_field, params)
     lap_a = -m00 * a0 + float(mi0 @ ai)
     phi1 = params.delta - a0 * fp - chi * lap_a
     phi2 = float(np.abs(mi0).sum())
@@ -172,13 +170,13 @@ def phi_terms(table, node: int, k_field, A_field, params, *, f_prime_mode="local
     return float(phi1), float(phi2)
 
 
-def dt_bound(table, state, params, *, f_prime_mode="local"):
+def dt_bound(table, state, params):
     """Per-star rows (node, phi1, phi2, margin, dt_max or None) and the
     global bound, with the technology bound when it diffuses."""
     rows = []
     for node in table.cloud.interior_indices:
         node = int(node)
-        phi1, phi2 = phi_terms(table, node, state.k, state.A, params, f_prime_mode=f_prime_mode)
+        phi1, phi2 = phi_terms(table, node, state.k, state.A, params)
         m00 = laplacian_center(table, node)
         margin = m00 + phi1 - phi2
         denom = m00 + phi1 + phi2

@@ -1,18 +1,28 @@
 """Scenario parsing: presets, defaults, overrides, and rejection paths."""
 
+import configparser
+
 import numpy as np
 import pytest
 
 from meshless_growth import (
     PRESET_NAMES,
+    CloudSpec,
+    FieldSpec,
+    GrowthSpec,
+    InitialSpec,
+    ModelParams,
+    SchemeConfig,
     ScenarioError,
+    StarSpec,
+    WeightSpec,
     generate_regular,
     get_preset,
     parse_scenario,
     parse_scenario_text,
     preset_text,
+    save_cloud,
 )
-from meshless_growth.scenario import FieldSpec
 
 MINIMAL = """\
 [cloud]
@@ -90,16 +100,56 @@ def test_preset_text_round_trip():
         assert sc == get_preset(name)
 
 
+def test_preset_text_states_every_section_and_the_keys_read_from_it():
+    for name in PRESET_NAMES:
+        text = preset_text(name)
+        assert text.startswith("# ")  # the preset's description
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(text)
+        assert cp.sections() == ["cloud", "star", "model", "initial", "scheme", "output"]
+        assert {"A0_kind", "A0_value"} <= set(cp["initial"])
+        assert {"g_kind", "g_level"} <= set(cp["model"])
+        assert cp["output"]["dir"] == f"out/{name}"
+
+
+def test_presets_share_the_documented_settings():
+    for name in PRESET_NAMES:
+        sc = get_preset(name)
+        m = sc.model
+        assert (m.p, m.q, m.alpha1, m.alpha2) == (2.0, 2.0, 1.0, 1.0)
+        assert sc.initial.A0 == FieldSpec(kind="constant", value=1.0)
+        assert sc.cloud.kind == "jittered"
+        if sc.cloud.dim == 1:
+            assert sc.cloud.nodes_per_axis == 13
+            assert sc.initial.k0.kind == "piecewise"
+            ramp = [v for _, v in sc.initial.k0.points]
+            assert ramp == sorted(ramp) and ramp[0] < ramp[-1]
+        else:
+            assert sc.cloud.nodes_per_axis == 12
+            assert sc.initial.k0.kind == "gaussians" and len(sc.initial.k0.bumps) == 2
+
+
 def test_minimal_scenario_defaults():
     sc = parse_scenario_text(MINIMAL, name="mini")
-    assert sc.model.alpha1 == 1.0 and sc.model.alpha2 == 1.0
-    assert sc.model.p == 2.0 and sc.model.q == 3.0
-    assert sc.model.delta == 0.05 and sc.model.chi == 0.0
-    assert sc.initial.A0.kind == "constant" and sc.initial.A0.value == 1.0
-    assert sc.scheme.stability_mode == "off"
-    assert sc.scheme.snapshot_times == ()
+    assert sc.cloud == CloudSpec(kind="regular", dim=1, nodes_per_axis=11)
+    assert sc.star == StarSpec(s=2) and sc.star.weight == WeightSpec()
+    assert sc.model == ModelParams(g_spec=GrowthSpec(center=(0.5,)))
+    assert sc.initial == InitialSpec(k0=FieldSpec(kind="constant", value=1.0),
+                                     A0=FieldSpec(kind="constant", value=1.0))
+    assert sc.scheme == SchemeConfig(dt=0.001, t_final=1.0)
     assert sc.output_dir == "out/mini"
-    assert sc.star.weight.kind == "potential" and sc.star.weight.exponent == 3.0
+
+
+def test_defaults_that_depend_on_other_keys():
+    flat = parse_scenario_text(MINIMAL.replace("dim = 1", "dim = 2"))
+    assert flat.model.g_spec == GrowthSpec(center=(0.5, 0.5))
+    a0 = parse_scenario_text(MINIMAL.replace("k0_value = 1.0", "k0_value = 1.0\nA0_value = 3"))
+    assert a0.initial.A0 == FieldSpec(kind="constant", value=3.0)
+    no_size = MINIMAL.replace("nodes_per_axis = 11\n", "")
+    with pytest.raises(ScenarioError, match="cloud.nodes_per_axis"):
+        parse_scenario_text(no_size)
+    assert parse_scenario_text(no_size.replace("kind = regular", "kind = file")).cloud.path is None
 
 
 def test_unknown_key_rejected_with_path():
@@ -231,3 +281,16 @@ def test_file_cloud_kind_requires_path():
     sc = parse_scenario_text(bad)
     with pytest.raises(ScenarioError, match="cloud.path"):
         sc.cloud.build()
+
+
+def test_file_cloud_dimension_must_match_the_declared_dim(tmp_path):
+    path = tmp_path / "nodes.csv"
+    save_cloud(generate_regular(5, 1.0, dim=2), path)
+    text = (MINIMAL.replace("kind = regular", f"kind = file\npath = {path}")
+            .replace("dim = 1\n", "").replace("nodes_per_axis = 11\n", ""))
+    with pytest.raises(ScenarioError, match="cloud.dim"):
+        parse_scenario_text(text).cloud.build()
+    gaussian = text.replace("[initial]", "[model]\ng_kind = gaussian\ng_level = 0.1\n\n[initial]")
+    with pytest.raises(ScenarioError, match="cloud.dim"):
+        parse_scenario_text(gaussian).cloud.build()
+    assert parse_scenario_text(text.replace("[cloud]", "[cloud]\ndim = 2")).cloud.build().dim == 2

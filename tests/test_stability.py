@@ -121,29 +121,6 @@ def test_chi_zero_matches_heat_terms_in_2d():
     assert phi2 == pytest.approx(np.abs(lap_neighbors).sum(), rel=1e-12)
 
 
-def test_conservative_mode_tightens_the_sign_condition():
-    cloud = generate_regular(11, 1.0, dim=1)
-    table = build_all_stencils(cloud, 2)
-    k = np.linspace(0.1, 3.0, 11)
-    state = State(k=k, A=np.ones(11), time=0.0)
-    params = ModelParams(alpha1=1.0, p=2.0, q=3.0, delta=0.5)
-    local = dt_bound(table, state, params, f_prime_mode="local")
-    cons = dt_bound(table, state, params, f_prime_mode="conservative")
-    # sup |f'| >= f'(k0) always, so conservative Phi1 and margins sit lower;
-    # dt_max itself is only compared through the sign condition
-    assert np.all(cons.phi1 <= local.phi1 + 1e-12)
-    assert np.all(cons.margin <= local.margin + 1e-12)
-    assert set(cons.violations.tolist()) >= set(local.violations.tolist())
-
-
-def test_f_prime_mode_validated():
-    cloud = generate_regular(7, 1.0, dim=1)
-    table = build_all_stencils(cloud, 2)
-    state = uniform_state(7)
-    with pytest.raises(ValueError):
-        dt_bound(table, state, ModelParams(), f_prime_mode="exact")
-
-
 def test_singular_f_prime_falls_back_to_sup(caplog):
     cloud = generate_regular(7, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
