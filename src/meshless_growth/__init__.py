@@ -61,7 +61,6 @@ from .scheme import (
     StabilityEvent,
     State,
     Trajectory,
-    enforce_neumann,
     run,
     step,
 )

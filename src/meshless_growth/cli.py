@@ -38,7 +38,7 @@ from .output import (
     write_stencil_dump,
 )
 from .scenario import PRESET_NAMES, Scenario, get_preset, parse_scenario
-from .scheme import enforce_neumann, run as run_scheme
+from .scheme import NeumannOperator, State, run as run_scheme
 from .stability import dt_bound
 
 CONFIG_ERRORS = (ScenarioError, CloudError, InsufficientNodesError,
@@ -92,7 +92,8 @@ def _cmd_run(args) -> int:
 def _cmd_stability(args) -> int:
     scenario = _load_scenario(args)
     cloud, table, initial = _assemble(scenario)
-    state = enforce_neumann(initial, table, cloud)
+    op = NeumannOperator(cloud, table)
+    state = State(k=op.project(initial.k), A=op.project(initial.A), time=initial.time)
     report = dt_bound(table, state, scenario.model)
     out = args.out or scenario.output_dir
     os.makedirs(out, exist_ok=True)

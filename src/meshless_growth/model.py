@@ -25,7 +25,7 @@ class GrowthSpec:
 
     kind: str = "constant"  # constant | gaussian
     level: float = 0.0
-    center: tuple[float, ...] = (0.5,)
+    center: tuple[float, ...] | None = None  # None: 0.5 on every axis
     sigma: float = 0.2
 
     def __post_init__(self):
@@ -62,7 +62,7 @@ class ModelParams:
 def production(k, params: ModelParams):
     """f(k) = a1 k^p / (1 + a2 k^q), elementwise; requires k >= 0."""
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError("production requires nonnegative capital")
     out = params.alpha1 * k ** params.p / (1.0 + params.alpha2 * k ** params.q)
     return out if out.ndim else float(out)
@@ -74,9 +74,9 @@ def production_derivative(k, params: ModelParams):
     Singular at k = 0 when p < 1.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError("production_derivative requires nonnegative capital")
-    if params.p < 1 and np.any(k == 0):
+    if params.p < 1 and (k == 0).any():
         raise ValueError("f'(0) is singular for p < 1")
     kq = params.alpha2 * k ** params.q
     out = params.alpha1 * k ** (params.p - 1.0) * (params.p + (params.p - params.q) * kq)
@@ -88,7 +88,8 @@ def tech_rate_field(cloud: NodeCloud, spec: GrowthSpec) -> np.ndarray:
     """g evaluated at every cloud node."""
     if spec.kind == "constant":
         return np.full(cloud.n_nodes, spec.level)
-    center = np.asarray(spec.center, dtype=float).ravel()
+    center = (np.full(cloud.dim, 0.5) if spec.center is None
+              else np.asarray(spec.center, dtype=float).ravel())
     if center.size != cloud.dim:
         raise ValueError(f"growth center has {center.size} coordinates for a {cloud.dim}D cloud")
     r2 = ((cloud.positions - center) ** 2).sum(axis=1)

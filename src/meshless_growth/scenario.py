@@ -320,10 +320,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
     sec = cp["model"] if "model" in cp else {}
     growth = _convert(sec, "model", _GROWTH_KEYS, prefix="g_")
-    if not sec.get("g_center"):  # GrowthSpec's default center, on every axis
-        growth["center"] = GrowthSpec.center * cloud.dim
     g_spec = _build("model", GrowthSpec, **growth)
-    if g_spec.kind == "gaussian" and len(g_spec.center) != cloud.dim:
+    if g_spec.kind == "gaussian" and g_spec.center is not None and len(g_spec.center) != cloud.dim:
         _fail("model.g_center", f"needs {cloud.dim} coordinates")
     model = _build("model", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
 
@@ -424,6 +422,8 @@ delta = 0.05
 chi = 0.0
 g_kind = gaussian
 g_level = 0.1
+g_center = 0.5, 0.5
+g_sigma = 0.2
 
 [initial]
 k0_kind = gaussians
@@ -441,7 +441,6 @@ stability_mode = check
 stability_interval = 500
 """,
 }
-_GROWTH_BUMP_2D = {"g_center": "0.5, 0.5", "g_sigma": "0.2"}
 _FROZEN_TECH = {"g_kind": "constant", "g_level": "0.0"}
 _LOW_CAPITAL_2D = {"k0_bumps": "0.22, 0.3, 0.3, 0.12; 0.18, 0.7, 0.6, 0.1", "k0_base": "0.02"}
 _HORIZON_30 = {"t_final": "30.0", "snapshot_times": "0, 1, 5, 10, 30"}
@@ -457,7 +456,7 @@ _PRESETS = {
         {"model": {"delta": "0.02", "chi": "1.0", "g_center": "0.1"}}),
     "growth-2d-delta005": (
         2, "2D growth, moderate depreciation, no taxis; long horizon.",
-        {"model": _GROWTH_BUMP_2D}),
+        {}),
     "growth-2d-delta0085": (
         2, "2D poverty trap: with frozen technology the rich bumps hold, then drain away.",
         {"model": {"delta": "0.085", **_FROZEN_TECH},
@@ -469,7 +468,7 @@ _PRESETS = {
     "growth-2d-delta03-chi1": (
         2, "2D, very high depreciation with taxis and growing technology: capital decays, "
            "then piles up near the technology peak; the step adapts to taxis spikes.",
-        {"model": {"delta": "0.3", "chi": "1.0", **_GROWTH_BUMP_2D},
+        {"model": {"delta": "0.3", "chi": "1.0"},
          "initial": _LOW_CAPITAL_2D,
          "scheme": {**_HORIZON_30, "stability_mode": "adapt", "stability_interval": "20"}}),
 }

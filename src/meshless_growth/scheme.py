@@ -152,20 +152,19 @@ class NeumannOperator:
         return out
 
 
-def enforce_neumann(state: State, table: StencilTable, cloud: NodeCloud) -> State:
-    """Overwrite boundary values of k and A with the zero-flux solve."""
-    op = NeumannOperator(cloud, table)
-    return State(k=op.project(state.k), A=op.project(state.A), time=state.time)
-
-
-def _check_finite(k: np.ndarray, A: np.ndarray, time: float) -> None:
+def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=()) -> None:
+    """Raise DivergenceError at the first node where k or A is not finite or
+    |k| exceeds DIVERGENCE_LIMIT.  before may hold the (k, A) that the update
+    made ahead of the boundary projection, whose nodes are named first."""
     # Fast path: the max of |k| is NaN if k holds a NaN, which fails the
     # comparison, so any bad value falls through to the mask naming the node.
-    if np.abs(k).max() <= DIVERGENCE_LIMIT and np.isfinite(A).all():
+    if (np.maximum.reduce(np.abs(k)) <= DIVERGENCE_LIMIT
+            and np.logical_and.reduce(np.isfinite(A))):
         return
-    bad = ~np.isfinite(k) | ~np.isfinite(A) | (np.abs(k) > DIVERGENCE_LIMIT)
-    if bad.any():
-        raise DivergenceError(node=int(np.argmax(bad)), time=time)
+    for k_, a_ in (*before, (k, A)):
+        bad = ~np.isfinite(k_) | ~np.isfinite(a_) | (np.abs(k_) > DIVERGENCE_LIMIT)
+        if bad.any():
+            raise DivergenceError(node=int(np.argmax(bad)), time=time)
 
 
 def step(
@@ -174,55 +173,55 @@ def step(
     params: ModelParams,
     dt: float,
     *,
-    g_field: np.ndarray | None = None,
+    g_field: np.ndarray,
+    neumann: NeumannOperator,
     forcing=None,
-    neumann: NeumannOperator | None = None,
 ) -> State:
-    """One forward Euler step followed by boundary enforcement.
+    """One forward Euler step followed by boundary enforcement, checked
+    once for divergence after it.
 
-    Reads only level-n values, so the node update order is immaterial.
-    forcing, if given, is called as forcing(positions, time) and added to
-    the capital equation (used by manufactured-solution studies).
+    g_field is tech_rate_field(cloud, params.g_spec) and neumann the
+    cloud's NeumannOperator.  Reads only level-n values, so the node update
+    order is immaterial.  forcing, if given, is called as forcing(positions,
+    time) and added to the capital equation (manufactured solutions).  The
+    right-hand sides are built in place in the order of lap + flux + A f(k)
+    - delta k and D lap_A + A g, so each rounding is the plain expression's.
     """
-    cloud = table.cloud
     k, A = state.k, state.A
-    if g_field is None:
-        g_field = tech_rate_field(cloud, params.g_spec)
-
     new_time = state.time + dt
+    chi = params.chi
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported, not warned
         dk = table.derivatives(k)
-        lap_k = table.laplacian_parts(dk)
-        need_a_derivs = params.chi != 0.0 or params.tech_diffusion != 0.0
-        if need_a_derivs:
+        rhs_k = table.laplacian_parts(dk)  # a fresh array, or a column of dk in 1D
+        if chi != 0.0 or params.tech_diffusion != 0.0:
             da = table.derivatives(A)
-            lap_a = table.laplacian_parts(da)
-        else:
-            lap_a = 0.0
-
-        if params.chi != 0.0:
-            if cloud.dim == 1:
-                grad_dot = dk[:, 0] * da[:, 0]
-            else:
-                grad_dot = dk[:, 0] * da[:, 0] + dk[:, 1] * da[:, 1]
-            flux = -params.chi * grad_dot - params.chi * k * lap_a
-        else:
-            flux = 0.0
+            rhs_a = table.laplacian_parts(da)
+            if chi != 0.0:
+                flux = dk[:, 0] * da[:, 0]
+                if table.cloud.dim == 2:
+                    flux += dk[:, 1] * da[:, 1]
+                flux *= -chi
+                flux -= chi * k * rhs_a
+                rhs_k += flux
+            rhs_a *= params.tech_diffusion
+            rhs_a += A * g_field
+        else:  # a zero term is left out, not added: that could only turn -0.0 to +0.0
+            rhs_a = A * g_field
 
         # Undershoots from the explicit step feed the production term as zero.
-        rhs_k = lap_k + flux + A * production(np.maximum(k, 0.0), params) - params.delta * k
+        rhs_k += A * production(np.maximum(k, 0.0), params)
+        rhs_k -= params.delta * k
         if forcing is not None:
-            rhs_k = rhs_k + forcing(cloud.positions, state.time)
-        rhs_a = params.tech_diffusion * lap_a + A * g_field
+            rhs_k += forcing(table.cloud.positions, state.time)
 
-        k_new = k + dt * rhs_k
-        a_new = A + dt * rhs_a
-    _check_finite(k_new, a_new, new_time)
-
-    op = neumann if neumann is not None else NeumannOperator(cloud, table)
-    k_new = op.project(k_new)
-    a_new = op.project(a_new)
-    _check_finite(k_new, a_new, new_time)
+        rhs_k *= dt
+        rhs_k += k
+        rhs_a *= dt
+        rhs_a += A
+        k_new = neumann.project(rhs_k)
+        a_new = neumann.project(rhs_a)
+    # Nodes are named as the update left them; a bad value the projection replaced is dropped.
+    _check_finite(k_new, a_new, new_time, before=[(rhs_k, rhs_a)])
     return State(k=k_new, A=a_new, time=new_time)
 
 
@@ -251,9 +250,9 @@ def run(
     g_field = tech_rate_field(cloud, params.g_spec)
     neumann = NeumannOperator(cloud, table)
 
-    state = State(k=initial.k.astype(float), A=initial.A.astype(float), time=float(initial.time))
     # Project the initial data too, so even the t=0 snapshot honors zero flux.
-    state = State(k=neumann.project(state.k), A=neumann.project(state.A), time=state.time)
+    state = State(k=neumann.project(initial.k.astype(float)),
+                  A=neumann.project(initial.A.astype(float)), time=float(initial.time))
     dt = config.dt
     pending = list(config.snapshot_times)
     while pending and pending[0] <= state.time + 1e-300:
@@ -290,17 +289,18 @@ def run(
 
         step_dt = dt if remaining > dt + tol else remaining
         prev = state
-        clamp_count = int((state.k < 0).sum())
+        # The log holds this state's min k, so most steps need no count.
+        clamp_count = int(np.count_nonzero(state.k < 0)) if traj.log[-1].min_k < 0 else 0
         try:
             state = step(state, table, params, step_dt,
-                         g_field=g_field, forcing=forcing, neumann=neumann)
+                         g_field=g_field, neumann=neumann, forcing=forcing)
         except DivergenceError as exc:
             exc.step = step_idx + 1
             traj.diverged = exc
             break
         step_idx += 1
-        traj.log.append(LogRecord(step_idx, state.time, float(state.k.max()),
-                                  float(state.k.min()), clamp_count, last_bound))
+        traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
+                                  float(np.minimum.reduce(state.k)), clamp_count, last_bound))
         while pending and state.time >= pending[0] - 1e-9 * step_dt:
             t_s = pending.pop(0)
             pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state

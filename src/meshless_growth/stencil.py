@@ -156,7 +156,7 @@ class StencilTable:
     def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
         """Sum of the pure second-derivative columns; also applies to
         coefficient arrays, whose last axis holds the components."""
-        if self.dim == 1:
+        if self.cloud.dim == 1:
             return derivs[..., 1]
         return derivs[..., 2] + derivs[..., 3]
 

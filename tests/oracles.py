@@ -6,7 +6,8 @@ per-star moment solve, the per-star Phi terms of the step bound, the taxis
 flux, the growth rate and the stencil dump.  The others are the plainer
 dense forms of the per-step kernels: derivatives on node-major arrays and
 the boundary closure as a dense (n_b, N) gather times the inverse of the
-boundary matrix.  Tests require the package to match them.
+boundary matrix, and the forward-Euler step written as plain expressions.
+Tests require the package to match them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import math
 
 import numpy as np
 
-from meshless_growth import DegenerateStarError, production_derivative, weight
+from meshless_growth import (
+    DegenerateStarError,
+    State,
+    production,
+    production_derivative,
+    weight,
+)
 from meshless_growth.stencil import DERIV_ORDERS, RCOND_FLOOR
 
 log = logging.getLogger("meshless_growth.stability")
@@ -29,7 +36,10 @@ def tech_rate(position, spec) -> float:
     if spec.kind == "constant":
         return spec.level
     pos = np.asarray(position, dtype=float).ravel()
-    center = np.asarray(spec.center, dtype=float).ravel()
+    if spec.center is None:
+        center = np.full(pos.size, 0.5)
+    else:
+        center = np.asarray(spec.center, dtype=float).ravel()
     if pos.size != center.size:
         raise ValueError(f"position has {pos.size} coordinates, center has {center.size}")
     r2 = float(((pos - center) ** 2).sum())
@@ -213,6 +223,37 @@ def derivatives(table, field: np.ndarray) -> np.ndarray:
     gathered = field[np.ascontiguousarray(table.neighbors)]
     return np.einsum("nsd,ns->nd", coeffs, gathered) \
         - np.ascontiguousarray(table.center_coeffs) * field[:, None]
+
+
+def euler_step(state, table, params, dt, *, g_field, neumann, forcing=None):
+    """The forward-Euler step as plain array expressions, without the
+    divergence check.  scheme.step builds the same right-hand sides in
+    place and must match this bit for bit."""
+    cloud = table.cloud
+    k, A = state.k, state.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        dk = table.derivatives(k)
+        lap_k = table.laplacian_parts(dk)
+        if params.chi != 0.0 or params.tech_diffusion != 0.0:
+            da = table.derivatives(A)
+            lap_a = table.laplacian_parts(da)
+        else:
+            lap_a = 0.0
+        if params.chi != 0.0:
+            if cloud.dim == 1:
+                grad_dot = dk[:, 0] * da[:, 0]
+            else:
+                grad_dot = dk[:, 0] * da[:, 0] + dk[:, 1] * da[:, 1]
+            flux = -params.chi * grad_dot - params.chi * k * lap_a
+        else:
+            flux = 0.0
+        rhs_k = lap_k + flux + A * production(np.maximum(k, 0.0), params) - params.delta * k
+        if forcing is not None:
+            rhs_k = rhs_k + forcing(cloud.positions, state.time)
+        rhs_a = params.tech_diffusion * lap_a + A * g_field
+        k_new = k + dt * rhs_k
+        a_new = A + dt * rhs_a
+    return State(k=neumann.project(k_new), A=neumann.project(a_new), time=state.time + dt)
 
 
 def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:

@@ -97,3 +97,27 @@ def test_tech_rate_field_matches_pointwise():
     assert np.all(const == 0.02)
     with pytest.raises(ValueError):
         tech_rate_field(cloud, GrowthSpec("gaussian", 0.1, center=(0.5,)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_growth_center_is_the_middle_on_every_axis(dim):
+    cloud = generate_regular(6, 1.0, dim=dim)
+    default = tech_rate_field(cloud, GrowthSpec(kind="gaussian", level=0.1))
+    middle = tech_rate_field(cloud, GrowthSpec("gaussian", 0.1, center=(0.5,) * dim))
+    assert np.array_equal(default, middle)
+    assert default == pytest.approx([tech_rate(p, GrowthSpec("gaussian", 0.1))
+                                     for p in cloud.positions], rel=0, abs=0)
+
+
+def test_default_growth_center_runs_on_a_2d_cloud():
+    from meshless_growth import SchemeConfig, State, build_all_stencils, run
+
+    cloud = generate_regular(6, 1.0, dim=2)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    params = ModelParams(g_spec=GrowthSpec(kind="gaussian", level=0.1))
+    init = State(k=np.ones(cloud.n_nodes), A=np.ones(cloud.n_nodes), time=0.0)
+    traj = run(cloud, table, params, init, SchemeConfig(dt=1e-3, t_final=0.01))
+    assert traj.diverged is None
+    # growth is fastest at the four nodes around the middle of the square
+    middle = np.argsort(((cloud.positions - 0.5) ** 2).sum(axis=1))[:4]
+    assert np.argmax(traj.final.A) in middle

@@ -134,7 +134,7 @@ def test_minimal_scenario_defaults():
     sc = parse_scenario_text(MINIMAL, name="mini")
     assert sc.cloud == CloudSpec(kind="regular", dim=1, nodes_per_axis=11)
     assert sc.star == StarSpec(s=2) and sc.star.weight == WeightSpec()
-    assert sc.model == ModelParams(g_spec=GrowthSpec(center=(0.5,)))
+    assert sc.model == ModelParams()
     assert sc.initial == InitialSpec(k0=FieldSpec(kind="constant", value=1.0),
                                      A0=FieldSpec(kind="constant", value=1.0))
     assert sc.scheme == SchemeConfig(dt=0.001, t_final=1.0)
@@ -143,7 +143,7 @@ def test_minimal_scenario_defaults():
 
 def test_defaults_that_depend_on_other_keys():
     flat = parse_scenario_text(MINIMAL.replace("dim = 1", "dim = 2"))
-    assert flat.model.g_spec == GrowthSpec(center=(0.5, 0.5))
+    assert flat.model.g_spec == GrowthSpec()  # its center is 0.5 on every axis
     a0 = parse_scenario_text(MINIMAL.replace("k0_value = 1.0", "k0_value = 1.0\nA0_value = 3"))
     assert a0.initial.A0 == FieldSpec(kind="constant", value=3.0)
     no_size = MINIMAL.replace("nodes_per_axis = 11\n", "")

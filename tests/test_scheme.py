@@ -1,6 +1,7 @@
 """Explicit stepping: flux terms, boundary enforcement, run loop edges."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,20 +12,21 @@ from meshless_growth import (
     GrowthSpec,
     ModelParams,
     NeumannOperator,
+    PRESET_NAMES,
     SchemeConfig,
     State,
     StencilTable,
     build_all_stencils,
-    enforce_neumann,
     generate_jittered,
     generate_regular,
+    get_preset,
     production,
     run,
     step,
     tech_rate_field,
 )
 from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
-from oracles import apply_stencil, flux_term
+from oracles import apply_stencil, euler_step, flux_term
 
 
 def star_values(field, table, i):
@@ -98,19 +100,121 @@ def test_step_matches_scalar_reference(dim, s, crit):
     assert np.allclose(got.A, ref.A, rtol=1e-12, atol=1e-14)
 
 
-def test_enforce_neumann_idempotent_and_zero_flux():
+def test_neumann_projection_idempotent_and_zero_flux():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.25, seed=14)
     table = build_all_stencils(cloud, 8, "quadrant")
     rng = np.random.default_rng(4)
-    state = State(k=rng.uniform(1, 2, cloud.n_nodes),
-                  A=rng.uniform(1, 2, cloud.n_nodes), time=0.0)
-    once = enforce_neumann(state, table, cloud)
-    twice = enforce_neumann(once, table, cloud)
-    assert np.allclose(once.k, twice.k, rtol=0, atol=1e-12)
-    dk = table.derivatives(once.k)
+    op = NeumannOperator(cloud, table)
+    once = op.project(rng.uniform(1, 2, cloud.n_nodes))
+    twice = op.project(once)
+    assert np.allclose(once, twice, rtol=0, atol=1e-12)
+    dk = table.derivatives(once)
     for b in cloud.boundary_indices:
         normal_deriv = cloud.normals[b] @ dk[b, :2]
         assert abs(normal_deriv) < 1e-10
+
+
+def test_step_requires_the_growth_field_and_the_closure():
+    cloud = generate_regular(5, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    state = State(k=np.ones(5), A=np.ones(5), time=0.0)
+    with pytest.raises(TypeError, match="g_field"):
+        step(state, table, ModelParams(), 1e-3, neumann=NeumannOperator(cloud, table))
+    with pytest.raises(TypeError, match="neumann"):
+        step(state, table, ModelParams(), 1e-3, g_field=np.zeros(5))
+
+
+def _forcing(positions, t):
+    return np.sin(3.0 * positions[:, 0]) * (1.0 + t)
+
+
+# (preset, model changes, forced): every preset, technology diffusion
+# without taxis, and in 1D and 2D taxis with diffusion and a forcing.  The
+# presets' chi = 1 makes some roundings exact and their uniform A0 makes
+# the taxis flux small, so the forced cases use chi = 0.7 and a rippled A0.
+STEP_CASES = [(name, {}, False) for name in PRESET_NAMES] + [
+    ("growth-2d-delta005", {"tech_diffusion": 3.0}, False),
+    ("growth-2d-delta03-chi1", {"chi": 0.7, "tech_diffusion": 0.5}, True),
+    ("growth-1d-chi1", {"chi": 0.7, "tech_diffusion": 0.5}, True),
+]
+
+
+@pytest.mark.parametrize("name,changes,forced", STEP_CASES,
+                         ids=[f"{n}{'-D' if c else ''}{'-forced' if f else ''}"
+                              for n, c, f in STEP_CASES])
+def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
+    scenario = get_preset(name)
+    params = replace(scenario.model, **changes)
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    neumann = NeumannOperator(cloud, table)
+    kw = {"g_field": tech_rate_field(cloud, params.g_spec), "neumann": neumann,
+          "forcing": _forcing if forced else None}
+    init = scenario.initial_state(cloud)
+    a0 = init.A * (1.0 + 0.3 * np.sin(7.0 * cloud.positions[:, 0])) if forced else init.A
+    got = ref = State(k=neumann.project(init.k), A=neumann.project(a0), time=0.0)
+    for _ in range(50):  # 5e-4 is under every case's step bound
+        got = step(got, table, params, 5e-4, **kw)
+        ref = euler_step(ref, table, params, 5e-4, **kw)
+    assert got.k.tobytes() == ref.k.tobytes()
+    assert got.A.tobytes() == ref.A.tobytes()
+    assert got.time == ref.time
+
+
+def _bad_node_setup():
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=3)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    neumann = NeumannOperator(cloud, table)
+    params = ModelParams(p=2.0, q=2.0, g_spec=GrowthSpec("constant", 0.02))
+    kw = {"g_field": tech_rate_field(cloud, params.g_spec), "neumann": neumann}
+    return cloud, table, neumann, params, kw
+
+
+def _at(node, value, n):
+    return np.where(np.arange(n) == node, value, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["k", "A"])
+def test_step_names_the_interior_node_that_went_bad(field, value):
+    cloud, table, neumann, params, kw = _bad_node_setup()
+    n = cloud.n_nodes
+    # An interior node the boundary closure reads: projecting spreads its
+    # value to every boundary node, lower-numbered ones included.
+    node = int(neumann.cols[neumann.cols.size // 2])
+    assert not np.isfinite(neumann.project(_at(node, value, n))[cloud.boundary_indices]).any()
+    assert cloud.boundary_indices.min() < node
+    state = State(k=np.ones(n), A=np.ones(n), time=0.5)
+    if field == "k":
+        kw["forcing"] = lambda pos, t: _at(node, value, len(pos))
+    else:  # without taxis or diffusion only the node's own update reads A there
+        state = State(k=state.k, A=state.A + _at(node, value, n), time=0.5)
+    with pytest.raises(DivergenceError) as err:
+        step(state, table, params, 1e-3, **kw)
+    assert err.value.node == node and err.value.time == 0.5 + 1e-3
+
+
+def test_step_drops_a_bad_boundary_value_the_projection_overwrites():
+    cloud, table, neumann, params, kw = _bad_node_setup()
+    n = cloud.n_nodes
+    node = int(cloud.boundary_indices[3])
+    state = State(k=np.ones(n), A=np.ones(n), time=0.0)
+    out = step(state, table, params, 1e-3,
+               forcing=lambda pos, t: _at(node, np.nan, len(pos)), **kw)
+    assert np.isfinite(out.k).all()
+
+
+def test_taxis_preset_divergence_is_reported_at_node_66():
+    # growth-2d-delta03-chi1 blows up at an interior node (ROADMAP item 4).
+    scenario = get_preset("growth-2d-delta03-chi1")
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    config = replace(scenario.scheme, t_final=14.0, snapshot_times=())
+    traj = run(cloud, table, scenario.model, scenario.initial_state(cloud), config)
+    err = traj.diverged
+    assert (err.node, err.step) == (66, 13623)
+    assert err.time == pytest.approx(13.623, abs=5e-4)
+    assert 66 in cloud.interior_indices
 
 
 def test_constant_fields_are_fixed_by_projection():
@@ -139,8 +243,9 @@ def test_forcing_enters_capital_equation():
     params = ModelParams(alpha1=0.0, delta=0.0)
     state = State(k=np.ones(9), A=np.ones(9), time=0.0)
     dt = 1e-3
-    plain = step(state, table, params, dt)
-    forced = step(state, table, params, dt, forcing=lambda pos, t: np.ones(len(pos)))
+    kw = {"g_field": np.zeros(9), "neumann": NeumannOperator(cloud, table)}
+    plain = step(state, table, params, dt, **kw)
+    forced = step(state, table, params, dt, forcing=lambda pos, t: np.ones(len(pos)), **kw)
     inner = cloud.interior_indices
     assert np.allclose(forced.k[inner] - plain.k[inner], dt, rtol=0, atol=1e-15)
     assert np.array_equal(forced.A, plain.A)

@@ -169,14 +169,16 @@ def test_tech_diffusion_bound_keeps_adapt_run_stable():
     # diverged at t ~ 1.257
     from dataclasses import replace
 
-    from meshless_growth import SchemeConfig, enforce_neumann, get_preset, run
+    from meshless_growth import NeumannOperator, SchemeConfig, State, get_preset, run
 
     scenario = get_preset("growth-2d-delta005")
     params = replace(scenario.model, tech_diffusion=3.0)
     cloud = scenario.cloud.build()
     table = scenario.star.build_table(cloud)
     initial = scenario.initial_state(cloud)
-    report = dt_bound(table, enforce_neumann(initial, table, cloud), params)
+    op = NeumannOperator(cloud, table)
+    projected = State(k=op.project(initial.k), A=op.project(initial.A), time=initial.time)
+    report = dt_bound(table, projected, params)
     assert np.nanmin(report.dt_tech) == report.global_dt
     assert report.global_dt == pytest.approx(6.844e-4, rel=1e-3)
     assert np.nanmin(report.dt_max) == pytest.approx(2.053e-3, rel=1e-3)
