@@ -29,7 +29,6 @@ from .harness import (
     convergence_study,
     fd_equivalence,
     manufactured_solution,
-    ode_oracle,
     polynomial_exactness,
     regular_refinement,
     temporal_convergence_study,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration or verification failure, 2 divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -140,6 +141,19 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _print_levels(title: str, result, label: str, fmt: str) -> None:
+    """One line per level with its rate against the previous level."""
+    print(title)
+    prev = None
+    for x, err in result.levels:
+        rate = "-"
+        if prev is not None:
+            rate = f"{math.log(prev[1] / err) / math.log(prev[0] / x):.3f}"
+        print(f"  {label}={x:{fmt}}  max error={err:.6e}  rate={rate}")
+        prev = (x, err)
+    print(f"  observed order: {result.observed_order:.3f}")
+
+
 def _cmd_convergence(args) -> int:
     dim = args.dim
     s = 2 if dim == 1 else 8
@@ -148,16 +162,8 @@ def _cmd_convergence(args) -> int:
     spatial = convergence_study(clouds, s, criterion)
     temporal = temporal_convergence_study(clouds[1], s, criterion)
 
-    print(f"spatial refinement ({dim}D):")
-    for h, err in spatial.levels:
-        print(f"  h={h:.5f}  max error={err:.6e}")
-    for h in spatial.excluded:
-        print(f"  h={h:.5f}  diverged (excluded)")
-    print(f"  observed order: {spatial.observed_order:.3f}")
-    print("time refinement:")
-    for dt, err in temporal.levels:
-        print(f"  dt={dt:.2e}  max error={err:.6e}")
-    print(f"  observed order: {temporal.observed_order:.3f}")
+    _print_levels(f"spatial refinement ({dim}D):", spatial, "h", ".5f")
+    _print_levels("time refinement:", temporal, "dt", ".2e")
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -1,21 +1,18 @@
 """Verification harness: analytic oracles and convergence studies.
 
 Everything here checks the solver against independent references: the
-spatially uniform reduction against a Runge-Kutta integration of the point
-ODE, the stencils against polynomials they must reproduce exactly and
-against classical finite difference rows on uniform grids, and the full
-scheme against a manufactured solution with a known error decay rate.
+stencils against polynomials they must reproduce exactly and against
+classical finite difference rows on uniform grids, and the full scheme
+against a manufactured solution with a known error decay rate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import NodeCloud, generate_regular
-from .errors import DivergenceError
 from .model import GrowthSpec, ModelParams
 from .scheme import SchemeConfig, State, run
 from .stencil import (
@@ -26,42 +23,11 @@ from .stencil import (
     compute_stencil,
 )
 
-
-def ode_oracle(
-    params: ModelParams,
-    k0: float,
-    A0: float,
-    g_const: float,
-    t_final: float,
-    dt: float,
-) -> tuple[float, float]:
-    """Integrate k' = A f(k) - delta k, A' = A g with classic Runge-Kutta 4.
-
-    The production arithmetic is written out here on purpose so the oracle
-    shares no code path with the scheme.
-    """
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
-    a1, a2, p, q, delta = params.alpha1, params.alpha2, params.p, params.q, params.delta
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        k, a = y
-        f = a1 * k ** p / (1.0 + a2 * k ** q)
-        return np.array([a * f - delta * k, a * g_const])
-
-    n = max(1, math.ceil(t_final / dt - 1e-12))
-    h = t_final / n
-    y = np.array([float(k0), float(A0)])
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported, not warned
-        for i in range(n):
-            s1 = rhs(y)
-            s2 = rhs(y + 0.5 * h * s1)
-            s3 = rhs(y + 0.5 * h * s2)
-            s4 = rhs(y + h * s3)
-            y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(node=None, time=(i + 1) * h)
-    return float(y[0]), float(y[1])
+# The manufactured problem's depreciation, the spatial study's step
+# dt = DT_FACTOR * h^2, and the end time of every run.
+DELTA = 0.1
+DT_FACTOR = 0.2
+T_END = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,7 +61,6 @@ def polynomial_exactness(
     cloud: NodeCloud,
     s: int,
     criterion: str = "distance",
-    weight_spec: WeightSpec | None = None,
     table: StencilTable | None = None,
 ) -> ExactnessResult:
     """Apply every stencil to all monomials of degree <= 2.
@@ -104,7 +69,7 @@ def polynomial_exactness(
     error beyond rounding exposes a broken solve.
     """
     if table is None:
-        table = build_all_stencils(cloud, s, criterion, weight_spec)
+        table = build_all_stencils(cloud, s, criterion)
     interior = cloud.interior_indices
     names = DERIV_NAMES[cloud.dim]
     rows = []
@@ -137,7 +102,7 @@ def _node_at(cloud: NodeCloud, target: np.ndarray) -> int:
     return i
 
 
-def fd_equivalence(grid: NodeCloud, weight_spec: WeightSpec | None = None) -> float:
+def fd_equivalence(grid: NodeCloud) -> float:
     """Worst relative deviation of stencil rows from classical differences.
 
     1D: the symmetric two-node star against central first and second
@@ -148,7 +113,7 @@ def fd_equivalence(grid: NodeCloud, weight_spec: WeightSpec | None = None) -> fl
     five-point row.  Rows are compared entrywise, normalized by the largest
     reference entry of the row.
     """
-    spec = weight_spec or WeightSpec()
+    spec = WeightSpec()
     h = _grid_spacing(grid)
 
     def solve(center: int, nodes: list[int]):
@@ -195,7 +160,6 @@ def manufactured_solution(positions: np.ndarray, t: float, length: float) -> np.
 class ConvergenceResult:
     levels: tuple[tuple[float, float], ...]  # (h or dt, max error)
     observed_order: float | None
-    excluded: tuple[float, ...] = ()
 
 
 def _fit_order(levels) -> float | None:
@@ -207,89 +171,66 @@ def _fit_order(levels) -> float | None:
     return float(np.polyfit(hs, es, 1)[0])
 
 
-def _manufactured_setup(cloud: NodeCloud, delta: float):
+def _march(cloud: NodeCloud, table: StencilTable, dt: float) -> State:
+    """Run the manufactured problem to T_END; a diverged run raises.
+
+    A forcing term makes u(x,t) = exp(-t) prod cos(pi x_j / L) the exact
+    solution of the capital equation with f = 0 and chi = 0, which tests
+    the discrete operators without changing them.
+    """
     length = cloud.length
-    dim = cloud.dim
-    rate = dim * (np.pi / length) ** 2 - 1.0 + delta
+    rate = cloud.dim * (np.pi / length) ** 2 - 1.0 + DELTA
 
     def forcing(positions: np.ndarray, t: float) -> np.ndarray:
         return rate * manufactured_solution(positions, t, length)
 
-    params = ModelParams(alpha1=0.0, delta=delta, chi=0.0, tech_diffusion=0.0,
+    params = ModelParams(alpha1=0.0, delta=DELTA, chi=0.0, tech_diffusion=0.0,
                          g_spec=GrowthSpec(kind="constant", level=0.0))
     initial = State(k=manufactured_solution(cloud.positions, 0.0, length),
                     A=np.ones(cloud.n_nodes), time=0.0)
-    return params, initial, forcing
+    traj = run(cloud, table, params, initial,
+               SchemeConfig(dt=dt, t_final=T_END), forcing=forcing)
+    if traj.diverged is not None:
+        raise traj.diverged
+    return traj.final
 
 
 def convergence_study(
-    clouds: list[NodeCloud],
-    s: int,
-    criterion: str = "distance",
-    weight_spec: WeightSpec | None = None,
-    *,
-    delta: float = 0.1,
-    dt_factor: float = 0.2,
-    t_end: float = 0.5,
+    clouds: list[NodeCloud], s: int, criterion: str = "distance"
 ) -> ConvergenceResult:
-    """Max-norm error of the scheme against a manufactured solution.
+    """Max-norm error of the scheme against the manufactured solution.
 
-    A forcing term makes u(x,t) = exp(-t) prod cos(pi x_j / L) the exact
-    solution of the capital equation with f = 0 and chi = 0, which tests
-    the discrete operators without changing them.  The step follows
-    dt = dt_factor * h^2 so the first-order time error refines at the same
-    rate as the second-order space error.  Levels that diverge are excluded
-    and reported.
+    The step follows dt = DT_FACTOR * h^2 so the first-order time error
+    refines at the same rate as the second-order space error.  A level that
+    diverges raises its DivergenceError.
     """
     levels: list[tuple[float, float]] = []
-    excluded: list[float] = []
     for cloud in clouds:
         h = cloud.spacing_estimate()
-        params, initial, forcing = _manufactured_setup(cloud, delta)
-        table = build_all_stencils(cloud, s, criterion, weight_spec)
-        config = SchemeConfig(dt=dt_factor * h ** 2, t_final=t_end)
-        traj = run(cloud, table, params, initial, config, forcing=forcing)
-        if traj.diverged is not None:
-            excluded.append(h)
-            continue
-        exact = manufactured_solution(cloud.positions, traj.final.time, cloud.length)
-        levels.append((h, float(np.abs(traj.final.k - exact).max())))
-    return ConvergenceResult(tuple(levels), _fit_order(levels), tuple(excluded))
+        final = _march(cloud, build_all_stencils(cloud, s, criterion), DT_FACTOR * h ** 2)
+        exact = manufactured_solution(cloud.positions, final.time, cloud.length)
+        levels.append((h, float(np.abs(final.k - exact).max())))
+    return ConvergenceResult(tuple(levels), _fit_order(levels))
 
 
 def temporal_convergence_study(
     cloud: NodeCloud,
     s: int,
     criterion: str = "distance",
-    weight_spec: WeightSpec | None = None,
     *,
     dts: tuple[float, ...] = (1e-3, 5e-4, 2.5e-4),
-    dt_ref: float | None = None,
-    delta: float = 0.1,
-    t_end: float = 0.5,
 ) -> ConvergenceResult:
-    """Error against a small-step reference run on a fixed cloud.
+    """Error against a reference run at min(dts) / 16 on a fixed cloud.
 
     Comparing against the dt -> 0 limit on the same mesh cancels the spatial
     error, isolating the first-order time error of the forward Euler update.
+    A run that diverges, the reference included, raises its DivergenceError.
     """
-    params, initial, forcing = _manufactured_setup(cloud, delta)
-    table = build_all_stencils(cloud, s, criterion, weight_spec)
-    dt_ref = dt_ref if dt_ref is not None else min(dts) / 16.0
-    ref = run(cloud, table, params, initial,
-              SchemeConfig(dt=dt_ref, t_final=t_end), forcing=forcing)
-    if ref.diverged is not None:
-        raise DivergenceError(ref.diverged.node, ref.diverged.time, ref.diverged.step)
-    levels: list[tuple[float, float]] = []
-    excluded: list[float] = []
-    for dt in dts:
-        traj = run(cloud, table, params, initial,
-                   SchemeConfig(dt=dt, t_final=t_end), forcing=forcing)
-        if traj.diverged is not None:
-            excluded.append(dt)
-            continue
-        levels.append((dt, float(np.abs(traj.final.k - ref.final.k).max())))
-    return ConvergenceResult(tuple(levels), _fit_order(levels), tuple(excluded))
+    table = build_all_stencils(cloud, s, criterion)
+    ref = _march(cloud, table, min(dts) / 16.0)
+    levels = [(dt, float(np.abs(_march(cloud, table, dt).k - ref.k).max()))
+              for dt in dts]
+    return ConvergenceResult(tuple(levels), _fit_order(levels))
 
 
 def regular_refinement(base: int, levels: int, length: float = 1.0, dim: int = 1):

@@ -7,7 +7,8 @@ flux, the growth rate and the stencil dump.  The others are the plainer
 dense forms of the per-step kernels: derivatives on node-major arrays and
 the boundary closure as a dense (n_b, N) gather times the inverse of the
 boundary matrix, and the forward-Euler step written as plain expressions.
-Tests require the package to match them.
+Tests require the package to match them.  Last, `ode_oracle` integrates the
+spatially uniform reduction of the system with Runge-Kutta 4.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from meshless_growth import (
     DegenerateStarError,
+    DivergenceError,
     State,
     production,
     production_derivative,
@@ -297,3 +299,40 @@ def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> st
         for name, center, row in zip(names, centers, rows):
             writer.writerow([node, name, repr(center)] + [repr(v) for v in row])
     return buf.getvalue()
+
+
+def ode_oracle(
+    params,
+    k0: float,
+    A0: float,
+    g_const: float,
+    t_final: float,
+    dt: float,
+) -> tuple[float, float]:
+    """Integrate k' = A f(k) - delta k, A' = A g with classic Runge-Kutta 4.
+
+    The production arithmetic is written out here on purpose so the oracle
+    shares no code path with the scheme.
+    """
+    if dt <= 0 or t_final < 0:
+        raise ValueError("need dt > 0 and t_final >= 0")
+    a1, a2, p, q, delta = params.alpha1, params.alpha2, params.p, params.q, params.delta
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        k, a = y
+        f = a1 * k ** p / (1.0 + a2 * k ** q)
+        return np.array([a * f - delta * k, a * g_const])
+
+    n = max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n
+    y = np.array([float(k0), float(A0)])
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported, not warned
+        for i in range(n):
+            s1 = rhs(y)
+            s2 = rhs(y + 0.5 * h * s1)
+            s3 = rhs(y + 0.5 * h * s2)
+            s4 = rhs(y + h * s3)
+            y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(node=None, time=(i + 1) * h)
+    return float(y[0]), float(y[1])

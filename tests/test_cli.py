@@ -173,6 +173,21 @@ def test_convergence_command(tmp_path, capsys):
     assert 0.8 <= float(temporal[-1][1]) <= 1.2
 
 
+def test_convergence_command_2d(tmp_path, capsys):
+    out = tmp_path / "conv2d"
+    assert main(["convergence", "--dim", "2", "--out", str(out)]) == 0
+    spatial = read_rows(out / "convergence_spatial.csv")
+    assert 1.7 <= float(spatial[-1][1]) <= 2.3
+    temporal = read_rows(out / "convergence_temporal.csv")
+    assert 0.8 <= float(temporal[-1][1]) <= 1.2
+    levels = [ln for ln in capsys.readouterr().out.splitlines() if "max error=" in ln]
+    assert len(levels) == 6
+    rates = [ln.rsplit("rate=", 1)[1] for ln in levels]
+    assert rates[0] == rates[3] == "-"  # the coarsest level has no predecessor
+    for rate in rates[1:3] + rates[4:]:
+        float(rate)
+
+
 def test_missing_scenario_file_is_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.ini")]) == 1
     assert "error:" in capsys.readouterr().err

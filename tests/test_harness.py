@@ -1,23 +1,21 @@
-"""Verification harness: oracle self-checks and convergence machinery."""
+"""Verification harness: the RK4 oracle's self-checks and convergence machinery."""
 
 import numpy as np
 import pytest
 
 from meshless_growth import (
     DivergenceError,
-    GrowthSpec,
     ModelParams,
-    WeightSpec,
     convergence_study,
     fd_equivalence,
     generate_jittered,
     generate_regular,
     manufactured_solution,
-    ode_oracle,
     polynomial_exactness,
     regular_refinement,
     temporal_convergence_study,
 )
+from oracles import ode_oracle
 
 
 def test_ode_oracle_linear_case_exact():
@@ -85,7 +83,6 @@ def test_manufactured_solution_satisfies_neumann():
 def test_spatial_convergence_second_order():
     clouds = regular_refinement(9, 3, 1.0, dim=1)
     result = convergence_study(clouds, 2, "distance")
-    assert result.excluded == ()
     assert len(result.levels) == 3
     assert 1.7 <= result.observed_order <= 2.3
 
@@ -93,16 +90,22 @@ def test_spatial_convergence_second_order():
 def test_temporal_convergence_first_order():
     cloud = generate_regular(41, 1.0, dim=1)
     result = temporal_convergence_study(cloud, 2, dts=(2e-4, 1e-4, 5e-5))
-    assert result.excluded == ()
     assert 0.8 <= result.observed_order <= 1.2
 
 
-def test_convergence_excludes_divergent_levels():
-    clouds = regular_refinement(9, 2, 1.0, dim=1)
-    # dt = 10 h^2 is far beyond the h^2/2 bound, so every level blows up
-    result = convergence_study(clouds, 2, dt_factor=10.0, t_end=5.0)
-    assert len(result.excluded) == 2
-    assert result.observed_order is None
+def test_spatial_study_raises_on_a_diverged_level():
+    # the finest jittered level blows up at t = 0.0064; dropping it would
+    # fit an order of 2.55 from the two levels that remain
+    clouds = [generate_jittered(n, 1.0, dim=2, jitter=0.1, seed=2) for n in (9, 17, 33)]
+    with pytest.raises(DivergenceError) as info:
+        convergence_study(clouds, 8, "quadrant")
+    assert info.value.node == 329 and info.value.step is not None
+
+
+def test_temporal_study_raises_on_a_diverged_level():
+    # dt = 1e-2 is eight times the h^2/2 bound of h = 0.05
+    with pytest.raises(DivergenceError):
+        temporal_convergence_study(generate_regular(21, 1.0, dim=1), 2, dts=(1e-2, 1e-3))
 
 
 def test_regular_refinement_halves_spacing():
