@@ -11,7 +11,6 @@ from .cloud import (
     generate_jittered,
     generate_regular,
     load_cloud,
-    save_cloud,
     select_star,
 )
 from .errors import (
@@ -69,10 +68,8 @@ from .stability import (
 )
 from .stencil import (
     StencilTable,
-    WeightSpec,
     build_all_stencils,
     compute_stencil,
-    weight,
 )
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .harness import (
     temporal_convergence_study,
 )
 from .output import (
+    write_csv,
     write_plot_script,
     write_run_log,
     write_snapshots,
@@ -133,11 +134,8 @@ def _cmd_verify(args) -> int:
         print(f"{status}: {name}: {value:.3e} (tolerance {tol:.0e})")
     if out:
         os.makedirs(out, exist_ok=True)
-        import csv as _csv
-        with open(os.path.join(out, "verify_report.csv"), "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["check", "value", "tolerance", "status"])
-            w.writerows(lines)
+        write_csv(os.path.join(out, "verify_report.csv"),
+                  ["check", "value", "tolerance", "status"], lines)
     return 0 if ok else 1
 
 
@@ -167,15 +165,11 @@ def _cmd_convergence(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        import csv as _csv
         for fname, result, label in [("convergence_spatial.csv", spatial, "h"),
                                      ("convergence_temporal.csv", temporal, "dt")]:
-            with open(os.path.join(args.out, fname), "w", newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow([label, "max_error"])
-                for x, err in result.levels:
-                    w.writerow([repr(x), repr(err)])
-                w.writerow(["observed_order", repr(result.observed_order)])
+            # repr writes an unfitted order as None, where csv would leave it empty
+            write_csv(os.path.join(args.out, fname), [label, "max_error"],
+                      [*result.levels, ("observed_order", repr(result.observed_order))])
     return 0
 
 

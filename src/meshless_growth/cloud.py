@@ -138,16 +138,6 @@ def generate_jittered(
     return NodeCloud(dim, pos, onface, _edge_normals(dim, pos, length), length)
 
 
-def save_cloud(cloud: NodeCloud, path) -> None:
-    """Write the cloud as CSV with header x[,y],boundary at full precision."""
-    header = ["x", "boundary"] if cloud.dim == 1 else ["x", "y", "boundary"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p, b in zip(cloud.positions, cloud.boundary):
-            writer.writerow([repr(float(v)) for v in p] + [int(b)])
-
-
 def load_cloud(path) -> NodeCloud:
     """Read a cloud CSV (header x[,y],boundary); normals are recomputed.
 

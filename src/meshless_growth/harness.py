@@ -15,13 +15,7 @@ import numpy as np
 from .cloud import NodeCloud, generate_regular
 from .model import GrowthSpec, ModelParams
 from .scheme import SchemeConfig, State, run
-from .stencil import (
-    DERIV_NAMES,
-    StencilTable,
-    WeightSpec,
-    build_all_stencils,
-    compute_stencil,
-)
+from .stencil import DERIV_NAMES, StencilTable, build_all_stencils, compute_stencil
 
 # The manufactured problem's depreciation, the spatial study's step
 # dt = DT_FACTOR * h^2, and the end time of every run.
@@ -113,12 +107,11 @@ def fd_equivalence(grid: NodeCloud) -> float:
     five-point row.  Rows are compared entrywise, normalized by the largest
     reference entry of the row.
     """
-    spec = WeightSpec()
     h = _grid_spacing(grid)
 
     def solve(center: int, nodes: list[int]):
         offsets = grid.positions[nodes] - grid.positions[center]
-        center_coeffs, neighbor_coeffs = compute_stencil(offsets[None], spec)
+        center_coeffs, neighbor_coeffs = compute_stencil(offsets[None])
         return center_coeffs[0], neighbor_coeffs[0]
 
     def row_error(got_center, got_neighbors, ref_center, ref_neighbors):

@@ -7,6 +7,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -16,8 +17,14 @@ from .stability import StabilityReport
 from .stencil import DERIV_NAMES, StencilTable
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def write_csv(path, header, rows) -> str:
+    """Write a header and rows of ints, Python floats, strings or None
+    (an empty field)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
 
 
 def snapshot_filename(requested_time: float) -> str:
@@ -29,31 +36,19 @@ def write_snapshots(trajectory: Trajectory, output_dir) -> list[str]:
     os.makedirs(output_dir, exist_ok=True)
     cloud = trajectory.cloud
     header = ["node", "x", "k", "A"] if cloud.dim == 1 else ["node", "x", "y", "k", "A"]
-    paths = []
-    for snap in trajectory.snapshots:
-        path = os.path.join(output_dir, snapshot_filename(snap.requested_time))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(cloud.n_nodes):
-                row = [i] + [_fmt(c) for c in cloud.positions[i]]
-                row += [_fmt(snap.k[i]), _fmt(snap.A[i])]
-                writer.writerow(row)
-        paths.append(path)
-    return paths
+    coords = cloud.positions.T.tolist()
+    return [write_csv(os.path.join(output_dir, snapshot_filename(snap.requested_time)), header,
+                      zip(range(cloud.n_nodes), *coords, snap.k.tolist(), snap.A.tolist()))
+            for snap in trajectory.snapshots]
 
 
 def write_run_log(trajectory: Trajectory, output_dir) -> str:
     os.makedirs(output_dir, exist_ok=True)
-    path = os.path.join(output_dir, "run_log.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "max_k", "min_k", "clamp_count", "dt_bound"])
-        for rec in trajectory.log:
-            writer.writerow([rec.step, _fmt(rec.time), _fmt(rec.max_k), _fmt(rec.min_k),
-                             rec.clamp_count,
-                             "" if rec.dt_bound is None else _fmt(rec.dt_bound)])
-    return path
+    return write_csv(
+        os.path.join(output_dir, "run_log.csv"),
+        ["step", "time", "max_k", "min_k", "clamp_count", "dt_bound"],
+        ([rec.step, float(rec.time), rec.max_k, rec.min_k, rec.clamp_count, rec.dt_bound]
+         for rec in trajectory.log))
 
 
 def write_plot_script(trajectory: Trajectory, output_dir) -> str:
@@ -82,30 +77,23 @@ def write_plot_script(trajectory: Trajectory, output_dir) -> str:
 
 
 def write_stability_report(report: StabilityReport, path) -> str:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "phi1", "phi2", "margin", "dt_max"])
-        for row in zip(report.nodes.tolist(), report.phi1.tolist(), report.phi2.tolist(),
-                       report.margin.tolist(), report.dt_max.tolist()):
-            node, phi1, phi2, margin, dt_max = row
-            writer.writerow([node, _fmt(phi1), _fmt(phi2), _fmt(margin),
-                             "" if np.isnan(dt_max) else _fmt(dt_max)])
-    return str(path)
+    dt_max = [None if math.isnan(d) else d for d in report.dt_max.tolist()]
+    return write_csv(path, ["node", "phi1", "phi2", "margin", "dt_max"],
+                     zip(report.nodes.tolist(), report.phi1.tolist(), report.phi2.tolist(),
+                         report.margin.tolist(), dt_max))
 
 
 def write_stencil_dump(table: StencilTable, path) -> str:
     """Debug dump: node,deriv,coeff_center,coeff_1..coeff_s for every row."""
     names = DERIV_NAMES[table.dim] + ("lap",)
-    s = table.neighbors.shape[1]
-    lap_center = table.laplacian_parts(table.center_coeffs)
-    lap_neighbors = table.laplacian_parts(table.neighbor_coeffs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "deriv", "coeff_center"] +
-                        [f"coeff_{i + 1}" for i in range(s)])
-        for node in range(table.neighbors.shape[0]):
-            centers = table.center_coeffs[node].tolist() + [float(lap_center[node])]
-            rows = table.neighbor_coeffs[node].T.tolist() + [lap_neighbors[node].tolist()]
-            for name, center, row in zip(names, centers, rows):
-                writer.writerow([node, name, _fmt(center)] + [_fmt(v) for v in row])
-    return str(path)
+    n, s = table.neighbors.shape
+    # (N, nd + 1) centers and (N, nd + 1, s) neighbors, the Laplacian last.
+    centers = np.column_stack([table.center_coeffs,
+                               table.laplacian_parts(table.center_coeffs)])
+    neighbors = np.concatenate([table.neighbor_coeffs.transpose(0, 2, 1),
+                                table.laplacian_parts(table.neighbor_coeffs)[:, None, :]],
+                               axis=1)
+    return write_csv(path, ["node", "deriv", "coeff_center"] +
+                     [f"coeff_{i + 1}" for i in range(s)],
+                     zip(np.repeat(np.arange(n), len(names)).tolist(), names * n,
+                         centers.ravel().tolist(), *neighbors.reshape(-1, s).T.tolist()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,18 +20,8 @@ from .cloud import NodeCloud, generate_jittered, generate_regular, load_cloud
 from .errors import ScenarioError
 from .model import GrowthSpec, ModelParams
 from .scheme import SchemeConfig, State
-from .stencil import StencilTable, WeightSpec, build_all_stencils
+from .stencil import StencilTable, build_all_stencils
 
-_SECTION_KEYS = {
-    "cloud": {"kind", "dim", "nodes_per_axis", "length", "jitter", "seed", "path"},
-    "star": {"s", "criterion", "weight", "exponent", "shape"},
-    "model": {"alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion",
-              "g_kind", "g_level", "g_center", "g_sigma"},
-    "initial": {"k0_kind", "k0_value", "k0_points", "k0_bumps", "k0_base", "k0_path",
-                "A0_kind", "A0_value", "A0_points", "A0_bumps", "A0_base", "A0_path"},
-    "scheme": {"dt", "t_final", "snapshot_times", "stability_mode", "stability_interval"},
-    "output": {"dir"},
-}
 _REQUIRED_SECTIONS = ("cloud", "star", "initial", "scheme")
 
 
@@ -108,10 +98,9 @@ class CloudSpec:
 class StarSpec:
     s: int
     criterion: str = "distance"
-    weight: WeightSpec = field(default_factory=WeightSpec)
 
     def build_table(self, cloud: NodeCloud) -> StencilTable:
-        return build_all_stencils(cloud, self.s, self.criterion, self.weight)
+        return build_all_stencils(cloud, self.s, self.criterion)
 
 
 @dataclass(frozen=True)
@@ -251,8 +240,6 @@ _CLOUD_KEYS = {"kind": _choice("regular", "jittered", "file"), "dim": int,
                "nodes_per_axis": int, "length": float, "jitter": float, "seed": int,
                "path": str}
 _STAR_KEYS = {"s": int, "criterion": _choice("distance", "quadrant")}
-_WEIGHT_KEYS = {"weight": _choice("potential", "exponential"),  # WeightSpec.kind
-                "exponent": float, "shape": float}
 _MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
                             float)
 _GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read as g_<field>
@@ -264,6 +251,16 @@ _FIELD_KEYS = {"constant": {"value": float},
                "file": {"path": str}}
 _SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_list,
                 "stability_mode": _choice("off", "check", "adapt"), "stability_interval": int}
+# Every key a scenario may set, by section: the keys the tables above read.
+_SECTION_KEYS = {
+    "cloud": set(_CLOUD_KEYS),
+    "star": set(_STAR_KEYS),
+    "model": {*_MODEL_KEYS, *("g_" + name for name in _GROWTH_KEYS)},
+    "initial": {f"{prefix}_{name}" for prefix in ("k0", "A0")
+                for name in ("kind", *(n for keys in _FIELD_KEYS.values() for n in keys))},
+    "scheme": set(_SCHEME_KEYS),
+    "output": {"dir"},
+}
 # Technology starts at a constant 1 unless the scenario says otherwise.
 _A0_DEFAULTS = {"A0_kind": "constant", "A0_value": "1.0"}
 
@@ -312,11 +309,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
     sec = cp["star"]
     _require(sec, "star", "s")
-    weight = _convert(sec, "star", _WEIGHT_KEYS)
-    if "weight" in weight:
-        weight["kind"] = weight.pop("weight")
-    star = StarSpec(**_convert(sec, "star", _STAR_KEYS),
-                    weight=_build("star", WeightSpec, **weight))
+    star = StarSpec(**_convert(sec, "star", _STAR_KEYS))
 
     sec = cp["model"] if "model" in cp else {}
     growth = _convert(sec, "model", _GROWTH_KEYS, prefix="g_")
@@ -369,8 +362,6 @@ seed = 3
 [star]
 s = 2
 criterion = distance
-weight = potential
-exponent = 3.0
 
 [model]
 alpha1 = 1.0
@@ -410,8 +401,6 @@ seed = 11
 [star]
 s = 8
 criterion = quadrant
-weight = potential
-exponent = 3.0
 
 [model]
 alpha1 = 1.0

@@ -295,8 +295,7 @@ def run(
             state = step(state, table, params, step_dt,
                          g_field=g_field, neumann=neumann, forcing=forcing)
         except DivergenceError as exc:
-            exc.step = step_idx + 1
-            traj.diverged = exc
+            traj.diverged = DivergenceError(exc.node, exc.time, step_idx + 1)
             break
         step_idx += 1
         traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),

@@ -1,20 +1,19 @@
 """Difference stencils on stars via weighted second-order Taylor fits.
 
 For a star with offsets c_i the fit minimizes sum_i w_i^2 (U0 - Ui + c_i.d)^2
-over the derivative vector d, which leads to the moment system
+over the derivative vector d, with the weight w_i = d_i^-3 of neighbor i's
+distance d_i from the center, which leads to the moment system
 
     (sum_i w_i^2 c_i c_i^T) d = -sum_i w_i^2 (U0 - Ui) c_i.
 
 Solving once per star yields coefficient vectors m_i = w_i^2 M^{-1} c_i with
 center vector m_0 = sum_i m_i, so any derivative is evaluated as
--m_0j U0 + sum_i m_ij Ui.  Offsets are normalized by the star radius before
-assembly so the moment matrix stays well conditioned on tight clusters; the
-coefficients are scaled back afterwards.
+-m_0j U0 + sum_i m_ij Ui.  Offsets, and so the distances in w, are normalized
+by the star radius before assembly so the moment matrix stays well
+conditioned on tight clusters; the coefficients are scaled back afterwards.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,37 +28,6 @@ DERIV_NAMES = {1: ("x", "xx"), 2: ("x", "y", "xx", "yy", "xy")}
 DERIV_ORDERS = {1: (1, 2), 2: (1, 1, 2, 2, 2)}
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight function choice for the Taylor fit.
-
-    potential:   w(d) = d^(-exponent)
-    exponential: w(d) = exp(-shape * (d / r_star)^2)
-    """
-
-    kind: str = "potential"
-    exponent: float = 3.0
-    shape: float = 6.0
-
-    def __post_init__(self):
-        if self.kind not in ("potential", "exponential"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
-        if self.shape <= 0:
-            raise ValueError("shape must be positive")
-
-
-def weight(distance, spec: WeightSpec, star_radius: float = 1.0):
-    """Evaluate the weight at one or more distances (all strictly positive)."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("weight requires strictly positive distances")
-    if spec.kind == "potential":
-        return d ** (-spec.exponent)
-    return np.exp(-spec.shape * (d / star_radius) ** 2)
-
-
 def _taylor_rows(offsets: np.ndarray) -> np.ndarray:
     if offsets.shape[-1] == 1:
         h = offsets[..., 0]
@@ -68,7 +36,7 @@ def _taylor_rows(offsets: np.ndarray) -> np.ndarray:
     return np.stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k], axis=-1)
 
 
-def compute_stencil(offsets: np.ndarray, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+def compute_stencil(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the moment systems of a stack of stars with offsets (M, s, dim).
 
     Returns center_coeffs (M, nd) and neighbor_coeffs (M, s, nd): derivative
@@ -85,7 +53,7 @@ def compute_stencil(offsets: np.ndarray, spec: WeightSpec) -> tuple[np.ndarray, 
     zero = np.flatnonzero((dist == 0).any(axis=1))
     if zero.size:
         raise ValueError(f"star at node {zero[0]} contains a zero offset")
-    w2 = weight(dist, spec, star_radius=1.0) ** 2  # (M, s)
+    w2 = (dist ** -3.0) ** 2  # (M, s); w squared, which d^-6 would round differently
     c = _taylor_rows(scaled)                        # (M, s, nd)
     m = np.swapaxes(c * w2[..., None], 1, 2) @ c    # (M, nd, nd)
 
@@ -168,10 +136,9 @@ def build_all_stencils(
     cloud: NodeCloud,
     s: int,
     criterion: str = "distance",
-    spec: WeightSpec | None = None,
 ) -> StencilTable:
     """Select a star and solve its stencil for every node (boundary included)."""
     neighbors = select_star(cloud, np.arange(cloud.n_nodes), s, criterion)
     offsets = cloud.positions[neighbors] - cloud.positions[:, None, :]
-    center_coeffs, neighbor_coeffs = compute_stencil(offsets, spec or WeightSpec())
+    center_coeffs, neighbor_coeffs = compute_stencil(offsets)
     return StencilTable(cloud, neighbors, center_coeffs, neighbor_coeffs)

@@ -3,12 +3,14 @@
 Most functions here are the one-node-at-a-time form of something the package
 computes for all nodes at once: star selection over every candidate, the
 per-star moment solve, the per-star Phi terms of the step bound, the taxis
-flux, the growth rate and the stencil dump.  The others are the plainer
-dense forms of the per-step kernels: derivatives on node-major arrays and
-the boundary closure as a dense (n_b, N) gather times the inverse of the
-boundary matrix, and the forward-Euler step written as plain expressions.
-Tests require the package to match them.  Last, `ode_oracle` integrates the
-spatially uniform reduction of the system with Runge-Kutta 4.
+flux, the growth rate, and the stencil dump, snapshot, run-log and
+stability CSVs written row by row.  The others are the plainer dense forms
+of the per-step kernels: derivatives on node-major arrays and the boundary
+closure as a dense (n_b, N) gather times the inverse of the boundary
+matrix, and the forward-Euler step written as plain expressions.  Tests
+require the package to match them.  `save_cloud` writes the cloud
+files that `load_cloud` reads.  Last, `ode_oracle` integrates the spatially
+uniform reduction of the system with Runge-Kutta 4.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from meshless_growth import (
     State,
     production,
     production_derivative,
-    weight,
 )
 from meshless_growth.stencil import DERIV_ORDERS, RCOND_FLOOR
 
@@ -86,15 +87,15 @@ def taylor_rows(offsets: np.ndarray) -> np.ndarray:
     return np.column_stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k])
 
 
-def assemble_moment_matrix(offsets: np.ndarray, spec) -> np.ndarray:
+def assemble_moment_matrix(offsets: np.ndarray) -> np.ndarray:
     """Moment matrix sum_i w_i^2 c_i c_i^T over radius-scaled offsets."""
     scaled = offsets / np.sqrt((offsets ** 2).sum(axis=1)).max()
-    w = weight(np.sqrt((scaled ** 2).sum(axis=1)), spec, star_radius=1.0)
+    w = np.sqrt((scaled ** 2).sum(axis=1)) ** -3.0
     c = taylor_rows(scaled)
     return (c * (w ** 2)[:, None]).T @ c
 
 
-def compute_stencil(offsets: np.ndarray, spec, node: int = 0):
+def compute_stencil(offsets: np.ndarray, node: int = 0):
     """(center_coeffs, neighbor_coeffs) of one star with offsets (s, dim)."""
     dim = offsets.shape[1]
     r = float(np.sqrt((offsets ** 2).sum(axis=1)).max())
@@ -102,7 +103,7 @@ def compute_stencil(offsets: np.ndarray, spec, node: int = 0):
     dist = np.sqrt((scaled ** 2).sum(axis=1))
     if np.any(dist == 0):
         raise ValueError(f"star at node {node} contains a zero offset")
-    w = weight(dist, spec, star_radius=1.0)
+    w = dist ** -3.0
     c = taylor_rows(scaled)
     m = (c * (w ** 2)[:, None]).T @ c
     eig = np.linalg.eigvalsh(m)
@@ -116,12 +117,12 @@ def compute_stencil(offsets: np.ndarray, spec, node: int = 0):
     return coeffs.sum(axis=0), coeffs
 
 
-def build_table_arrays(cloud, s: int, criterion: str, spec):
+def build_table_arrays(cloud, s: int, criterion: str):
     """(neighbors, center_coeffs, neighbor_coeffs) built node by node."""
     nbrs, centers, coeffs = [], [], []
     for i in range(cloud.n_nodes):
         chosen = select_star(cloud, i, s, criterion)
-        cc, nc = compute_stencil(cloud.positions[chosen] - cloud.positions[i], spec, i)
+        cc, nc = compute_stencil(cloud.positions[chosen] - cloud.positions[i], i)
         nbrs.append(chosen)
         centers.append(cc)
         coeffs.append(nc)
@@ -299,6 +300,50 @@ def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> st
         for name, center, row in zip(names, centers, rows):
             writer.writerow([node, name, repr(center)] + [repr(v) for v in row])
     return buf.getvalue()
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def snapshot_text(cloud, snap) -> str:
+    """One snapshot CSV, written node by node."""
+    header = ["node", "x", "k", "A"] if cloud.dim == 1 else ["node", "x", "y", "k", "A"]
+    return _csv_text(header, (
+        [i] + [repr(float(c)) for c in cloud.positions[i]]
+        + [repr(float(snap.k[i])), repr(float(snap.A[i]))]
+        for i in range(cloud.n_nodes)))
+
+
+def run_log_text(trajectory) -> str:
+    """The run log CSV, written record by record."""
+    return _csv_text(
+        ["step", "time", "max_k", "min_k", "clamp_count", "dt_bound"],
+        ([rec.step, repr(float(rec.time)), repr(float(rec.max_k)), repr(float(rec.min_k)),
+          rec.clamp_count, "" if rec.dt_bound is None else repr(float(rec.dt_bound))]
+         for rec in trajectory.log))
+
+
+def stability_text(report) -> str:
+    """The stability report CSV, written star by star; a NaN dt_max is empty."""
+    return _csv_text(["node", "phi1", "phi2", "margin", "dt_max"], (
+        [int(report.nodes[i]), repr(float(report.phi1[i])), repr(float(report.phi2[i])),
+         repr(float(report.margin[i])),
+         "" if np.isnan(report.dt_max[i]) else repr(float(report.dt_max[i]))]
+        for i in range(report.nodes.size)))
+
+
+def save_cloud(cloud, path) -> None:
+    """Write a cloud as the CSV load_cloud reads: header x[,y],boundary, at
+    full precision."""
+    header = ["x", "boundary"] if cloud.dim == 1 else ["x", "y", "boundary"]
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_text(header, ([repr(float(v)) for v in p] + [int(b)]
+                                    for p, b in zip(cloud.positions, cloud.boundary))))
 
 
 def ode_oracle(

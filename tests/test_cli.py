@@ -113,7 +113,7 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "boom"
     assert main(["run", "--scenario", scen, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "diverged" in err
+    assert "diverged" in err and "(step " in err
     assert "partial results in" in err
     assert (out / "run_log.csv").exists()
 

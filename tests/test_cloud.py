@@ -11,14 +11,13 @@ from meshless_growth import (
     CloudError,
     InsufficientNodesError,
     NodeCloud,
-    WeightSpec,
     compute_stencil,
     generate_jittered,
     generate_regular,
     load_cloud,
-    save_cloud,
     select_star,
 )
+from oracles import save_cloud
 
 
 def test_regular_1d_positions():
@@ -156,7 +155,7 @@ def test_star_validation():
         for center, row in enumerate(rows):
             assert np.unique(row).size == 8 and center not in row
     with pytest.raises(ValueError, match="zero offset"):
-        compute_stencil(np.array([[[0.1], [0.0]]]), WeightSpec())
+        compute_stencil(np.array([[[0.1], [0.0]]]))
     with pytest.raises(ValueError):
         select_star(cloud, np.zeros((2, 2), dtype=int), 8, "distance")
 

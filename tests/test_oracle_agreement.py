@@ -1,11 +1,14 @@
-"""The array build, bound, dump and per-step kernels agree with the references.
+"""The array build, bound, writers and per-step kernels agree with the references.
 
 Neighbor arrays must be equal and stencil coefficients equal bit for bit,
 since the array code performs the same floating-point operations per star.
-So must derivatives on the component-major table and the stencil dump; the
+So must derivatives on the component-major table, and the CSV files must
+equal byte for byte those the row-by-row writers produce; the
 compressed boundary closure, which solves instead of inverting, agrees with
 the dense one to rounding.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from meshless_growth import (
     NeumannOperator,
     NodeCloud,
     State,
-    WeightSpec,
     build_all_stencils,
     compute_stencil,
     dt_bound,
@@ -26,19 +28,25 @@ from meshless_growth import (
     generate_regular,
     get_preset,
     polynomial_exactness,
+    run,
     select_star,
 )
 from meshless_growth import cloud as cloud_module
-from meshless_growth.output import write_stencil_dump
+from meshless_growth.output import (
+    write_run_log,
+    write_snapshots,
+    write_stability_report,
+    write_stencil_dump,
+)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_matches_oracle(cloud, s, criterion, spec=WeightSpec()):
-    table = build_all_stencils(cloud, s, criterion, spec)
-    neighbors, center, coeffs = oracles.build_table_arrays(cloud, s, criterion, spec)
+def assert_matches_oracle(cloud, s, criterion):
+    table = build_all_stencils(cloud, s, criterion)
+    neighbors, center, coeffs = oracles.build_table_arrays(cloud, s, criterion)
     assert np.array_equal(table.neighbors, neighbors)
     assert same_bits(table.center_coeffs, center)
     assert same_bits(table.neighbor_coeffs, coeffs)
@@ -73,12 +81,7 @@ def test_build_matches_loop_oracle(name, cloud, s, criterion):
 def test_preset_build_matches_loop_oracle(preset):
     scenario = get_preset(preset)
     cloud = scenario.cloud.build()
-    assert_matches_oracle(cloud, scenario.star.s, scenario.star.criterion, scenario.star.weight)
-
-
-def test_exponential_weight_matches_loop_oracle():
-    cloud = generate_jittered(10, 1.0, dim=2, jitter=0.3, seed=6)
-    assert_matches_oracle(cloud, 8, "quadrant", WeightSpec("exponential", shape=4.0))
+    assert_matches_oracle(cloud, scenario.star.s, scenario.star.criterion)
 
 
 def test_corner_star_is_topped_up_from_the_global_ranking():
@@ -133,7 +136,7 @@ def test_degenerate_star_names_the_lowest_bad_node():
     offsets[7, :, 1] = 0.0  # collinear stars
     offsets[3, :, 1] = 0.0
     with pytest.raises(DegenerateStarError) as err:
-        compute_stencil(offsets, WeightSpec())
+        compute_stencil(offsets)
     assert err.value.node == 3
     # the distance stars on this lattice fail first at node 1, as node by node
     lattice = generate_regular(8, 1.0, dim=2)
@@ -141,7 +144,7 @@ def test_degenerate_star_names_the_lowest_bad_node():
         build_all_stencils(lattice, 5, "distance")
     assert err.value.node == 1
     with pytest.raises(DegenerateStarError) as err:
-        oracles.build_table_arrays(lattice, 5, "distance", WeightSpec())
+        oracles.build_table_arrays(lattice, 5, "distance")
     assert err.value.node == 1
 
 
@@ -158,7 +161,7 @@ def test_large_build_is_exact():
         star = oracles.select_star(cloud, node, 8, "quadrant")
         assert table.neighbors[node].tolist() == star.tolist()
         center, coeffs = oracles.compute_stencil(
-            cloud.positions[star] - cloud.positions[node], WeightSpec(), node)
+            cloud.positions[star] - cloud.positions[node], node)
         assert same_bits(table.center_coeffs[node], center)
         assert same_bits(table.neighbor_coeffs[node], coeffs)
 
@@ -245,14 +248,43 @@ def test_derivatives_equal_node_major_einsum(name, cloud, table):
                          oracles.derivatives(table, field))
 
 
+def _read(path):
+    with open(path, newline="") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_stencil_dump_equals_row_by_row_writer(preset, tmp_path):
     scenario = get_preset(preset)
     cloud = scenario.cloud.build()
     table = scenario.star.build_table(cloud)
-    arrays = oracles.build_table_arrays(cloud, scenario.star.s, scenario.star.criterion,
-                                        scenario.star.weight)
+    arrays = oracles.build_table_arrays(cloud, scenario.star.s, scenario.star.criterion)
     path = write_stencil_dump(table, tmp_path / "dump.csv")
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    assert lines == oracles.stencil_dump_text(*arrays, cloud.dim).splitlines(keepends=True)
+    assert _read(path) == oracles.stencil_dump_text(*arrays, cloud.dim).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_run_outputs_equal_row_by_row_writers(preset, tmp_path):
+    # a short march whose middle snapshot time falls between two steps
+    scenario = get_preset(preset)
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    config = replace(scenario.scheme, t_final=0.05, snapshot_times=(0.0, 0.0205, 0.05))
+    traj = run(cloud, table, scenario.model, scenario.initial_state(cloud), config)
+    paths = write_snapshots(traj, tmp_path)
+    assert len(paths) == len(traj.snapshots) == 3
+    for path, snap in zip(paths, traj.snapshots):
+        assert _read(path) == oracles.snapshot_text(cloud, snap).splitlines(keepends=True)
+    assert _read(write_run_log(traj, tmp_path)) == \
+        oracles.run_log_text(traj).splitlines(keepends=True)
+
+
+def test_stability_report_equals_row_by_row_writer(tmp_path):
+    table, state, params = BOUND_CASES[1]
+    report = dt_bound(table, state, params)
+    dt_max = report.dt_max.copy()
+    dt_max[[0, 3]] = np.nan  # stars whose denominator is not positive
+    for rep in (report, replace(report, dt_max=dt_max)):
+        path = write_stability_report(rep, tmp_path / "stability.csv")
+        assert _read(path) == oracles.stability_text(rep).splitlines(keepends=True)
+    assert _read(path)[1].endswith(",\r\n")

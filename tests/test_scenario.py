@@ -15,14 +15,13 @@ from meshless_growth import (
     SchemeConfig,
     ScenarioError,
     StarSpec,
-    WeightSpec,
     generate_regular,
     get_preset,
     parse_scenario,
     parse_scenario_text,
     preset_text,
-    save_cloud,
 )
+from oracles import save_cloud
 
 MINIMAL = """\
 [cloud]
@@ -133,7 +132,7 @@ def test_presets_share_the_documented_settings():
 def test_minimal_scenario_defaults():
     sc = parse_scenario_text(MINIMAL, name="mini")
     assert sc.cloud == CloudSpec(kind="regular", dim=1, nodes_per_axis=11)
-    assert sc.star == StarSpec(s=2) and sc.star.weight == WeightSpec()
+    assert sc.star == StarSpec(s=2)
     assert sc.model == ModelParams()
     assert sc.initial == InitialSpec(k0=FieldSpec(kind="constant", value=1.0),
                                      A0=FieldSpec(kind="constant", value=1.0))
@@ -156,6 +155,11 @@ def test_unknown_key_rejected_with_path():
     bad = MINIMAL.replace("[scheme]", "[scheme]\nwarp = 9")
     with pytest.raises(ScenarioError, match="scheme.warp"):
         parse_scenario_text(bad)
+    # the stencil weight is fixed at d^-3, so its old keys are typos now
+    for line in ("weight = potential", "exponent = 3.0", "shape = 6.0"):
+        key = line.split()[0]
+        with pytest.raises(ScenarioError, match=rf"^star\.{key}: unknown key$"):
+            parse_scenario_text(MINIMAL.replace("[star]", f"[star]\n{line}"))
 
 
 def test_unknown_section_rejected():

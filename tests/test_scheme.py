@@ -213,6 +213,7 @@ def test_taxis_preset_divergence_is_reported_at_node_66():
     traj = run(cloud, table, scenario.model, scenario.initial_state(cloud), config)
     err = traj.diverged
     assert (err.node, err.step) == (66, 13623)
+    assert "(step 13623)" in str(err)
     assert err.time == pytest.approx(13.623, abs=5e-4)
     assert 66 in cloud.interior_indices
 

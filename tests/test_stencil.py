@@ -8,24 +8,22 @@ from hypothesis import strategies as st
 from meshless_growth import (
     DegenerateStarError,
     StencilTable,
-    WeightSpec,
     build_all_stencils,
     compute_stencil,
     generate_jittered,
     generate_regular,
     select_star,
-    weight,
 )
 from oracles import apply_stencil, assemble_moment_matrix
 
 
-def solve_one(offsets, spec=WeightSpec()):
+def solve_one(offsets):
     """Center and neighbor coefficients of a single star with offsets (s, dim)."""
-    center, neighbors = compute_stencil(np.asarray(offsets, dtype=float)[None], spec)
+    center, neighbors = compute_stencil(np.asarray(offsets, dtype=float)[None])
     return center[0], neighbors[0]
 
 
-def lstsq_derivatives(off, u0, ui, exponent=3.0):
+def lstsq_derivatives(off, u0, ui):
     """Independent reference: unscaled weighted least squares via lstsq.
 
     Uses raw offsets and raw distances; the production solve scales both by
@@ -33,7 +31,7 @@ def lstsq_derivatives(off, u0, ui, exponent=3.0):
     """
     dim = off.shape[1]
     d = np.sqrt((off ** 2).sum(axis=1))
-    w = d ** (-exponent)
+    w = d ** -3.0
     if dim == 1:
         c = np.column_stack([off[:, 0], 0.5 * off[:, 0] ** 2])
     else:
@@ -43,32 +41,10 @@ def lstsq_derivatives(off, u0, ui, exponent=3.0):
     return sol
 
 
-def test_weight_examples():
-    spec = WeightSpec("potential", exponent=3.0)
-    assert weight(0.5, spec) == 8.0
-    assert weight(1.0, spec) == 1.0
-    expo = WeightSpec("exponential", shape=6.0)
-    assert np.isclose(weight(0.5, expo, star_radius=1.0), np.exp(-1.5))
-    assert np.isclose(weight(1.0, expo, star_radius=2.0), np.exp(-1.5))
-    with pytest.raises(ValueError):
-        weight(0.0, spec)
-    with pytest.raises(ValueError):
-        weight(np.array([0.5, -1.0]), spec)
-
-
-def test_weight_spec_validation():
-    with pytest.raises(ValueError):
-        WeightSpec("gaussian")
-    with pytest.raises(ValueError):
-        WeightSpec("potential", exponent=0.0)
-    with pytest.raises(ValueError):
-        WeightSpec("exponential", shape=-1.0)
-
-
 def test_moment_matrix_symmetric_pair():
-    # offsets +-h scale to +-1; potential weights are 1 there, so
+    # offsets +-h scale to +-1; the weights d^-3 are 1 there, so
     # M = sum c c^T with c = (+-1, 0.5) exactly
-    m = assemble_moment_matrix(np.array([[-0.1], [0.1]]), WeightSpec())
+    m = assemble_moment_matrix(np.array([[-0.1], [0.1]]))
     assert np.array_equal(m, np.array([[2.0, 0.0], [0.0, 0.5]]))
 
 
