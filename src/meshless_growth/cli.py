@@ -17,13 +17,7 @@ import os
 import sys
 
 from .cloud import generate_jittered, generate_regular
-from .errors import (
-    CloudError,
-    DegenerateStarError,
-    InsufficientNodesError,
-    NoAdmissibleTimeStepError,
-    ScenarioError,
-)
+from .errors import DegenerateStarError, NoAdmissibleTimeStepError
 from .harness import (
     convergence_study,
     fd_equivalence,
@@ -43,8 +37,8 @@ from .scenario import PRESET_NAMES, Scenario, get_preset, parse_scenario
 from .scheme import NeumannOperator, State, run as run_scheme
 from .stability import dt_bound
 
-CONFIG_ERRORS = (ScenarioError, CloudError, InsufficientNodesError,
-                 DegenerateStarError, NoAdmissibleTimeStepError, ValueError, OSError)
+# ValueError covers ScenarioError, CloudError and InsufficientNodesError.
+CONFIG_ERRORS = (DegenerateStarError, NoAdmissibleTimeStepError, ValueError, OSError)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser, with_run_flags: bool = True):

@@ -1,9 +1,9 @@
 """Node clouds on rectangular domains and star (neighborhood) selection.
 
 A cloud is a scattered set of nodes covering [0, L]^dim for dim 1 or 2.
-Boundary nodes carry outward unit normals; corners get the normalized sum
-of the adjacent edge normals.  Stars are the per-node neighbor sets the
-difference stencils are built on.
+The nodes on a face are its boundary nodes and carry outward unit normals;
+corners get the normalized sum of the adjacent edge normals.  Stars are the
+per-node neighbor sets the difference stencils are built on.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,34 +23,31 @@ BOUNDARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NodeCloud:
-    """Scattered nodes over [0, length]^dim with boundary flags and normals."""
+    """Scattered nodes over [0, length]^dim; dim, boundary (the nodes on a
+    face) and normals follow from the positions and are stored once."""
 
-    dim: int
     positions: np.ndarray  # (N, dim)
-    boundary: np.ndarray   # (N,) bool
-    normals: np.ndarray    # (N, dim), zero rows for interior nodes
     length: float
+    dim: int = field(init=False)
+    normals: np.ndarray = field(init=False)   # (N, dim), zero rows for interior nodes
+    boundary: np.ndarray = field(init=False)  # (N,) bool, the rows with a nonzero normal
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise CloudError(f"dim must be 1 or 2, got {self.dim}")
         if self.length <= 0:
             raise CloudError(f"length must be positive, got {self.length}")
         pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != self.dim:
-            raise CloudError(f"positions must have shape (N, {self.dim})")
+        if pos.ndim != 2 or pos.shape[1] not in (1, 2):
+            raise CloudError(f"positions must have shape (N, 1) or (N, 2), got {pos.shape}")
         tol = BOUNDARY_TOL * self.length
         if pos.min() < -tol or pos.max() > self.length + tol:
             raise CloudError("positions fall outside [0, length]^dim")
         uniq = np.unique(pos, axis=0)
         if uniq.shape[0] != pos.shape[0]:
             raise CloudError("cloud contains coincident nodes")
-        onface = self._face_distance(pos) <= tol
-        if np.any(np.asarray(self.boundary, dtype=bool) & ~onface):
-            raise CloudError("node flagged boundary does not lie on the boundary")
-
-    def _face_distance(self, pos: np.ndarray) -> np.ndarray:
-        return np.minimum(pos, self.length - pos).min(axis=1)
+        normals = _edge_normals(pos, self.length)
+        object.__setattr__(self, "dim", pos.shape[1])
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "boundary", normals.any(axis=1))
 
     @property
     def n_nodes(self) -> int:
@@ -68,16 +65,16 @@ class NodeCloud:
         """Median nearest-neighbor distance; the h used by refinement studies."""
         if self.n_nodes < 2:
             return math.inf
-        nearest = _select(self, np.arange(self.n_nodes), 1, "distance")[:, 0]
+        nearest = select_star(self, np.arange(self.n_nodes), 1)[:, 0]
         offsets = self.positions[nearest] - self.positions
         return float(np.median(np.sqrt((offsets ** 2).sum(axis=1))))
 
 
-def _edge_normals(dim: int, pos: np.ndarray, length: float) -> np.ndarray:
+def _edge_normals(pos: np.ndarray, length: float) -> np.ndarray:
     """Outward normals from face membership; corners sum adjacent faces."""
     tol = BOUNDARY_TOL * length
     n = np.zeros_like(pos)
-    for axis in range(dim):
+    for axis in range(pos.shape[1]):
         n[pos[:, axis] <= tol, axis] -= 1.0
         n[pos[:, axis] >= length - tol, axis] += 1.0
     norms = np.sqrt((n ** 2).sum(axis=1, keepdims=True))
@@ -87,6 +84,8 @@ def _edge_normals(dim: int, pos: np.ndarray, length: float) -> np.ndarray:
 
 
 def _lattice(nodes_per_axis: int, length: float, dim: int):
+    if dim not in (1, 2):
+        raise CloudError(f"dim must be 1 or 2, got {dim}")
     if nodes_per_axis < 2:
         raise CloudError("nodes_per_axis must be at least 2")
     axis = np.linspace(0.0, length, nodes_per_axis)
@@ -100,12 +99,7 @@ def _lattice(nodes_per_axis: int, length: float, dim: int):
 
 def generate_regular(nodes_per_axis: int, length: float = 1.0, dim: int = 1) -> NodeCloud:
     """Uniform lattice over [0, length]^dim."""
-    if dim not in (1, 2):
-        raise CloudError(f"dim must be 1 or 2, got {dim}")
-    pos = _lattice(nodes_per_axis, length, dim)
-    tol = BOUNDARY_TOL * length
-    onface = np.minimum(pos, length - pos).min(axis=1) <= tol
-    return NodeCloud(dim, pos, onface, _edge_normals(dim, pos, length), length)
+    return generate_jittered(nodes_per_axis, length, dim, jitter=0.0)
 
 
 def generate_jittered(
@@ -123,8 +117,6 @@ def generate_jittered(
     """
     if not 0.0 <= jitter < 0.49:
         raise CloudError(f"jitter must lie in [0, 0.49), got {jitter}")
-    if dim not in (1, 2):
-        raise CloudError(f"dim must be 1 or 2, got {dim}")
     pos = _lattice(nodes_per_axis, length, dim)
     h = length / (nodes_per_axis - 1)
     rng = np.random.default_rng(seed)
@@ -133,16 +125,15 @@ def generate_jittered(
     for axis in range(dim):
         onface = (pos[:, axis] <= tol) | (pos[:, axis] >= length - tol)
         shift[onface, axis] = 0.0  # never move a node off its face
-    pos = pos + shift
-    onface = np.minimum(pos, length - pos).min(axis=1) <= tol
-    return NodeCloud(dim, pos, onface, _edge_normals(dim, pos, length), length)
+    return NodeCloud(pos + shift, length)
 
 
 def load_cloud(path) -> NodeCloud:
     """Read a cloud CSV (header x[,y],boundary); normals are recomputed.
 
     The domain length is inferred as the largest coordinate present, so a
-    valid file must include nodes on the far faces.
+    valid file must include nodes on the far faces.  Each boundary flag must
+    say whether its node lies on a face; a row where it does not is rejected.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -155,7 +146,7 @@ def load_cloud(path) -> NodeCloud:
         dim = 2
     else:
         raise CloudError(f"{path}: header must be x[,y],boundary, got {header}")
-    pos, flags = [], []
+    pos, flags, linenos = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -168,13 +159,18 @@ def load_cloud(path) -> NodeCloud:
             raise CloudError(f"{path}:{lineno}: {exc}") from exc
         if flag not in (0, 1):
             raise CloudError(f"{path}:{lineno}: boundary flag must be 0 or 1")
-        flags.append(bool(flag))
+        flags.append(flag)
+        linenos.append(lineno)
     if not pos:
         raise CloudError(f"{path}: no nodes")
     positions = np.asarray(pos, dtype=float)
-    length = float(positions.max())
-    normals = _edge_normals(dim, positions, length)
-    return NodeCloud(dim, positions, np.asarray(flags), normals, length)
+    cloud = NodeCloud(positions, float(positions.max()))
+    wrong = np.flatnonzero(cloud.boundary != np.asarray(flags, dtype=bool))
+    if wrong.size:
+        i = wrong[0]
+        raise CloudError(f"{path}:{linenos[i]}: boundary flag is {flags[i]} but the node "
+                         f"lies {'on a face' if cloud.boundary[i] else 'off the boundary'}")
+    return cloud
 
 
 # Caps on what one block of centers allocates: centers per block of the grid
@@ -304,18 +300,12 @@ def select_star(cloud: NodeCloud, centers, s: int, criterion: str = "distance") 
     quadrant either has ceil(s/4) members there or none outside it.  Other
     rows are recomputed against all nodes.
     """
-    min_s = 2 if cloud.dim == 1 else 5
-    if s < min_s:
-        raise ValueError(f"s must be at least {min_s} in {cloud.dim}D, got {s}")
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
     if criterion not in ("distance", "quadrant"):
         raise ValueError(f"unknown star criterion {criterion!r}")
     if criterion == "quadrant" and cloud.dim != 2:
         raise ValueError("quadrant criterion requires a 2D cloud")
-    return _select(cloud, centers, s, criterion)
-
-
-def _select(cloud: NodeCloud, centers, s: int, criterion: str) -> np.ndarray:
-    """select_star without the lower bound on s (spacing_estimate asks for 1)."""
     centers = np.asarray(centers, dtype=np.intp)
     if centers.ndim != 1:
         raise ValueError("centers must be a 1D array of node indices")

@@ -1,4 +1,4 @@
-"""Capital-technology growth model: production function and coefficients.
+"""Capital-technology growth model: state, production function and coefficients.
 
 The capital field obeys a diffusion equation with a technology-directed
 taxis flux, production A*f(k), and linear depreciation; technology grows
@@ -17,6 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import NodeCloud
+
+
+@dataclass(frozen=True)
+class State:
+    """Capital and technology fields at one time level."""
+
+    k: np.ndarray
+    A: np.ndarray
+    time: float
+
+    def __post_init__(self):
+        if self.k.shape != self.A.shape:
+            raise ValueError("k and A must have matching shapes")
 
 
 @dataclass(frozen=True)

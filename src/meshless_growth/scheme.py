@@ -14,26 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stability
 from .cloud import NodeCloud
 from .errors import DegenerateBoundaryStarError, DivergenceError
-from .model import ModelParams, production, tech_rate_field
+from .model import ModelParams, State, production, tech_rate_field
 from .stencil import StencilTable
 
 # A field beyond this magnitude is reported as divergence rather than value.
 DIVERGENCE_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class State:
-    """Capital and technology fields at one time level."""
-
-    k: np.ndarray
-    A: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        if self.k.shape != self.A.shape:
-            raise ValueError("k and A must have matching shapes")
 
 
 @dataclass(frozen=True)
@@ -242,8 +230,6 @@ def run(
     step additionally shrinks to 0.9x the bound whenever it exceeds it.
     Divergence aborts the march and returns the partial trajectory.
     """
-    from .stability import dt_bound  # local import keeps module layering acyclic
-
     if initial.k.shape != (cloud.n_nodes,):
         raise ValueError("initial state size does not match the cloud")
     traj = Trajectory(cloud=cloud)
@@ -273,7 +259,7 @@ def run(
             break
 
         if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
-            report = dt_bound(table, state, params)
+            report = stability.dt_bound(table, state, params)
             last_bound = report.global_dt
             if dt is None:
                 dt = 0.9 * last_bound
@@ -284,8 +270,6 @@ def run(
                 )
                 if config.stability_mode == "adapt":
                     dt = 0.9 * last_bound
-        if dt is None:
-            raise ValueError("dt is unset and stability_mode is not adapt")
 
         step_dt = dt if remaining > dt + tol else remaining
         prev = state

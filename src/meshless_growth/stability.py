@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAdmissibleTimeStepError
-from .model import ModelParams, production_derivative, tech_rate_field
-from .scheme import State
+from .model import ModelParams, State, production_derivative, tech_rate_field
 from .stencil import StencilTable
 
 log = logging.getLogger(__name__)

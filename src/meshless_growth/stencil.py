@@ -59,19 +59,11 @@ def compute_stencil(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     eig = np.linalg.eigvalsh(m)
     bad = np.flatnonzero((eig[:, 0] <= 0) | (eig[:, 0] < RCOND_FLOOR * eig[:, -1]))
-    first_bad = int(bad[0]) if bad.size else m.shape[0]
-    try:
-        chol = np.linalg.cholesky(m[:first_bad])
-    except np.linalg.LinAlgError:
-        for row in range(first_bad):  # name the first star that fails
-            try:
-                np.linalg.cholesky(m[row])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateStarError(row, str(exc)) from exc
-        raise
     if bad.size:
-        raise DegenerateStarError(
-            first_bad, f"moment matrix rcond {eig[first_bad, 0] / eig[first_bad, -1]:.2e}")
+        row = int(bad[0])
+        raise DegenerateStarError(row, f"moment matrix rcond {eig[row, 0] / eig[row, -1]:.2e}")
+    # Every row is now positive definite with condition <= 1 / RCOND_FLOOR.
+    chol = np.linalg.cholesky(m)
     q = np.swapaxes(np.linalg.inv(chol), 1, 2)  # M^{-1} = Q Q^T
     minv = q @ np.swapaxes(q, 1, 2)
 
@@ -138,6 +130,9 @@ def build_all_stencils(
     criterion: str = "distance",
 ) -> StencilTable:
     """Select a star and solve its stencil for every node (boundary included)."""
+    nd = len(DERIV_NAMES[cloud.dim])  # a fit of nd derivatives needs s >= nd neighbors
+    if s < nd:
+        raise ValueError(f"s must be at least {nd} in {cloud.dim}D, got {s}")
     neighbors = select_star(cloud, np.arange(cloud.n_nodes), s, criterion)
     offsets = cloud.positions[neighbors] - cloud.positions[:, None, :]
     center_coeffs, neighbor_coeffs = compute_stencil(offsets)

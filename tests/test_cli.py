@@ -36,6 +36,26 @@ stability_mode = check
 stability_interval = 10
 """
 
+QUICK_2D = """\
+[cloud]
+kind = regular
+dim = 2
+nodes_per_axis = 5
+
+[star]
+s = 8
+criterion = quadrant
+
+[initial]
+k0_kind = constant
+k0_value = 1.0
+
+[scheme]
+dt = 0.002
+t_final = 0.004
+snapshot_times = 0, 0.002, 0.004
+"""
+
 UNSTABLE = """\
 [cloud]
 kind = regular
@@ -89,6 +109,26 @@ def test_run_is_deterministic(tmp_path):
     assert main(["run", "--scenario", scen, "--out", str(b)]) == 0
     for name in ("run_log.csv", "snap_t0.100000.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_plot_script_plots_every_snapshot(tmp_path):
+    out_1d, out_2d = tmp_path / "1d", tmp_path / "2d"
+    assert main(["run", "--scenario", write_scenario(tmp_path, QUICK), "--out", str(out_1d)]) == 0
+    script = (out_1d / "plot.gp").read_text()
+    at = [script.index(f'"snap_t{t}.csv" skip 1 using 2:3 with linespoints')
+          for t in ("0.000000", "0.050000", "0.100000")]
+    assert at == sorted(at)
+
+    scen = write_scenario(tmp_path, QUICK_2D, "2d.ini")
+    assert main(["run", "--scenario", scen, "--out", str(out_2d)]) == 0
+    expected = []
+    for t, name in [("0", "snap_t0.000000.csv"), ("0.002", "snap_t0.002000.csv"),
+                    ("0.004", "snap_t0.004000.csv")]:
+        assert (out_2d / name).exists()
+        expected += [f'set title "k at t={t}"',
+                     f'splot "{name}" skip 1 using 2:3:4 with lines', "pause -1"]
+    lines = (out_2d / "plot.gp").read_text().splitlines()
+    assert lines[-len(expected):] == expected
 
 
 def test_seed_override_changes_cloud(tmp_path):

@@ -11,6 +11,7 @@ from meshless_growth import (
     CloudError,
     InsufficientNodesError,
     NodeCloud,
+    build_all_stencils,
     compute_stencil,
     generate_jittered,
     generate_regular,
@@ -43,23 +44,24 @@ def test_regular_2d_counts_and_normals():
 
 def test_cloud_rejects_out_of_domain():
     pos = np.array([[0.0], [0.5], [1.5]])
-    flags = np.array([True, False, True])
     with pytest.raises(CloudError):
-        NodeCloud(1, pos, flags, np.zeros_like(pos), 1.0)
+        NodeCloud(pos, 1.0)
 
 
 def test_cloud_rejects_duplicates():
     pos = np.array([[0.0], [0.5], [0.5], [1.0]])
-    flags = np.array([True, False, False, True])
     with pytest.raises(CloudError):
-        NodeCloud(1, pos, flags, np.zeros_like(pos), 1.0)
+        NodeCloud(pos, 1.0)
 
 
-def test_cloud_rejects_false_boundary_flag():
-    pos = np.array([[0.0], [0.5], [1.0]])
-    flags = np.array([True, True, True])  # middle node is not on a face
-    with pytest.raises(CloudError):
-        NodeCloud(1, pos, flags, np.zeros_like(pos), 1.0)
+def test_cloud_rejects_false_boundary_flag(tmp_path):
+    # a flag that disagrees with the position, in either direction, names its line
+    for text, line in [("x,boundary\n0.0,1\n0.5,1\n1.0,1\n", 3),  # interior node flagged 1
+                       ("x,y,boundary\n0,0,1\n0.5,0.5,0\n1,0,0\n1,1,1\n", 4)]:  # on a face, flagged 0
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CloudError, match=f"bad.csv:{line}: boundary flag"):
+            load_cloud(path)
 
 
 def test_jitter_zero_is_regular():
@@ -221,7 +223,11 @@ def test_select_star_errors():
     with pytest.raises(InsufficientNodesError):
         select_star(cloud, [1], 3, "distance")
     with pytest.raises(ValueError):
-        select_star(cloud, [1], 1, "distance")
+        select_star(cloud, [1], 0, "distance")
+    with pytest.raises(ValueError):
+        build_all_stencils(cloud, 1)  # the 1D fit needs two neighbors
+    with pytest.raises(ValueError):
+        build_all_stencils(generate_regular(4, 1.0, dim=2), 4)  # the 2D fit needs five
     with pytest.raises(ValueError):
         select_star(cloud, [1], 2, "quadrant")  # 2D only
     with pytest.raises(ValueError):

@@ -103,7 +103,7 @@ def uneven_cloud():
     sparse = generate_jittered(6, 1.0, dim=2, jitter=0.3, seed=4).positions
     sparse = sparse[(sparse > 0.5).any(axis=1)]
     pos = np.vstack([dense, sparse])
-    return NodeCloud(2, pos, np.zeros(len(pos), dtype=bool), np.zeros_like(pos), 1.0)
+    return NodeCloud(pos, 1.0)
 
 
 @pytest.mark.parametrize("criterion", ["distance", "quadrant"])
