@@ -134,6 +134,8 @@ def load_cloud(path) -> NodeCloud:
     The domain length is inferred as the largest coordinate present, so a
     valid file must include nodes on the far faces.  Each boundary flag must
     say whether its node lies on a face; a row where it does not is rejected.
+    Errors name the file, and the line where there is one: a repeated node
+    names its own line and the line of the first node at its position.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -164,7 +166,17 @@ def load_cloud(path) -> NodeCloud:
     if not pos:
         raise CloudError(f"{path}: no nodes")
     positions = np.asarray(pos, dtype=float)
-    cloud = NodeCloud(positions, float(positions.max()))
+    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
+    owner = first[inverse.ravel()]  # the first row at each row's position
+    repeat = np.flatnonzero(owner != np.arange(len(pos)))
+    if repeat.size:
+        i = repeat[0]
+        raise CloudError(f"{path}:{linenos[i]}: node coincides with the node on line "
+                         f"{linenos[owner[i]]}")
+    try:
+        cloud = NodeCloud(positions, float(positions.max()))
+    except CloudError as exc:
+        raise CloudError(f"{path}: {exc} (the length is the largest coordinate)") from exc
     wrong = np.flatnonzero(cloud.boundary != np.asarray(flags, dtype=bool))
     if wrong.size:
         i = wrong[0]

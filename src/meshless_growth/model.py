@@ -77,7 +77,13 @@ def production(k, params: ModelParams):
     k = np.asarray(k, dtype=float)
     if (k < 0).any():
         raise ValueError("production requires nonnegative capital")
-    out = params.alpha1 * k ** params.p / (1.0 + params.alpha2 * k ** params.q)
+    # Built in place in the order of a1 k^p / (1 + a2 k^q), so each rounding is the expression's.
+    out = k ** params.p
+    out *= params.alpha1
+    den = k ** params.q
+    den *= params.alpha2
+    den += 1.0
+    out /= den
     return out if out.ndim else float(out)
 
 

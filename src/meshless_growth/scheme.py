@@ -11,6 +11,7 @@ that keeps the residual at rounding level and makes the operation idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,7 @@ class Snapshot:
     A: np.ndarray
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     step: int
     time: float
     max_k: float
@@ -174,40 +174,42 @@ def step(
     time) and added to the capital equation (manufactured solutions).  The
     right-hand sides are built in place in the order of lap + flux + A f(k)
     - delta k and D lap_A + A g, so each rounding is the plain expression's.
+    A step that overflows is reported by DivergenceError, and run silences
+    the overflow and invalid-value warnings of its march; a direct caller of
+    step owns them.
     """
     k, A = state.k, state.A
     new_time = state.time + dt
     chi = params.chi
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported, not warned
-        dk = table.derivatives(k)
-        rhs_k = table.laplacian_parts(dk)  # a fresh array, or a column of dk in 1D
-        if chi != 0.0 or params.tech_diffusion != 0.0:
-            da = table.derivatives(A)
-            rhs_a = table.laplacian_parts(da)
-            if chi != 0.0:
-                flux = dk[:, 0] * da[:, 0]
-                if table.cloud.dim == 2:
-                    flux += dk[:, 1] * da[:, 1]
-                flux *= -chi
-                flux -= chi * k * rhs_a
-                rhs_k += flux
-            rhs_a *= params.tech_diffusion
-            rhs_a += A * g_field
-        else:  # a zero term is left out, not added: that could only turn -0.0 to +0.0
-            rhs_a = A * g_field
+    dk = table.derivatives(k)
+    rhs_k = table.laplacian_parts(dk)  # a fresh array, or a column of dk in 1D
+    if chi != 0.0 or params.tech_diffusion != 0.0:
+        da = table.derivatives(A)
+        rhs_a = table.laplacian_parts(da)
+        if chi != 0.0:
+            flux = dk[:, 0] * da[:, 0]
+            if table.cloud.dim == 2:
+                flux += dk[:, 1] * da[:, 1]
+            flux *= -chi
+            flux -= chi * k * rhs_a
+            rhs_k += flux
+        rhs_a *= params.tech_diffusion
+        rhs_a += A * g_field
+    else:  # a zero term is left out, not added: that could only turn -0.0 to +0.0
+        rhs_a = A * g_field
 
-        # Undershoots from the explicit step feed the production term as zero.
-        rhs_k += A * production(np.maximum(k, 0.0), params)
-        rhs_k -= params.delta * k
-        if forcing is not None:
-            rhs_k += forcing(table.cloud.positions, state.time)
+    # Undershoots from the explicit step feed the production term as zero.
+    rhs_k += A * production(np.maximum(k, 0.0), params)
+    rhs_k -= params.delta * k
+    if forcing is not None:
+        rhs_k += forcing(table.cloud.positions, state.time)
 
-        rhs_k *= dt
-        rhs_k += k
-        rhs_a *= dt
-        rhs_a += A
-        k_new = neumann.project(rhs_k)
-        a_new = neumann.project(rhs_a)
+    rhs_k *= dt
+    rhs_k += k
+    rhs_a *= dt
+    rhs_a += A
+    k_new = neumann.project(rhs_k)
+    a_new = neumann.project(rhs_a)
     # Nodes are named as the update left them; a bad value the projection replaced is dropped.
     _check_finite(k_new, a_new, new_time, before=[(rhs_k, rhs_a)])
     return State(k=k_new, A=a_new, time=new_time)
@@ -252,42 +254,44 @@ def run(
     # Tolerance absorbs summation drift over long runs so the step count
     # stays at ceil(t_final / dt) and the end time is hit exactly.
     base_tol = 1e-9 * max(1.0, config.t_final)
-    while True:
-        remaining = config.t_final - state.time
-        tol = base_tol if dt is None else min(base_tol, 0.5 * dt)
-        if remaining <= tol:
-            break
+    # One errstate for the march: blow-up is reported by DivergenceError, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            remaining = config.t_final - state.time
+            tol = base_tol if dt is None else min(base_tol, 0.5 * dt)
+            if remaining <= tol:
+                break
 
-        if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
-            report = stability.dt_bound(table, state, params)
-            last_bound = report.global_dt
-            if dt is None:
-                dt = 0.9 * last_bound
-            elif dt > last_bound * (1 + 1e-12):
-                action = "adapt" if config.stability_mode == "adapt" else "violation"
-                traj.stability_events.append(
-                    StabilityEvent(step_idx, state.time, dt, last_bound, action)
-                )
-                if config.stability_mode == "adapt":
+            if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
+                report = stability.dt_bound(table, state, params)
+                last_bound = report.global_dt
+                if dt is None:
                     dt = 0.9 * last_bound
+                elif dt > last_bound * (1 + 1e-12):
+                    action = "adapt" if config.stability_mode == "adapt" else "violation"
+                    traj.stability_events.append(
+                        StabilityEvent(step_idx, state.time, dt, last_bound, action)
+                    )
+                    if config.stability_mode == "adapt":
+                        dt = 0.9 * last_bound
 
-        step_dt = dt if remaining > dt + tol else remaining
-        prev = state
-        # The log holds this state's min k, so most steps need no count.
-        clamp_count = int(np.count_nonzero(state.k < 0)) if traj.log[-1].min_k < 0 else 0
-        try:
-            state = step(state, table, params, step_dt,
-                         g_field=g_field, neumann=neumann, forcing=forcing)
-        except DivergenceError as exc:
-            traj.diverged = DivergenceError(exc.node, exc.time, step_idx + 1)
-            break
-        step_idx += 1
-        traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
-                                  float(np.minimum.reduce(state.k)), clamp_count, last_bound))
-        while pending and state.time >= pending[0] - 1e-9 * step_dt:
-            t_s = pending.pop(0)
-            pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
-            traj.snapshots.append(Snapshot(t_s, pick.time, pick.k, pick.A))
+            step_dt = dt if remaining > dt + tol else remaining
+            prev = state
+            # The log holds this state's min k, so most steps need no count.
+            clamp_count = int(np.count_nonzero(state.k < 0)) if traj.log[-1].min_k < 0 else 0
+            try:
+                state = step(state, table, params, step_dt,
+                             g_field=g_field, neumann=neumann, forcing=forcing)
+            except DivergenceError as exc:
+                traj.diverged = DivergenceError(exc.node, exc.time, step_idx + 1)
+                break
+            step_idx += 1
+            traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
+                                      float(np.minimum.reduce(state.k)), clamp_count, last_bound))
+            while pending and state.time >= pending[0] - 1e-9 * step_dt:
+                t_s = pending.pop(0)
+                pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
+                traj.snapshots.append(Snapshot(t_s, pick.time, pick.k, pick.A))
 
     if traj.diverged is None:
         for t_s in pending:

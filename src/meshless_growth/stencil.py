@@ -77,11 +77,14 @@ class StencilTable:
 
     neighbors (N, s) holds each node's star; derivative j at node n is
     -center_coeffs[n, j] U_n + sum_i neighbor_coeffs[n, i, j] U_neighbors[n, i],
-    components ordered as DERIV_NAMES for the dimension.  The table copies
-    the arrays once into component-major, C-contiguous (s, N), (nd, N) and
-    (nd, s, N) buffers, so the per-step gather and contraction run along the
-    node axis; the attributes are transposed views of those buffers, and an
-    in-place edit through them changes derivatives.
+    components ordered as DERIV_NAMES for the dimension.  The table packs
+    each star with the node itself as slot s, in one C-contiguous (s+1, N)
+    index buffer, whose last row is the node, and one (nd, s+1, N)
+    coefficient buffer, whose last slot holds -center_coeffs; so a
+    derivative is one gather and one contraction along the node axis, with
+    the center term summed last.  neighbors and neighbor_coeffs are
+    transposed views of the first s slots, and an in-place edit through them
+    changes derivatives; center_coeffs is a read-only copy of its input.
     """
 
     def __init__(self, cloud: NodeCloud, neighbors: np.ndarray,
@@ -93,9 +96,16 @@ class StencilTable:
         if center_coeffs.shape != (n, nd) or neighbor_coeffs.shape != (n, s, nd):
             raise ValueError("coefficient arrays do not match the stars")
         self.cloud = cloud
-        self.neighbors = np.array(neighbors.T, order="C").T
+        self._stars = np.empty((s + 1, n), dtype=np.intp)
+        self._stars[:s] = neighbors.T
+        self._stars[s] = np.arange(n)
+        self._coeffs = np.empty((nd, s + 1, n))
+        self._coeffs[:, :s] = neighbor_coeffs.T
+        self._coeffs[:, s] = -center_coeffs.T
+        self.neighbors = self._stars[:s].T
+        self.neighbor_coeffs = self._coeffs[:, :s].T
         self.center_coeffs = np.array(center_coeffs.T, order="C").T
-        self.neighbor_coeffs = np.array(neighbor_coeffs.T, order="C").T
+        self.center_coeffs.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -107,11 +117,7 @@ class StencilTable:
         The result is the transpose of a C-contiguous (nd, N) array, so each
         component column is contiguous.
         """
-        gathered = field[self.neighbors.T]  # (s, N)
-        return (
-            np.einsum("dsn,sn->dn", self.neighbor_coeffs.T, gathered)
-            - self.center_coeffs.T * field
-        ).T
+        return np.einsum("dsn,sn->dn", self._coeffs, field[self._stars]).T
 
     def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
         """Sum of the pure second-derivative columns; also applies to
@@ -119,9 +125,6 @@ class StencilTable:
         if self.cloud.dim == 1:
             return derivs[..., 1]
         return derivs[..., 2] + derivs[..., 3]
-
-    def laplacian(self, field: np.ndarray) -> np.ndarray:
-        return self.laplacian_parts(self.derivatives(field))
 
 
 def build_all_stencils(

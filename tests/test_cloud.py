@@ -148,6 +148,20 @@ def test_load_cloud_rejects_bad_flag(tmp_path):
         load_cloud(path)
 
 
+def test_load_cloud_names_both_lines_of_coincident_nodes(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,boundary\n0.0,1\n0.5,0\n0.25,0\n0.5,0\n1.0,1\n")
+    with pytest.raises(CloudError, match="bad.csv:5: node coincides with the node on line 3"):
+        load_cloud(path)
+
+
+def test_load_cloud_names_the_file_when_no_coordinate_is_positive(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,boundary\n-0.5,0.0,1\n0.0,-0.5,1\n")
+    with pytest.raises(CloudError, match="bad.csv: length must be positive, got 0.0"):
+        load_cloud(path)
+
+
 def test_star_validation():
     # rows hold distinct neighbors and never the center itself
     cloud = generate_jittered(9, 1.0, dim=2, jitter=0.3, seed=4)

@@ -17,6 +17,7 @@ from meshless_growth import (
     State,
     StencilTable,
     build_all_stencils,
+    dt_bound,
     generate_jittered,
     generate_regular,
     get_preset,
@@ -322,6 +323,33 @@ def test_divergence_reports_partial_trajectory():
     assert traj.diverged.step is not None and traj.diverged.step <= 10
     assert traj.final is not None and np.all(np.isfinite(traj.final.k))
     assert len(traj.log) == traj.diverged.step  # log holds completed steps only
+
+
+def test_run_silences_the_warnings_of_a_march_that_overflows():
+    # Technology diffusion at dt far above its bound 2 / (D rho): A, which is
+    # checked only for finiteness, grows every step until it overflows.
+    # alpha1 = 0 and chi = 0 keep k, which stays stable at this dt, apart from A.
+    scenario = get_preset("growth-2d-delta005")
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    params = replace(scenario.model, alpha1=0.0, tech_diffusion=300.0)
+    init = scenario.initial_state(cloud)
+    init = State(k=init.k, A=init.A + 0.1 * cloud.positions[:, 0], time=0.0)
+    config = SchemeConfig(dt=1e-3, t_final=1.0, stability_mode="off")
+    assert config.dt > 100 * dt_bound(table, init, params).global_dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning out of run fails the test
+        traj = run(cloud, table, params, init, config)
+    err = traj.diverged
+    assert err is not None and err.node is not None and err.step is not None
+    assert np.abs(traj.final.A).max() > 1e300  # the last finite state
+    # a direct caller of step owns the warnings
+    neumann = NeumannOperator(cloud, table)
+    g_field = tech_rate_field(cloud, params.g_spec)
+    state = State(neumann.project(init.k), neumann.project(init.A), 0.0)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DivergenceError):
+        for _ in range(err.step):
+            state = step(state, table, params, config.dt, g_field=g_field, neumann=neumann)
 
 
 def test_stability_check_records_violations():

@@ -137,7 +137,7 @@ def test_table_matches_per_star_application():
         one = apply_stencil(table.center_coeffs[i], table.neighbor_coeffs[i],
                             field[i], field[table.neighbors[i]])
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
-    lap = table.laplacian(field)
+    lap = table.laplacian_parts(table.derivatives(field))
     assert np.allclose(lap, packed[:, 1], rtol=0, atol=0)
 
 
@@ -152,14 +152,28 @@ def test_table_rejects_mixed_star_sizes():
 def test_table_is_stored_component_major():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
     table = build_all_stencils(cloud, 8, "quadrant")
-    for arr in (table.neighbors, table.center_coeffs, table.neighbor_coeffs):
-        assert arr.T.flags.c_contiguous
+    n, s = table.neighbors.shape
+    # each star is packed with its node as the last slot, whose coefficient is -center
+    stars, coeffs = table._stars, table._coeffs
+    assert stars.flags.c_contiguous and stars.shape == (s + 1, n)
+    assert coeffs.flags.c_contiguous and coeffs.shape == (5, s + 1, n)
+    assert np.array_equal(stars[s], np.arange(n))
+    assert np.array_equal(coeffs[:, s].T, -table.center_coeffs)
+    # the node-major attributes are views of the first s slots
+    assert np.shares_memory(table.neighbors, stars)
+    assert np.shares_memory(table.neighbor_coeffs, coeffs)
+    assert table.center_coeffs.T.flags.c_contiguous
     # the table holds its own buffers, not the arrays it was given
     neighbors, cc, nc = (a.copy() for a in (table.neighbors, table.center_coeffs,
                                             table.neighbor_coeffs))
     own = StencilTable(cloud, neighbors, cc, nc)
     nc[5, 2, 0] += 1.0
+    cc[5, 0] += 1.0
     assert own.neighbor_coeffs[5, 2, 0] == table.neighbor_coeffs[5, 2, 0]
+    assert own.center_coeffs[5, 0] == table.center_coeffs[5, 0]
+    # derivatives reads the packed copy of center_coeffs, so it cannot be edited in place
+    with pytest.raises(ValueError):
+        table.center_coeffs[5, 0] += 1.0
 
 
 def test_in_place_coefficient_edit_reaches_derivatives():
