@@ -36,6 +36,7 @@ from .output import (
 from .scenario import PRESET_NAMES, Scenario, get_preset, parse_scenario
 from .scheme import NeumannOperator, State, run as run_scheme
 from .stability import dt_bound
+from .stencil import STAR_RULE
 
 # ValueError covers ScenarioError, CloudError and InsufficientNodesError.
 CONFIG_ERRORS = (DegenerateStarError, NoAdmissibleTimeStepError, ValueError, OSError)
@@ -110,10 +111,10 @@ def _cmd_verify(args) -> int:
 
     cloud1 = generate_jittered(100, 1.0, dim=1, jitter=0.3, seed=1)
     checks.append(("polynomial exactness 1D jittered N=100 s=2",
-                   polynomial_exactness(cloud1, 2, "distance").max_error, 1e-9))
+                   polynomial_exactness(cloud1, *STAR_RULE[1]).max_error, 1e-9))
     cloud2 = generate_jittered(20, 1.0, dim=2, jitter=0.25, seed=2)
     checks.append(("polynomial exactness 2D jittered N=400 s=8 quadrant",
-                   polynomial_exactness(cloud2, 8, "quadrant").max_error, 1e-9))
+                   polynomial_exactness(cloud2, *STAR_RULE[2]).max_error, 1e-9))
     checks.append(("classical difference recovery 1D",
                    fd_equivalence(generate_regular(11, 1.0, dim=1)), 1e-12))
     checks.append(("classical difference recovery 2D",
@@ -147,14 +148,11 @@ def _print_levels(title: str, result, label: str, fmt: str) -> None:
 
 
 def _cmd_convergence(args) -> int:
-    dim = args.dim
-    s = 2 if dim == 1 else 8
-    criterion = "distance" if dim == 1 else "quadrant"
-    clouds = regular_refinement(9, 3, dim=dim)
-    spatial = convergence_study(clouds, s, criterion)
-    temporal = temporal_convergence_study(clouds[1], s, criterion)
+    clouds = regular_refinement(9, 3, dim=args.dim)
+    spatial = convergence_study(clouds, *STAR_RULE[args.dim])
+    temporal = temporal_convergence_study(clouds[1], *STAR_RULE[args.dim])
 
-    _print_levels(f"spatial refinement ({dim}D):", spatial, "h", ".5f")
+    _print_levels(f"spatial refinement ({args.dim}D):", spatial, "h", ".5f")
     _print_levels("time refinement:", temporal, "dt", ".2e")
 
     if args.out:

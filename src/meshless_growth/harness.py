@@ -51,19 +51,13 @@ def _monomials(dim: int):
     }
 
 
-def polynomial_exactness(
-    cloud: NodeCloud,
-    s: int,
-    criterion: str = "distance",
-    table: StencilTable | None = None,
-) -> ExactnessResult:
+def polynomial_exactness(cloud: NodeCloud, s: int, criterion: str = "distance") -> ExactnessResult:
     """Apply every stencil to all monomials of degree <= 2.
 
     A second-order fit must reproduce their derivatives exactly, so any
     error beyond rounding exposes a broken solve.
     """
-    if table is None:
-        table = build_all_stencils(cloud, s, criterion)
+    table = build_all_stencils(cloud, s, criterion)
     interior = cloud.interior_indices
     names = DERIV_NAMES[cloud.dim]
     rows = []

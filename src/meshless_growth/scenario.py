@@ -1,10 +1,10 @@
 """Scenario files: flat key=value sections describing a complete run.
 
-A scenario pins down the cloud, the star/stencil configuration, the model
+A scenario pins down the cloud, whose dimension sets the star, the model
 coefficients, the initial fields, the time stepping, and the output
-directory.  Unknown keys and sections are rejected outright so typos never
-silently fall back to defaults.  A handful of built-in presets reproduce
-the reference growth experiments.
+directory.  Unknown sections and keys, and keys the chosen kind does not
+read, are rejected outright so typos never silently fall back to defaults.
+A handful of built-in presets reproduce the reference growth experiments.
 """
 
 from __future__ import annotations
@@ -20,13 +20,19 @@ from .cloud import NodeCloud, generate_jittered, generate_regular, load_cloud
 from .errors import ScenarioError
 from .model import GrowthSpec, ModelParams
 from .scheme import SchemeConfig, State
-from .stencil import StencilTable, build_all_stencils
+from .stencil import STAR_RULE, StencilTable, build_all_stencils
 
-_REQUIRED_SECTIONS = ("cloud", "star", "initial", "scheme")
+_REQUIRED_SECTIONS = ("cloud", "initial", "scheme")
 
 
 def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
+
+
+def _reject_stray(keys, known, section: str, why: str) -> None:
+    stray = sorted(set(keys) - set(known))
+    if stray:
+        _fail(f"{section}.{stray[0]}", why)
 
 
 def _require(sec, section: str, *keys: str) -> None:
@@ -177,11 +183,15 @@ class InitialSpec:
 class Scenario:
     name: str
     cloud: CloudSpec
-    star: StarSpec
     model: ModelParams
     initial: InitialSpec
     scheme: SchemeConfig
     output_dir: str
+
+    @property
+    def star(self) -> StarSpec:
+        """The star of the cloud's dimension, by stencil.STAR_RULE."""
+        return StarSpec(*STAR_RULE[self.cloud.dim])
 
     def with_overrides(self, seed: int | None = None, out: str | None = None,
                        dt: float | None = None) -> "Scenario":
@@ -235,11 +245,14 @@ def _parse_bumps(raw: str) -> tuple[tuple[float, ...], ...]:
     return tuple(bumps)
 
 
+# The cloud keys each kind reads besides kind and dim.
+_CLOUD_KIND_KEYS = {"regular": ("nodes_per_axis", "length"),
+                    "jittered": ("nodes_per_axis", "length", "jitter", "seed"),
+                    "file": ("path",)}
 # Converters of each section's keys, by the dataclass field they fill.
-_CLOUD_KEYS = {"kind": _choice("regular", "jittered", "file"), "dim": int,
+_CLOUD_KEYS = {"kind": _choice(*_CLOUD_KIND_KEYS), "dim": int,
                "nodes_per_axis": int, "length": float, "jitter": float, "seed": int,
                "path": str}
-_STAR_KEYS = {"s": int, "criterion": _choice("distance", "quadrant")}
 _MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
                             float)
 _GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read as g_<field>
@@ -254,15 +267,12 @@ _SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_li
 # Every key a scenario may set, by section: the keys the tables above read.
 _SECTION_KEYS = {
     "cloud": set(_CLOUD_KEYS),
-    "star": set(_STAR_KEYS),
     "model": {*_MODEL_KEYS, *("g_" + name for name in _GROWTH_KEYS)},
     "initial": {f"{prefix}_{name}" for prefix in ("k0", "A0")
                 for name in ("kind", *(n for keys in _FIELD_KEYS.values() for n in keys))},
     "scheme": set(_SCHEME_KEYS),
     "output": {"dir"},
 }
-# Technology starts at a constant 1 unless the scenario says otherwise.
-_A0_DEFAULTS = {"A0_kind": "constant", "A0_value": "1.0"}
 
 
 def _parse_field(sec, prefix: str) -> FieldSpec:
@@ -270,6 +280,9 @@ def _parse_field(sec, prefix: str) -> FieldSpec:
     _require(sec, "initial", prefix + "kind")
     kind = _convert(sec, "initial", {"kind": _choice(*_FIELD_KEYS)}, prefix)["kind"]
     converters = _FIELD_KEYS[kind]
+    _reject_stray([key for key in sec if key.startswith(prefix)],
+                  [prefix + name for name in ("kind", *converters)],
+                  "initial", f"not read by {prefix}kind = {kind}")
     _require(sec, "initial", prefix + next(iter(converters)))  # the kind's data
     return FieldSpec(kind=kind, **_convert(sec, "initial", converters, prefix))
 
@@ -292,9 +305,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     for section in cp.sections():
         if section not in _SECTION_KEYS:
             _fail(section, "unknown section")
-        stray = set(cp[section]) - _SECTION_KEYS[section]
-        if stray:
-            _fail(f"{section}.{sorted(stray)[0]}", "unknown key")
+        _reject_stray(cp[section], _SECTION_KEYS[section], section, "unknown key")
     for section in _REQUIRED_SECTIONS:
         if section not in cp:
             _fail(section, "required section missing")
@@ -302,14 +313,12 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     sec = cp["cloud"]
     _require(sec, "cloud", "kind")
     cloud = CloudSpec(**_convert(sec, "cloud", _CLOUD_KEYS))
+    _reject_stray(sec, ("kind", "dim", *_CLOUD_KIND_KEYS[cloud.kind]), "cloud",
+                  f"not read by kind = {cloud.kind}")
     if cloud.kind != "file":
         _require(sec, "cloud", "nodes_per_axis")
     if cloud.dim not in (1, 2):
         _fail("cloud.dim", f"must be 1 or 2, got {cloud.dim}")
-
-    sec = cp["star"]
-    _require(sec, "star", "s")
-    star = StarSpec(**_convert(sec, "star", _STAR_KEYS))
 
     sec = cp["model"] if "model" in cp else {}
     growth = _convert(sec, "model", _GROWTH_KEYS, prefix="g_")
@@ -318,7 +327,9 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         _fail("model.g_center", f"needs {cloud.dim} coordinates")
     model = _build("model", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
 
-    sec = {**_A0_DEFAULTS, **cp["initial"]}
+    sec = {"A0_kind": "constant", **cp["initial"]}  # technology starts at a constant 1
+    if sec["A0_kind"] == "constant":
+        sec.setdefault("A0_value", "1.0")
     initial = InitialSpec(k0=_parse_field(sec, "k0"), A0=_parse_field(sec, "A0"))
 
     sec = cp["scheme"]
@@ -331,8 +342,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     scheme = _build("scheme", SchemeConfig, **args)
 
     out_dir = cp.get("output", "dir", fallback=f"out/{name}")
-    return Scenario(name=name, cloud=cloud, star=star, model=model,
-                    initial=initial, scheme=scheme, output_dir=out_dir)
+    return Scenario(name=name, cloud=cloud, model=model, initial=initial,
+                    scheme=scheme, output_dir=out_dir)
 
 
 def parse_scenario(path) -> Scenario:
@@ -358,10 +369,6 @@ nodes_per_axis = 13
 length = 1.0
 jitter = 0.15
 seed = 3
-
-[star]
-s = 2
-criterion = distance
 
 [model]
 alpha1 = 1.0
@@ -397,10 +404,6 @@ nodes_per_axis = 12
 length = 1.0
 jitter = 0.1
 seed = 11
-
-[star]
-s = 8
-criterion = quadrant
 
 [model]
 alpha1 = 1.0

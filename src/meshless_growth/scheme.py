@@ -243,22 +243,26 @@ def run(
                   A=neumann.project(initial.A.astype(float)), time=float(initial.time))
     dt = config.dt
     pending = list(config.snapshot_times)
-    while pending and pending[0] <= state.time + 1e-300:
-        t_s = pending.pop(0)
-        traj.snapshots.append(Snapshot(t_s, state.time, state.k, state.A))
-
-    last_bound: float | None = None
-    step_idx = 0
-    traj.log.append(LogRecord(0, state.time, float(state.k.max()),
-                              float(state.k.min()), 0, None))
+    prev, step_dt = state, 0.0
+    step_idx, clamp_count, last_bound = 0, 0, None
     # Tolerance absorbs summation drift over long runs so the step count
     # stays at ceil(t_final / dt) and the end time is hit exactly.
     base_tol = 1e-9 * max(1.0, config.t_final)
     # One errstate for the march: blow-up is reported by DivergenceError, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
+            # Every state is recorded here, the initial one included: its log
+            # record, then each requested time it reaches, which takes the
+            # nearer of prev and state.  At the horizon a time still pending
+            # lies past the final state, so it takes that state.
+            traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
+                                      float(np.minimum.reduce(state.k)), clamp_count, last_bound))
             remaining = config.t_final - state.time
             tol = base_tol if dt is None else min(base_tol, 0.5 * dt)
+            while pending and (remaining <= tol or state.time >= pending[0] - 1e-9 * step_dt):
+                t_s = pending.pop(0)
+                pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
+                traj.snapshots.append(Snapshot(t_s, pick.time, pick.k, pick.A))
             if remaining <= tol:
                 break
 
@@ -286,15 +290,6 @@ def run(
                 traj.diverged = DivergenceError(exc.node, exc.time, step_idx + 1)
                 break
             step_idx += 1
-            traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
-                                      float(np.minimum.reduce(state.k)), clamp_count, last_bound))
-            while pending and state.time >= pending[0] - 1e-9 * step_dt:
-                t_s = pending.pop(0)
-                pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
-                traj.snapshots.append(Snapshot(t_s, pick.time, pick.k, pick.A))
 
-    if traj.diverged is None:
-        for t_s in pending:
-            traj.snapshots.append(Snapshot(t_s, state.time, state.k, state.A))
     traj.final = state
     return traj

@@ -23,6 +23,10 @@ from .errors import DegenerateStarError
 # Reciprocal-condition floor below which a moment matrix is rejected.
 RCOND_FLOOR = 1e-12
 
+# The star of every scenario, (s, criterion) by dimension: the central pair in
+# 1D, the quadrant star of Benito, Ureña & Gavete (Appl. Math. Model. 25, 2001).
+STAR_RULE = {1: (2, "distance"), 2: (8, "quadrant")}
+
 DERIV_NAMES = {1: ("x", "xx"), 2: ("x", "y", "xx", "yy", "xy")}
 # Differentiation order of each component; coefficients unscale by r^-order.
 DERIV_ORDERS = {1: (1, 2), 2: (1, 1, 2, 2, 2)}

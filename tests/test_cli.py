@@ -16,9 +16,6 @@ nodes_per_axis = 9
 jitter = 0.2
 seed = 5
 
-[star]
-s = 2
-
 [model]
 delta = 0.05
 p = 2.0
@@ -42,10 +39,6 @@ kind = regular
 dim = 2
 nodes_per_axis = 5
 
-[star]
-s = 8
-criterion = quadrant
-
 [initial]
 k0_kind = constant
 k0_value = 1.0
@@ -61,9 +54,6 @@ UNSTABLE = """\
 kind = regular
 dim = 1
 nodes_per_axis = 9
-
-[star]
-s = 2
 
 [initial]
 k0_kind = piecewise
@@ -234,7 +224,8 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
 
 
 def test_bad_scenario_content_is_config_error(tmp_path, capsys):
-    scen = write_scenario(tmp_path, QUICK.replace("s = 2", "s = 1"))
+    # parses, but the cloud build rejects it
+    scen = write_scenario(tmp_path, QUICK.replace("jitter = 0.2", "jitter = 0.6"))
     assert main(["run", "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
 

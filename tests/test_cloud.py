@@ -162,6 +162,20 @@ def test_load_cloud_names_the_file_when_no_coordinate_is_positive(tmp_path):
         load_cloud(path)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("", r"bad\.csv: empty cloud file$"),
+    ("x,boundary\n0.0,1\n0.5\n1.0,1\n", r"bad\.csv:3: expected 2 columns, got 1$"),
+    ("x,y,boundary\n0.0,0.0,1\n0.5,0.5,0,7\n", r"bad\.csv:3: expected 3 columns, got 4$"),
+    ("x,y,boundary\n", r"bad\.csv: no nodes$"),
+    ("x,boundary\n\n\n", r"bad\.csv: no nodes$"),
+])
+def test_load_cloud_names_the_file_or_line_of_a_malformed_file(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CloudError, match=where):
+        load_cloud(path)
+
+
 def test_star_validation():
     # rows hold distinct neighbors and never the center itself
     cloud = generate_jittered(9, 1.0, dim=2, jitter=0.3, seed=4)

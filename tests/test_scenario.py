@@ -1,6 +1,7 @@
 """Scenario parsing: presets, defaults, overrides, and rejection paths."""
 
 import configparser
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from meshless_growth import (
     parse_scenario_text,
     preset_text,
 )
+from meshless_growth.stencil import STAR_RULE
 from oracles import save_cloud
 
 MINIMAL = """\
@@ -28,9 +30,6 @@ MINIMAL = """\
 kind = regular
 dim = 1
 nodes_per_axis = 11
-
-[star]
-s = 2
 
 [initial]
 k0_kind = constant
@@ -106,7 +105,7 @@ def test_preset_text_states_every_section_and_the_keys_read_from_it():
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
         cp.read_string(text)
-        assert cp.sections() == ["cloud", "star", "model", "initial", "scheme", "output"]
+        assert cp.sections() == ["cloud", "model", "initial", "scheme", "output"]
         assert {"A0_kind", "A0_value"} <= set(cp["initial"])
         assert {"g_kind", "g_level"} <= set(cp["model"])
         assert cp["output"]["dir"] == f"out/{name}"
@@ -155,11 +154,23 @@ def test_unknown_key_rejected_with_path():
     bad = MINIMAL.replace("[scheme]", "[scheme]\nwarp = 9")
     with pytest.raises(ScenarioError, match="scheme.warp"):
         parse_scenario_text(bad)
-    # the stencil weight is fixed at d^-3, so its old keys are typos now
+    # the stencil weight is fixed at d^-3 and the star by the dimension, so
+    # the old star keys are typos now, in a section that no longer exists
     for line in ("weight = potential", "exponent = 3.0", "shape = 6.0"):
-        key = line.split()[0]
-        with pytest.raises(ScenarioError, match=rf"^star\.{key}: unknown key$"):
-            parse_scenario_text(MINIMAL.replace("[star]", f"[star]\n{line}"))
+        with pytest.raises(ScenarioError, match=r"^star: unknown section$"):
+            parse_scenario_text(f"{MINIMAL}\n[star]\n{line}\n")
+
+
+def test_star_follows_the_dimension_and_has_no_section():
+    assert STAR_RULE == {1: (2, "distance"), 2: (8, "quadrant")}
+    for name in PRESET_NAMES:
+        sc = get_preset(name)
+        assert sc.star == StarSpec(*STAR_RULE[sc.cloud.dim])
+    for dim, (s, crit) in STAR_RULE.items():
+        text = MINIMAL.replace("dim = 1", f"dim = {dim}")
+        assert parse_scenario_text(text).star == StarSpec(s, crit)
+        with pytest.raises(ScenarioError, match=r"^star: unknown section$"):
+            parse_scenario_text(f"{text}\n[star]\ns = {s}\ncriterion = {crit}\n")
 
 
 def test_unknown_section_rejected():
@@ -168,15 +179,15 @@ def test_unknown_section_rejected():
 
 
 def test_missing_required_section():
-    no_star = MINIMAL.replace("[star]\ns = 2\n", "")
-    with pytest.raises(ScenarioError, match="star"):
-        parse_scenario_text(no_star)
+    no_initial = MINIMAL.replace("[initial]\nk0_kind = constant\nk0_value = 1.0\n", "")
+    with pytest.raises(ScenarioError, match="initial"):
+        parse_scenario_text(no_initial)
 
 
 def test_missing_required_key():
-    no_s = MINIMAL.replace("s = 2", "criterion = distance")
-    with pytest.raises(ScenarioError, match="star.s"):
-        parse_scenario_text(no_s)
+    no_t_final = MINIMAL.replace("t_final = 1.0", "stability_interval = 5")
+    with pytest.raises(ScenarioError, match="scheme.t_final"):
+        parse_scenario_text(no_t_final)
 
 
 def test_bad_number_names_the_key():
@@ -281,7 +292,7 @@ def test_parse_scenario_from_file(tmp_path):
 
 
 def test_file_cloud_kind_requires_path():
-    bad = MINIMAL.replace("kind = regular", "kind = file")
+    bad = MINIMAL.replace("kind = regular", "kind = file").replace("nodes_per_axis = 11\n", "")
     sc = parse_scenario_text(bad)
     with pytest.raises(ScenarioError, match="cloud.path"):
         sc.cloud.build()
@@ -298,3 +309,62 @@ def test_file_cloud_dimension_must_match_the_declared_dim(tmp_path):
     with pytest.raises(ScenarioError, match="cloud.dim"):
         parse_scenario_text(gaussian).cloud.build()
     assert parse_scenario_text(text.replace("[cloud]", "[cloud]\ndim = 2")).cloud.build().dim == 2
+
+
+K0_CONSTANT = "k0_kind = constant\nk0_value = 1.0"
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("kind = regular", "kind = mesh",
+     r"cloud\.kind: must be one of \['file', 'jittered', 'regular'\], got 'mesh'"),
+    ("t_final = 1.0", "t_final = 1.0\nstability_mode = sometimes",
+     r"scheme\.stability_mode: must be one of \['adapt', 'check', 'off'\], got 'sometimes'"),
+    ("[initial]", "[model]\np = 0\n\n[initial]", r"model: production exponents must be positive"),
+    ("dim = 1", "dim = 3", r"cloud\.dim: must be 1 or 2, got 3"),
+    (K0_CONSTANT, "k0_kind = piecewise\nk0_points = 0:1, 1:x",
+     r"initial\.k0_points: bad number in '1:x'"),
+    (K0_CONSTANT, "k0_kind = piecewise\nk0_points = 0:1:2, 1:2",
+     r"initial\.k0_points: expected x:value pairs, got '0:1:2'"),
+    (K0_CONSTANT, "k0_kind = piecewise\nk0_points = 0:1",
+     r"initial\.k0_points: need at least two x:value pairs"),
+    (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps = 1, x, 0.1",
+     r"initial\.k0_bumps: bad number in bump '1, x, 0\.1'"),
+    (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps = 1, 0.1",
+     r"initial\.k0_bumps: bump needs amplitude,center\.\.\.,sigma, got '1, 0\.1'"),
+    (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps =", r"initial\.k0_bumps: no bumps given"),
+    (K0_CONSTANT, "k0_kind = file\nk0_path = {path}", r"{path}:3: expected node,value"),
+    (K0_CONSTANT, "k0_kind = file\nk0_path =", r"initial field of kind=file needs a path"),
+])
+def test_bad_input_names_the_key_or_the_line(tmp_path, old, new, where):
+    path = tmp_path / "k0.csv"
+    path.write_text("node,value\n0,1.5\nx,2.5\n")
+    text = MINIMAL.replace(old, new.format(path=path))
+    with pytest.raises(ScenarioError, match=f"^{where.format(path=re.escape(str(path)))}$"):
+        sc = parse_scenario_text(text)
+        sc.initial_state(sc.cloud.build())
+
+
+@pytest.mark.parametrize("old, new, where", [
+    # a file cloud reads neither a length nor a jitter, so both were dropped silently
+    ("kind = regular\ndim = 1\nnodes_per_axis = 11", "kind = file\nlength = 7.0\njitter = 0.3",
+     r"cloud\.jitter: not read by kind = file"),
+    ("kind = regular", "kind = regular\nseed = 4", r"cloud\.seed: not read by kind = regular"),
+    ("kind = regular", "kind = jittered\npath = nodes.csv",
+     r"cloud\.path: not read by kind = jittered"),
+    (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps = 1, 0.5, 0.1\nk0_points = 0:1, 1:2",
+     r"initial\.k0_points: not read by k0_kind = gaussians"),
+    (K0_CONSTANT, K0_CONSTANT + "\nk0_base = 0.5", r"initial\.k0_base: not read by k0_kind = constant"),
+    (K0_CONSTANT, K0_CONSTANT + "\nA0_kind = gaussians\nA0_bumps = 1, 0.5, 0.1\nA0_value = 2",
+     r"initial\.A0_value: not read by A0_kind = gaussians"),
+])
+def test_keys_the_chosen_kind_does_not_read_are_rejected(old, new, where):
+    with pytest.raises(ScenarioError, match=f"^{where}$"):
+        parse_scenario_text(MINIMAL.replace(old, new))
+
+
+def test_technology_defaults_to_one_only_for_the_constant_kind():
+    bumps = parse_scenario_text(MINIMAL.replace(
+        K0_CONSTANT, K0_CONSTANT + "\nA0_kind = gaussians\nA0_bumps = 1, 0.5, 0.1"))
+    assert bumps.initial.A0 == FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1),))
+    constant = parse_scenario_text(MINIMAL.replace(K0_CONSTANT, K0_CONSTANT + "\nA0_kind = constant"))
+    assert constant.initial.A0 == FieldSpec(kind="constant", value=1.0)

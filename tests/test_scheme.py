@@ -312,6 +312,22 @@ def test_snapshots_pick_nearest_step():
     assert taken[1.0] == pytest.approx(1.0)
 
 
+def test_a_snapshot_time_past_the_final_state_takes_it():
+    # A requested time may exceed t_final by 1e-12 relative, here 1e-9,
+    # twice the 1e-9 * dt that lets a step reach it: only the horizon takes it.
+    cloud = generate_regular(5, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    init = State(k=np.zeros(5), A=np.ones(5), time=0.0)  # a fixed point at any dt
+    params = ModelParams(g_spec=GrowthSpec(kind="constant", level=0.0))
+    late = 1000.0 * (1 + 1e-12)
+    traj = run(cloud, table, params, init,
+               SchemeConfig(dt=0.5, t_final=1000.0, snapshot_times=(999.7, late)))
+    assert traj.log[-1].step == 2000 and late - traj.final.time > 0.5e-9
+    taken = {s.requested_time: s for s in traj.snapshots}
+    assert taken[999.7].time == 999.5
+    assert taken[late].time == traj.final.time and taken[late].k is traj.final.k
+
+
 def test_divergence_reports_partial_trajectory():
     cloud = generate_regular(9, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
