@@ -27,9 +27,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     chis = [float(c) for c in args.chis.split(",")]
 
-    sc = get_preset("growth-1d-chi1")
-    if args.dt is not None:
-        sc = sc.with_overrides(dt=args.dt)
+    sc = get_preset("growth-1d-chi1", {"scheme.dt": args.dt})
     cloud = sc.cloud.build()
     table = sc.star.build_table(cloud)
     x = cloud.positions[:, 0]

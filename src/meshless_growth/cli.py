@@ -46,17 +46,20 @@ def _add_scenario_args(p: argparse.ArgumentParser, with_run_flags: bool = True):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--scenario", help="path to a scenario file")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
-    p.add_argument("--out", help="output directory (overrides the scenario)")
-    p.add_argument("--seed", type=int, help="cloud seed override")
+    p.add_argument("--out", help="output directory (sets output.dir)")
+    p.add_argument("--seed", type=int, help="cloud seed (sets cloud.seed)")
     if with_run_flags:
         p.add_argument("--dt-override", type=float, dest="dt_override",
-                       help="time step override")
+                       help="time step (sets scheme.dt)")
 
 
 def _load_scenario(args) -> Scenario:
-    scenario = parse_scenario(args.scenario) if args.scenario else get_preset(args.preset)
-    return scenario.with_overrides(seed=args.seed, out=args.out,
-                                   dt=getattr(args, "dt_override", None))
+    """The scenario with --seed, --out and --dt-override merged in as its keys."""
+    overrides = {"cloud.seed": args.seed, "output.dir": args.out,
+                 "scheme.dt": getattr(args, "dt_override", None)}
+    if args.scenario:
+        return parse_scenario(args.scenario, overrides)
+    return get_preset(args.preset, overrides)
 
 
 def _assemble(scenario: Scenario):
@@ -92,7 +95,7 @@ def _cmd_stability(args) -> int:
     op = NeumannOperator(cloud, table)
     state = State(k=op.project(initial.k), A=op.project(initial.A), time=initial.time)
     report = dt_bound(table, state, scenario.model)
-    out = args.out or scenario.output_dir
+    out = scenario.output_dir
     os.makedirs(out, exist_ok=True)
     path = write_stability_report(report, os.path.join(out, "stability.csv"))
     if args.dump_stencils:

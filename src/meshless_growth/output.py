@@ -85,15 +85,14 @@ def write_stability_report(report: StabilityReport, path) -> str:
 
 def write_stencil_dump(table: StencilTable, path) -> str:
     """Debug dump: node,deriv,coeff_center,coeff_1..coeff_s for every row."""
-    names = DERIV_NAMES[table.dim] + ("lap",)
-    n, s = table.neighbors.shape
-    # (N, nd + 1) centers and (N, nd + 1, s) neighbors, the Laplacian last.
-    centers = np.column_stack([table.center_coeffs,
-                               table.laplacian_parts(table.center_coeffs)])
-    neighbors = np.concatenate([table.neighbor_coeffs.transpose(0, 2, 1),
-                                table.laplacian_parts(table.neighbor_coeffs)[:, None, :]],
-                               axis=1)
+    names = DERIV_NAMES[table.cloud.dim] + ("lap",)
+    s = table.stars.shape[0] - 1
+    n = table.cloud.n_nodes
+    # (N, nd + 1, s+1) rows, the Laplacian last; the last slot holds -center.
+    lap = table.laplacian_parts(table.coeffs.T).T
+    rows = np.concatenate([table.coeffs, lap[None]]).transpose(2, 0, 1)
     return write_csv(path, ["node", "deriv", "coeff_center"] +
                      [f"coeff_{i + 1}" for i in range(s)],
                      zip(np.repeat(np.arange(n), len(names)).tolist(), names * n,
-                         centers.ravel().tolist(), *neighbors.reshape(-1, s).T.tolist()))
+                         (-rows[..., s]).ravel().tolist(),
+                         *rows[..., :s].reshape(-1, s).T.tolist()))

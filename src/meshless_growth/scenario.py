@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,12 @@ def _choice(*choices: str):
             raise ValueError(f"must be one of {sorted(choices)}, got {raw!r}")
         return raw
     return convert
+
+
+def _path(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty path")
+    return raw
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -90,8 +96,6 @@ class CloudSpec:
             return generate_jittered(self.nodes_per_axis, self.length, self.dim,
                                      self.jitter, self.seed)
         if self.kind == "file":
-            if not self.path:
-                raise ScenarioError("cloud.path: required for kind=file")
             cloud = load_cloud(self.path)
             if cloud.dim != self.dim:
                 raise ScenarioError(f"cloud.dim: {self.path} holds a {cloud.dim}D cloud, "
@@ -146,9 +150,7 @@ class FieldSpec:
         raise ScenarioError(f"unknown initial field kind {self.kind!r}")
 
 
-def _load_field_file(path: str | None, n_nodes: int) -> np.ndarray:
-    if not path:
-        raise ScenarioError("initial field of kind=file needs a path")
+def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["node", "value"]:
@@ -192,17 +194,6 @@ class Scenario:
     def star(self) -> StarSpec:
         """The star of the cloud's dimension, by stencil.STAR_RULE."""
         return StarSpec(*STAR_RULE[self.cloud.dim])
-
-    def with_overrides(self, seed: int | None = None, out: str | None = None,
-                       dt: float | None = None) -> "Scenario":
-        s = self
-        if seed is not None:
-            s = replace(s, cloud=replace(s.cloud, seed=seed))
-        if out is not None:
-            s = replace(s, output_dir=out)
-        if dt is not None:
-            s = replace(s, scheme=replace(s.scheme, dt=dt))
-        return s
 
     def initial_state(self, cloud: NodeCloud) -> State:
         k0, a0 = self.initial.evaluate(cloud)
@@ -252,7 +243,7 @@ _CLOUD_KIND_KEYS = {"regular": ("nodes_per_axis", "length"),
 # Converters of each section's keys, by the dataclass field they fill.
 _CLOUD_KEYS = {"kind": _choice(*_CLOUD_KIND_KEYS), "dim": int,
                "nodes_per_axis": int, "length": float, "jitter": float, "seed": int,
-               "path": str}
+               "path": _path}
 _MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
                             float)
 _GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read as g_<field>
@@ -261,7 +252,7 @@ _GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read
 _FIELD_KEYS = {"constant": {"value": float},
                "piecewise": {"points": _parse_points},
                "gaussians": {"bumps": _parse_bumps, "base": float},
-               "file": {"path": str}}
+               "file": {"path": _path}}
 _SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_list,
                 "stability_mode": _choice("off", "check", "adapt"), "stability_interval": int}
 # Every key a scenario may set, by section: the keys the tables above read.
@@ -294,11 +285,20 @@ def _config_parser() -> configparser.ConfigParser:
     return cp
 
 
-def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
-    """Parse and validate a scenario from its text form."""
+def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Scenario:
+    """Parse and validate a scenario from its text form.
+
+    overrides maps "section.key" names to values; each value that is not
+    None replaces that key's text before validation, so it is checked like
+    a key written in the text.
+    """
     cp = _config_parser()
     try:
         cp.read_string(text)
+        for key, value in (overrides or {}).items():
+            if value is not None:
+                section, option = key.split(".")
+                cp.read_dict({section: {option: value}})
     except configparser.Error as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
@@ -315,8 +315,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     cloud = CloudSpec(**_convert(sec, "cloud", _CLOUD_KEYS))
     _reject_stray(sec, ("kind", "dim", *_CLOUD_KIND_KEYS[cloud.kind]), "cloud",
                   f"not read by kind = {cloud.kind}")
-    if cloud.kind != "file":
-        _require(sec, "cloud", "nodes_per_axis")
+    _require(sec, "cloud", "path" if cloud.kind == "file" else "nodes_per_axis")
     if cloud.dim not in (1, 2):
         _fail("cloud.dim", f"must be 1 or 2, got {cloud.dim}")
 
@@ -346,14 +345,14 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                     scheme=scheme, output_dir=out_dir)
 
 
-def parse_scenario(path) -> Scenario:
+def parse_scenario(path, overrides=None) -> Scenario:
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return parse_scenario_text(text, name=name)
+    return parse_scenario_text(text, name=name, overrides=overrides)
 
 
 # Reference experiment presets: one base per dimension, and per preset its
@@ -484,5 +483,5 @@ def preset_text(name: str) -> str:
     return buf.getvalue()
 
 
-def get_preset(name: str) -> Scenario:
-    return parse_scenario_text(preset_text(name), name=name)
+def get_preset(name: str, overrides=None) -> Scenario:
+    return parse_scenario_text(preset_text(name), name=name, overrides=overrides)

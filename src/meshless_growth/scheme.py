@@ -92,47 +92,40 @@ class Trajectory:
 class NeumannOperator:
     """Linear solve that zeroes the stencil normal derivative on the boundary.
 
-    Row b:  (n . m_0^b) U_b - sum_{i boundary} (n . m_i^b) U_i
-            = sum_{i interior} (n . m_i^b) U_i
-
-    The right-hand side reads only cols, the sorted interior nodes that
-    boundary stars reach, so the solve is done once at construction:
-    closure (n_b, len(cols)) maps the values at cols to the boundary values.
+    Row b:  sum_i (n . m_i^b) U_stars[i, b] = 0 over the s+1 slots of the
+    star of boundary node b, whose own slot holds -m_0^b.  The rows are
+    scattered into one system whose first n_b columns are the boundary
+    nodes, the node's own slot on the diagonal, and whose remaining columns
+    are cols, the sorted interior nodes that boundary stars reach.  The
+    solve is done once at construction: closure (n_b, len(cols)) maps the
+    values at cols to the boundary values.
     """
 
     def __init__(self, cloud: NodeCloud, table: StencilTable):
         b_idx = cloud.boundary_indices
         n_b = b_idx.size
-        grad_comps = slice(0, cloud.dim)  # first-derivative components
-        cc = table.center_coeffs[b_idx]                    # (n_b, nd)
-        nc = table.neighbor_coeffs[b_idx][:, :, grad_comps]  # (n_b, s, dim)
-        normal = cloud.normals[b_idx]
-        c0 = (normal[:, None, :] @ cc[:, grad_comps, None])[:, 0, 0]
-        bad = np.flatnonzero(np.abs(c0) < 1e-14 * np.linalg.norm(cc, axis=1))
+        stars = table.stars[:, b_idx].T                      # (n_b, s+1)
+        # n . m_i over every slot, (n_b, s+1); the last is -(n . m_0)
+        rows = (table.coeffs[:cloud.dim, :, b_idx].T @ cloud.normals[b_idx, :, None])[..., 0]
+        center_norm = np.linalg.norm(table.coeffs[:, -1, b_idx], axis=0)
+        bad = np.flatnonzero(np.abs(rows[:, -1]) < 1e-14 * center_norm)
         if bad.size:
             raise DegenerateBoundaryStarError(
                 int(b_idx[bad[0]]), "normal derivative has no center contribution"
             )
-        ci = (nc @ normal[:, :, None])[:, :, 0]  # (n_b, s)
         col = np.full(cloud.n_nodes, -1)
         col[b_idx] = np.arange(n_b)
-        nbrs = table.neighbors[b_idx]
-        j = col[nbrs]
-        rows = np.broadcast_to(np.arange(n_b)[:, None], nbrs.shape)
-        on_b = j >= 0
-        mat = np.zeros((n_b, n_b))
-        mat[np.arange(n_b), np.arange(n_b)] = c0
-        # 0.0 - c and 0.0 + c rather than -c and c: a zero coefficient is +0.0.
-        mat[rows[on_b], j[on_b]] = 0.0 - ci[on_b]
         reached = np.zeros(cloud.n_nodes, dtype=bool)
-        reached[nbrs[~on_b]] = True
+        reached[stars[col[stars] < 0]] = True
         cols = np.flatnonzero(reached)
-        col[cols] = np.arange(cols.size)  # gather columns of the interior nodes
-        gather = np.zeros((n_b, cols.size))
-        gather[rows[~on_b], col[nbrs[~on_b]]] = 0.0 + ci[~on_b]
+        col[cols] = n_b + np.arange(cols.size)
+        system = np.zeros((n_b, n_b + cols.size))
+        # The system holds 0.0 - c and its right-hand side 0.0 - (0.0 - c),
+        # rather than -c and c: a zero coefficient is +0.0.
+        system[np.arange(n_b)[:, None], col[stars]] = 0.0 - rows
         self.boundary_idx = b_idx
         self.cols = cols
-        self.closure = np.linalg.solve(mat, gather)
+        self.closure = np.linalg.solve(system[:, :n_b], 0.0 - system[:, n_b:])
 
     def project(self, field: np.ndarray) -> np.ndarray:
         out = field.copy()

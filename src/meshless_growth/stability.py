@@ -92,26 +92,24 @@ def dt_bound(table: StencilTable, state: State, params: ModelParams) -> Stabilit
     The global bound is the smaller of that and the technology bound.
     """
     nodes = table.cloud.interior_indices
-    # Star sums run over the first axis of the table's component-major
-    # (s, N) slices, for every node at once; results are then taken at the
-    # interior nodes, which avoids gathering the coefficients.
-    ai = state.A[table.neighbors.T]                         # (s, N)
-    mi0 = table.laplacian_parts(table.neighbor_coeffs).T    # (s, N)
-    m00_all = table.laplacian_parts(table.center_coeffs)
-    m00 = m00_all[nodes]
+    # Star sums run over the slot axis of the table's (s+1, N) arrays, for
+    # every node at once, the node's own slot last; results are then taken
+    # at the interior nodes, which avoids gathering the coefficients.
+    a = state.A[table.stars]                                # (s+1, N)
+    lap = table.laplacian_parts(table.coeffs.T).T           # (s+1, N)
+    m00 = -lap[-1, nodes]
     a0 = state.A[nodes]
     chi = params.chi
 
     fp = _f_prime(state.k[nodes], state.k, params)
-    lap_a = (-m00_all * state.A + (mi0 * ai).sum(axis=0))[nodes]
+    lap_a = (lap * a).sum(axis=0)[nodes]
     phi1 = params.delta - a0 * fp - chi * lap_a
-    spread = np.abs(mi0).sum(axis=0)[nodes]
+    spread = np.abs(lap[:-1]).sum(axis=0)[nodes]
     phi2 = spread
-    for j in range(table.dim):
-        m0j = table.center_coeffs[nodes, j]
-        mij = table.neighbor_coeffs.T[j]                    # (s, N)
-        moment = (mij * ai).sum(axis=0)[nodes]
-        grad_spread = np.abs(mij).sum(axis=0)[nodes]
+    for grad in table.coeffs[:table.cloud.dim]:             # (s+1, N)
+        m0j = -grad[-1, nodes]
+        moment = (grad[:-1] * a[:-1]).sum(axis=0)[nodes]
+        grad_spread = np.abs(grad[:-1]).sum(axis=0)[nodes]
         phi1 = phi1 + (chi * m0j ** 2 * a0 + chi * m0j * moment)
         phi2 = phi2 + np.abs(chi * m0j * a0) * grad_spread
         phi2 = phi2 + abs(chi) * grad_spread * np.abs(moment)

@@ -79,16 +79,17 @@ def compute_stencil(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StencilTable:
     """The stars and stencils of every node of a cloud as packed arrays.
 
-    neighbors (N, s) holds each node's star; derivative j at node n is
-    -center_coeffs[n, j] U_n + sum_i neighbor_coeffs[n, i, j] U_neighbors[n, i],
-    components ordered as DERIV_NAMES for the dimension.  The table packs
-    each star with the node itself as slot s, in one C-contiguous (s+1, N)
-    index buffer, whose last row is the node, and one (nd, s+1, N)
-    coefficient buffer, whose last slot holds -center_coeffs; so a
-    derivative is one gather and one contraction along the node axis, with
-    the center term summed last.  neighbors and neighbor_coeffs are
+    Each star holds the node itself as its last slot s: stars (s+1, N) is a
+    C-contiguous index buffer whose last row is the node, and coeffs
+    (nd, s+1, N) a C-contiguous coefficient buffer whose last slot holds
+    -center_coeffs, so derivative j at node n is
+    sum_i coeffs[j, i, n] U_stars[i, n], components ordered as DERIV_NAMES
+    for the dimension.  A derivative is one gather and one contraction along
+    the node axis, with the center term summed last.  Every consumer reads
+    these two arrays.  neighbors (N, s) and neighbor_coeffs (N, s, nd) are
     transposed views of the first s slots, and an in-place edit through them
-    changes derivatives; center_coeffs is a read-only copy of its input.
+    changes derivatives; center_coeffs (N, nd) is a read-only copy of its
+    input.
     """
 
     def __init__(self, cloud: NodeCloud, neighbors: np.ndarray,
@@ -100,20 +101,16 @@ class StencilTable:
         if center_coeffs.shape != (n, nd) or neighbor_coeffs.shape != (n, s, nd):
             raise ValueError("coefficient arrays do not match the stars")
         self.cloud = cloud
-        self._stars = np.empty((s + 1, n), dtype=np.intp)
-        self._stars[:s] = neighbors.T
-        self._stars[s] = np.arange(n)
-        self._coeffs = np.empty((nd, s + 1, n))
-        self._coeffs[:, :s] = neighbor_coeffs.T
-        self._coeffs[:, s] = -center_coeffs.T
-        self.neighbors = self._stars[:s].T
-        self.neighbor_coeffs = self._coeffs[:, :s].T
+        self.stars = np.empty((s + 1, n), dtype=np.intp)
+        self.stars[:s] = neighbors.T
+        self.stars[s] = np.arange(n)
+        self.coeffs = np.empty((nd, s + 1, n))
+        self.coeffs[:, :s] = neighbor_coeffs.T
+        self.coeffs[:, s] = -center_coeffs.T
+        self.neighbors = self.stars[:s].T
+        self.neighbor_coeffs = self.coeffs[:, :s].T
         self.center_coeffs = np.array(center_coeffs.T, order="C").T
         self.center_coeffs.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.cloud.dim
 
     def derivatives(self, field: np.ndarray) -> np.ndarray:
         """All derivative components at every node, shape (N, nd).
@@ -121,7 +118,7 @@ class StencilTable:
         The result is the transpose of a C-contiguous (nd, N) array, so each
         component column is contiguous.
         """
-        return np.einsum("dsn,sn->dn", self._coeffs, field[self._stars]).T
+        return np.einsum("dsn,sn->dn", self.coeffs, field[self.stars]).T
 
     def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
         """Sum of the pure second-derivative columns; also applies to

@@ -137,12 +137,12 @@ def apply_stencil(center_coeffs, neighbor_coeffs, center_value, neighbor_values)
 
 def laplacian_center(table, node: int) -> float:
     cc = table.center_coeffs[node]
-    return float(cc[1]) if table.dim == 1 else float(cc[2] + cc[3])
+    return float(cc[1]) if table.cloud.dim == 1 else float(cc[2] + cc[3])
 
 
 def laplacian_neighbors(table, node: int) -> np.ndarray:
     nc = table.neighbor_coeffs[node]
-    return nc[:, 1] if table.dim == 1 else nc[:, 2] + nc[:, 3]
+    return nc[:, 1] if table.cloud.dim == 1 else nc[:, 2] + nc[:, 3]
 
 
 def f_prime(k_center: float, k_field: np.ndarray, params) -> float:
@@ -173,7 +173,7 @@ def phi_terms(table, node: int, k_field, A_field, params):
     lap_a = -m00 * a0 + float(mi0 @ ai)
     phi1 = params.delta - a0 * fp - chi * lap_a
     phi2 = float(np.abs(mi0).sum())
-    for j in range(table.dim):
+    for j in range(table.cloud.dim):
         m0j = float(table.center_coeffs[node, j])
         mij = table.neighbor_coeffs[node, :, j]
         moment = float(mij @ ai)
@@ -214,7 +214,7 @@ def flux_term(table, node: int, k_field, A_field, chi: float) -> float:
     cc, nc = table.center_coeffs[node], table.neighbor_coeffs[node]
     dk = apply_stencil(cc, nc, k_field[node], k_field[nbrs])
     da = apply_stencil(cc, nc, A_field[node], A_field[nbrs])
-    if table.dim == 1:
+    if table.cloud.dim == 1:
         return float(-chi * dk[0] * da[0] - chi * k_field[node] * da[1])
     return float(-chi * (dk[0] * da[0] + dk[1] * da[1]) - chi * k_field[node] * (da[2] + da[3]))
 

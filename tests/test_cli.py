@@ -129,6 +129,13 @@ def test_seed_override_changes_cloud(tmp_path):
     assert (a / "snap_t0.000000.csv").read_bytes() != (b / "snap_t0.000000.csv").read_bytes()
 
 
+def test_seed_override_on_a_regular_cloud_is_rejected_like_the_key(tmp_path, capsys):
+    scen = write_scenario(tmp_path, UNSTABLE)
+    assert main(["run", "--scenario", scen, "--out", str(tmp_path / "x"), "--seed", "2"]) == 1
+    assert capsys.readouterr().err == "error: cloud.seed: not read by kind = regular\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_dt_override_halves_the_step(tmp_path):
     scen = write_scenario(tmp_path, QUICK)
     out = tmp_path / "half"

@@ -147,7 +147,8 @@ def test_defaults_that_depend_on_other_keys():
     no_size = MINIMAL.replace("nodes_per_axis = 11\n", "")
     with pytest.raises(ScenarioError, match="cloud.nodes_per_axis"):
         parse_scenario_text(no_size)
-    assert parse_scenario_text(no_size.replace("kind = regular", "kind = file")).cloud.path is None
+    with pytest.raises(ScenarioError, match=r"^cloud\.path: required key missing$"):
+        parse_scenario_text(no_size.replace("kind = regular", "kind = file"))
 
 
 def test_unknown_key_rejected_with_path():
@@ -229,12 +230,20 @@ def test_gaussian_growth_center_dimension_checked():
 
 def test_with_overrides():
     sc = get_preset("growth-1d-delta005")
-    out = sc.with_overrides(seed=99, out="elsewhere", dt=0.0005)
+    out = get_preset("growth-1d-delta005",
+                     {"cloud.seed": 99, "output.dir": "elsewhere", "scheme.dt": 0.0005,
+                      "scheme.t_final": None})
     assert out.cloud.seed == 99
     assert out.output_dir == "elsewhere"
     assert out.scheme.dt == 0.0005
     assert out.model == sc.model  # untouched
-    assert sc.cloud.seed == 3  # original unchanged
+    assert out.scheme.t_final == sc.scheme.t_final  # None leaves the key as it is
+    # an override is checked like the key in the file
+    with pytest.raises(ScenarioError, match=r"^cloud\.seed: not read by kind = regular$"):
+        parse_scenario_text(MINIMAL, overrides={"cloud.seed": 2})
+    with pytest.raises(ScenarioError, match=r"^scheme: dt must be positive$"):
+        parse_scenario_text(MINIMAL, overrides={"scheme.dt": -1.0})
+    assert parse_scenario_text(MINIMAL, overrides={"output.dir": "o"}).output_dir == "o"
 
 
 def test_piecewise_field_evaluation():
@@ -293,9 +302,10 @@ def test_parse_scenario_from_file(tmp_path):
 
 def test_file_cloud_kind_requires_path():
     bad = MINIMAL.replace("kind = regular", "kind = file").replace("nodes_per_axis = 11\n", "")
-    sc = parse_scenario_text(bad)
-    with pytest.raises(ScenarioError, match="cloud.path"):
-        sc.cloud.build()
+    with pytest.raises(ScenarioError, match=r"^cloud\.path: required key missing$"):
+        parse_scenario_text(bad)
+    with pytest.raises(ScenarioError, match=r"^cloud\.path: empty path$"):
+        parse_scenario_text(bad.replace("kind = file", "kind = file\npath ="))
 
 
 def test_file_cloud_dimension_must_match_the_declared_dim(tmp_path):
@@ -333,7 +343,7 @@ K0_CONSTANT = "k0_kind = constant\nk0_value = 1.0"
      r"initial\.k0_bumps: bump needs amplitude,center\.\.\.,sigma, got '1, 0\.1'"),
     (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps =", r"initial\.k0_bumps: no bumps given"),
     (K0_CONSTANT, "k0_kind = file\nk0_path = {path}", r"{path}:3: expected node,value"),
-    (K0_CONSTANT, "k0_kind = file\nk0_path =", r"initial field of kind=file needs a path"),
+    (K0_CONSTANT, "k0_kind = file\nk0_path =", r"initial\.k0_path: empty path"),
 ])
 def test_bad_input_names_the_key_or_the_line(tmp_path, old, new, where):
     path = tmp_path / "k0.csv"

@@ -219,6 +219,42 @@ def test_taxis_preset_divergence_is_reported_at_node_66():
     assert 66 in cloud.interior_indices
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_interior_technology_grows_by_forward_euler(name):
+    # With no technology diffusion, interior A is forward Euler on A' = g A:
+    # (1 + g dt_1) ... (1 + g dt_n) lies between exp(g t)(1 - g^2 t dt_max / 2)
+    # and exp(g t), up to a few roundings per step.  Boundary A is left out:
+    # the zero-flux projection sets it.
+    scenario = get_preset(name, {"scheme.t_final": 1.0, "scheme.snapshot_times": ""})
+    assert scenario.model.tech_diffusion == 0.0
+    cloud = scenario.cloud.build()
+    initial = scenario.initial_state(cloud)
+    traj = run(cloud, scenario.star.build_table(cloud), scenario.model, initial,
+               scenario.scheme)
+    assert traj.diverged is None
+    spec, x = scenario.model.g_spec, cloud.positions
+    g = spec.level * np.ones(cloud.n_nodes)
+    if spec.kind == "gaussian":
+        g *= np.exp(-((x - np.asarray(spec.center)) ** 2).sum(axis=1) / (2.0 * spec.sigma ** 2))
+    steps = np.diff([rec.time for rec in traj.log])
+    t, dt_max, n = steps.sum(), steps.max(), steps.size
+    inner = cloud.interior_indices
+    upper = initial.A[inner] * np.exp(g[inner] * t)
+    lower = upper * (1.0 - g[inner] ** 2 * t * dt_max / 2.0)
+    slack = 4 * n * np.finfo(float).eps
+
+    def excursion(a):
+        return np.max(np.maximum(a / upper - 1.0, 1.0 - a / lower))
+
+    a = traj.final.A[inner]
+    assert excursion(a) <= slack
+    # The band has teeth: the Euler product sits at its lower edge, and where
+    # the band is narrower than 1e-9 somewhere, also within 1e-9 of the upper one.
+    assert excursion(a * (1 - 1e-9)) > slack
+    if np.min(1.0 - lower / upper) < 1e-9:
+        assert excursion(a * (1 + 1e-9)) > slack
+
+
 def test_constant_fields_are_fixed_by_projection():
     cloud = generate_jittered(12, 1.0, dim=1, jitter=0.3, seed=2)
     table = build_all_stencils(cloud, 3)

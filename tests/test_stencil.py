@@ -154,7 +154,7 @@ def test_table_is_stored_component_major():
     table = build_all_stencils(cloud, 8, "quadrant")
     n, s = table.neighbors.shape
     # each star is packed with its node as the last slot, whose coefficient is -center
-    stars, coeffs = table._stars, table._coeffs
+    stars, coeffs = table.stars, table.coeffs
     assert stars.flags.c_contiguous and stars.shape == (s + 1, n)
     assert coeffs.flags.c_contiguous and coeffs.shape == (5, s + 1, n)
     assert np.array_equal(stars[s], np.arange(n))
