@@ -42,7 +42,6 @@ from .model import (
 from .scenario import (
     CloudSpec,
     FieldSpec,
-    InitialSpec,
     PRESET_NAMES,
     Scenario,
     StarSpec,

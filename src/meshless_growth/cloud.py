@@ -44,7 +44,12 @@ class NodeCloud:
         uniq = np.unique(pos, axis=0)
         if uniq.shape[0] != pos.shape[0]:
             raise CloudError("cloud contains coincident nodes")
-        normals = _edge_normals(pos, self.length)
+        low, high = pos <= tol, pos >= self.length - tol  # (N, dim) face membership
+        for axis in range(pos.shape[1]):
+            for on, face in ((low, 0.0), (high, self.length)):
+                if not on[:, axis].any():
+                    raise CloudError(f"no node on the face {'xy'[axis]} = {face:g}")
+        normals = _edge_normals(low, high)
         object.__setattr__(self, "dim", pos.shape[1])
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "boundary", normals.any(axis=1))
@@ -63,20 +68,14 @@ class NodeCloud:
 
     def spacing_estimate(self) -> float:
         """Median nearest-neighbor distance; the h used by refinement studies."""
-        if self.n_nodes < 2:
-            return math.inf
-        nearest = select_star(self, np.arange(self.n_nodes), 1)[:, 0]
+        nearest = select_star(self, 1)[:, 0]
         offsets = self.positions[nearest] - self.positions
         return float(np.median(np.sqrt((offsets ** 2).sum(axis=1))))
 
 
-def _edge_normals(pos: np.ndarray, length: float) -> np.ndarray:
+def _edge_normals(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Outward normals from face membership; corners sum adjacent faces."""
-    tol = BOUNDARY_TOL * length
-    n = np.zeros_like(pos)
-    for axis in range(pos.shape[1]):
-        n[pos[:, axis] <= tol, axis] -= 1.0
-        n[pos[:, axis] >= length - tol, axis] += 1.0
+    n = high.astype(float) - low
     norms = np.sqrt((n ** 2).sum(axis=1, keepdims=True))
     nz = norms[:, 0] > 0
     n[nz] /= norms[nz]
@@ -131,8 +130,8 @@ def generate_jittered(
 def load_cloud(path) -> NodeCloud:
     """Read a cloud CSV (header x[,y],boundary); normals are recomputed.
 
-    The domain length is inferred as the largest coordinate present, so a
-    valid file must include nodes on the far faces.  Each boundary flag must
+    The domain length is inferred as the largest coordinate present, and
+    every face of the domain must hold a node.  Each boundary flag must
     say whether its node lies on a face; a row where it does not is rejected.
     Errors name the file, and the line where there is one: a repeated node
     names its own line and the line of the first node at its position.
@@ -298,8 +297,8 @@ class _CellGrid:
         ])
 
 
-def select_star(cloud: NodeCloud, centers, s: int, criterion: str = "distance") -> np.ndarray:
-    """Pick s neighbors for each of a block of centers; returns (len(centers), s).
+def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.ndarray:
+    """Pick s neighbors for every node of the cloud; returns (N, s).
 
     distance: the s nearest nodes, distance ties broken by node index.
     quadrant (2D only): nearest ceil(s/4) per sign quadrant of the offset,
@@ -318,20 +317,17 @@ def select_star(cloud: NodeCloud, centers, s: int, criterion: str = "distance") 
         raise ValueError(f"unknown star criterion {criterion!r}")
     if criterion == "quadrant" and cloud.dim != 2:
         raise ValueError("quadrant criterion requires a 2D cloud")
-    centers = np.asarray(centers, dtype=np.intp)
-    if centers.ndim != 1:
-        raise ValueError("centers must be a 1D array of node indices")
     n = cloud.n_nodes
     if s > n - 1:
         raise InsufficientNodesError(
             f"star of size {s} requested but only {n - 1} candidates exist"
         )
-    out = np.empty((centers.size, s), dtype=np.intp)
+    out = np.empty((n, s), dtype=np.intp)
     grid = _CellGrid(cloud, s)
     block = max(1, min(BLOCK_CENTERS, BLOCK_SLOTS // (grid.window.shape[0] * grid.counts.max())))
     redo = [np.empty(0, dtype=np.intp)]
-    for b0 in range(0, centers.size, block):
-        c = centers[b0:b0 + block]
+    for b0 in range(0, n, block):
+        c = np.arange(b0, min(b0 + block, n))
         p = cloud.positions[c]
         cells = grid.cell_of(p)
         chosen, farthest, enough, full = _choose(cloud, c, grid.candidates(cells), s, criterion)
@@ -339,12 +335,12 @@ def select_star(cloud: NodeCloud, centers, s: int, criterion: str = "distance") 
         ok = enough & (farthest < rho)
         if full is not None:
             ok &= (full | grid.complete_quadrants(p, lo_cov, hi_cov)).all(axis=1)
-        out[b0:b0 + block] = chosen
-        redo.append(b0 + np.flatnonzero(~ok))
+        out[c] = chosen
+        redo.append(c[~ok])
     redo = np.concatenate(redo)
     block = max(1, BLOCK_SLOTS // n)
     for b0 in range(0, redo.size, block):
         rows = redo[b0:b0 + block]
         cand = np.broadcast_to(np.arange(n), (rows.size, n))
-        out[rows] = _choose(cloud, centers[rows], cand, s, criterion)[0]
+        out[rows] = _choose(cloud, rows, cand, s, criterion)[0]
     return out

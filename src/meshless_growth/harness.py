@@ -98,40 +98,38 @@ def fd_equivalence(grid: NodeCloud) -> float:
     term (the h*k column is identically zero, a rank-deficient fit), so the
     rank-minimal star adds one diagonal node; its fit interpolates, which
     makes the x/y rows central differences and the Laplacian row the
-    five-point row.  Rows are compared entrywise, normalized by the largest
-    reference entry of the row.
+    five-point row.  Rows are compared entrywise in slot order, the
+    neighbors then the center, normalized by the largest reference entry of
+    the row.
     """
     h = _grid_spacing(grid)
 
-    def solve(center: int, nodes: list[int]):
+    def solve(center: int, nodes: list[int]) -> np.ndarray:
+        """The (nd, len(nodes) + 1) slot rows of one star, the center last."""
         offsets = grid.positions[nodes] - grid.positions[center]
-        center_coeffs, neighbor_coeffs = compute_stencil(offsets[None])
-        return center_coeffs[0], neighbor_coeffs[0]
+        return compute_stencil(offsets[None])[..., 0]
 
-    def row_error(got_center, got_neighbors, ref_center, ref_neighbors):
-        got = np.concatenate([[-got_center], got_neighbors])
-        ref = np.concatenate([[ref_center], ref_neighbors])
+    def row_error(got, ref):
         return float(np.abs(got - ref).max() / np.abs(ref).max())
 
     if grid.dim == 1:
         center = _node_at(grid, np.array([grid.length / 2.0]))
         left = _node_at(grid, grid.positions[center] - [h])
         right = _node_at(grid, grid.positions[center] + [h])
-        cc, nc = solve(center, [left, right])
-        e_x = row_error(cc[0], nc[:, 0], 0.0, np.array([-0.5 / h, 0.5 / h]))
-        e_xx = row_error(cc[1], nc[:, 1], -2.0 / h ** 2, np.array([1.0 / h ** 2, 1.0 / h ** 2]))
+        slots = solve(center, [left, right])
+        e_x = row_error(slots[0], np.array([-0.5, 0.5, 0.0]) / h)
+        e_xx = row_error(slots[1], np.array([1.0, 1.0, -2.0]) / h ** 2)
         return max(e_x, e_xx)
 
     c = grid.positions[_node_at(grid, np.array([grid.length / 2.0, grid.length / 2.0]))]
     nodes = [_node_at(grid, c + np.array(o) * h)
              for o in [(-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)]]
-    cc, nc = solve(_node_at(grid, c), nodes)
-    e = row_error(cc[0], nc[:, 0], 0.0, np.array([-0.5 / h, 0.5 / h, 0, 0, 0]))
-    e = max(e, row_error(cc[1], nc[:, 1], 0.0, np.array([0, 0, -0.5 / h, 0.5 / h, 0])))
-    e = max(e, row_error(cc[2], nc[:, 2], -2.0 / h ** 2, np.array([1, 1, 0, 0, 0]) / h ** 2))
-    e = max(e, row_error(cc[3], nc[:, 3], -2.0 / h ** 2, np.array([0, 0, 1, 1, 0]) / h ** 2))
-    e = max(e, row_error(cc[2] + cc[3], nc[:, 2] + nc[:, 3],
-                         -4.0 / h ** 2, np.array([1.0, 1.0, 1.0, 1.0, 0.0]) / h ** 2))
+    slots = solve(_node_at(grid, c), nodes)
+    e = row_error(slots[0], np.array([-0.5, 0.5, 0, 0, 0, 0]) / h)
+    e = max(e, row_error(slots[1], np.array([0, 0, -0.5, 0.5, 0, 0]) / h))
+    e = max(e, row_error(slots[2], np.array([1, 1, 0, 0, 0, -2]) / h ** 2))
+    e = max(e, row_error(slots[3], np.array([0, 0, 1, 1, 0, -2]) / h ** 2))
+    e = max(e, row_error(slots[2] + slots[3], np.array([1, 1, 1, 1, 0, -4]) / h ** 2))
     return e
 
 

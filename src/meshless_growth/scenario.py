@@ -173,20 +173,12 @@ def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    k0: FieldSpec
-    A0: FieldSpec
-
-    def evaluate(self, cloud: NodeCloud) -> tuple[np.ndarray, np.ndarray]:
-        return self.k0.evaluate(cloud), self.A0.evaluate(cloud)
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     cloud: CloudSpec
     model: ModelParams
-    initial: InitialSpec
+    k0: FieldSpec
+    A0: FieldSpec
     scheme: SchemeConfig
     output_dir: str
 
@@ -196,8 +188,7 @@ class Scenario:
         return StarSpec(*STAR_RULE[self.cloud.dim])
 
     def initial_state(self, cloud: NodeCloud) -> State:
-        k0, a0 = self.initial.evaluate(cloud)
-        return State(k=k0, A=a0, time=0.0)
+        return State(k=self.k0.evaluate(cloud), A=self.A0.evaluate(cloud), time=0.0)
 
 
 def _parse_points(raw: str) -> tuple[tuple[float, float], ...]:
@@ -255,6 +246,7 @@ _FIELD_KEYS = {"constant": {"value": float},
                "file": {"path": _path}}
 _SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_list,
                 "stability_mode": _choice("off", "check", "adapt"), "stability_interval": int}
+_OUTPUT_KEYS = {"dir": _path}
 # Every key a scenario may set, by section: the keys the tables above read.
 _SECTION_KEYS = {
     "cloud": set(_CLOUD_KEYS),
@@ -262,7 +254,7 @@ _SECTION_KEYS = {
     "initial": {f"{prefix}_{name}" for prefix in ("k0", "A0")
                 for name in ("kind", *(n for keys in _FIELD_KEYS.values() for n in keys))},
     "scheme": set(_SCHEME_KEYS),
-    "output": {"dir"},
+    "output": set(_OUTPUT_KEYS),
 }
 
 
@@ -329,7 +321,7 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
     sec = {"A0_kind": "constant", **cp["initial"]}  # technology starts at a constant 1
     if sec["A0_kind"] == "constant":
         sec.setdefault("A0_value", "1.0")
-    initial = InitialSpec(k0=_parse_field(sec, "k0"), A0=_parse_field(sec, "A0"))
+    k0, a0 = _parse_field(sec, "k0"), _parse_field(sec, "A0")
 
     sec = cp["scheme"]
     _require(sec, "scheme", "t_final")
@@ -340,8 +332,9 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
         args["dt"] = None  # adapt derives the first step from the bound
     scheme = _build("scheme", SchemeConfig, **args)
 
-    out_dir = cp.get("output", "dir", fallback=f"out/{name}")
-    return Scenario(name=name, cloud=cloud, model=model, initial=initial,
+    sec = {"dir": f"out/{name}", **(cp["output"] if "output" in cp else {})}
+    out_dir = _convert(sec, "output", _OUTPUT_KEYS)["dir"]
+    return Scenario(name=name, cloud=cloud, model=model, k0=k0, A0=a0,
                     scheme=scheme, output_dir=out_dir)
 
 

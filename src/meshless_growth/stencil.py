@@ -40,17 +40,18 @@ def _taylor_rows(offsets: np.ndarray) -> np.ndarray:
     return np.stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k], axis=-1)
 
 
-def compute_stencil(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     """Solve the moment systems of a stack of stars with offsets (M, s, dim).
 
-    Returns center_coeffs (M, nd) and neighbor_coeffs (M, s, nd): derivative
-    j at star m is -center_coeffs[m, j] U0 + sum_i neighbor_coeffs[m, i, j] Ui,
-    components ordered as DERIV_NAMES.  Raises DegenerateStarError for the
-    first row whose moment matrix is not positive definite to reciprocal
-    condition RCOND_FLOOR; errors name rows as nodes, which they are when
+    Returns the packed slots coeffs (nd, s+1, M), C-contiguous: slot i < s
+    holds neighbor i's coefficients and slot s holds -m_0, so derivative j
+    at star m is sum_i coeffs[j, i, m] Ui with U_s = U0, components ordered
+    as DERIV_NAMES.  Raises DegenerateStarError for the first row whose
+    moment matrix is not positive definite to reciprocal condition
+    RCOND_FLOOR; errors name rows as nodes, which they are when
     build_all_stencils stacks one star per node.
     """
-    dim = offsets.shape[2]
+    n_stars, s, dim = offsets.shape
     r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
     scaled = offsets / r[:, None, None]
     dist = np.sqrt((scaled ** 2).sum(axis=2))
@@ -71,45 +72,46 @@ def compute_stencil(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.swapaxes(np.linalg.inv(chol), 1, 2)  # M^{-1} = Q Q^T
     minv = q @ np.swapaxes(q, 1, 2)
 
-    coeffs = w2[..., None] * (c @ minv)  # rows are m_i in scaled coords
-    coeffs = coeffs / r[:, None, None] ** np.asarray(DERIV_ORDERS[dim], dtype=float)
-    return coeffs.sum(axis=1), coeffs
+    slots = np.empty((c.shape[2], s + 1, n_stars))
+    coeffs = slots[:, :-1].T  # (M, s, nd) view of the neighbor slots
+    np.multiply(w2[..., None], c @ minv, out=coeffs)  # rows are m_i in scaled coords
+    np.divide(coeffs, r[:, None, None] ** np.asarray(DERIV_ORDERS[dim], dtype=float), out=coeffs)
+    slots[:, -1] = -coeffs.sum(axis=1).T
+    return slots
 
 
 class StencilTable:
     """The stars and stencils of every node of a cloud as packed arrays.
 
-    Each star holds the node itself as its last slot s: stars (s+1, N) is a
-    C-contiguous index buffer whose last row is the node, and coeffs
-    (nd, s+1, N) a C-contiguous coefficient buffer whose last slot holds
-    -center_coeffs, so derivative j at node n is
-    sum_i coeffs[j, i, n] U_stars[i, n], components ordered as DERIV_NAMES
-    for the dimension.  A derivative is one gather and one contraction along
-    the node axis, with the center term summed last.  Every consumer reads
-    these two arrays.  neighbors (N, s) and neighbor_coeffs (N, s, nd) are
-    transposed views of the first s slots, and an in-place edit through them
-    changes derivatives; center_coeffs (N, nd) is a read-only copy of its
-    input.
+    Each star holds the node itself as its last slot s: stars (s+1, N) is an
+    index buffer whose last row is the node, and coeffs (nd, s+1, N) holds
+    the slots of compute_stencil, whose last slot is -center_coeffs, so
+    derivative j at node n is sum_i coeffs[j, i, n] U_stars[i, n],
+    components ordered as DERIV_NAMES for the dimension.  The table keeps
+    the two arrays it is given, which build_all_stencils makes C-contiguous,
+    and every consumer reads them.  A derivative is one gather and one
+    contraction along the node axis, with the center term summed last.
+    neighbors (N, s) and neighbor_coeffs (N, s, nd) are transposed views of
+    the first s slots, and an in-place edit through them changes
+    derivatives; center_coeffs (N, nd) is a read-only copy of the last slot,
+    negated.
     """
 
-    def __init__(self, cloud: NodeCloud, neighbors: np.ndarray,
-                 center_coeffs: np.ndarray, neighbor_coeffs: np.ndarray):
-        n, s = neighbors.shape
-        nd = len(DERIV_NAMES[cloud.dim])
-        if n != cloud.n_nodes:
+    def __init__(self, cloud: NodeCloud, stars: np.ndarray, coeffs: np.ndarray):
+        n = cloud.n_nodes
+        if stars.ndim != 2 or stars.shape[1] != n:
             raise ValueError("table must hold one star and stencil per node")
-        if center_coeffs.shape != (n, nd) or neighbor_coeffs.shape != (n, s, nd):
+        s = stars.shape[0] - 1
+        if coeffs.shape != (len(DERIV_NAMES[cloud.dim]), s + 1, n):
             raise ValueError("coefficient arrays do not match the stars")
+        if not np.array_equal(stars[s], np.arange(n)):
+            raise ValueError("the last slot of each star must be its node")
         self.cloud = cloud
-        self.stars = np.empty((s + 1, n), dtype=np.intp)
-        self.stars[:s] = neighbors.T
-        self.stars[s] = np.arange(n)
-        self.coeffs = np.empty((nd, s + 1, n))
-        self.coeffs[:, :s] = neighbor_coeffs.T
-        self.coeffs[:, s] = -center_coeffs.T
-        self.neighbors = self.stars[:s].T
-        self.neighbor_coeffs = self.coeffs[:, :s].T
-        self.center_coeffs = np.array(center_coeffs.T, order="C").T
+        self.stars = stars
+        self.coeffs = coeffs
+        self.neighbors = stars[:s].T
+        self.neighbor_coeffs = coeffs[:, :s].T
+        self.center_coeffs = np.negative(coeffs[:, s], order="C").T
         self.center_coeffs.flags.writeable = False
 
     def derivatives(self, field: np.ndarray) -> np.ndarray:
@@ -137,7 +139,8 @@ def build_all_stencils(
     nd = len(DERIV_NAMES[cloud.dim])  # a fit of nd derivatives needs s >= nd neighbors
     if s < nd:
         raise ValueError(f"s must be at least {nd} in {cloud.dim}D, got {s}")
-    neighbors = select_star(cloud, np.arange(cloud.n_nodes), s, criterion)
-    offsets = cloud.positions[neighbors] - cloud.positions[:, None, :]
-    center_coeffs, neighbor_coeffs = compute_stencil(offsets)
-    return StencilTable(cloud, neighbors, center_coeffs, neighbor_coeffs)
+    neighbors = select_star(cloud, s, criterion)
+    coeffs = compute_stencil(cloud.positions[neighbors] - cloud.positions[:, None, :])
+    stars = np.empty((s + 1, cloud.n_nodes), dtype=np.intp)
+    stars[:s], stars[s] = neighbors.T, np.arange(cloud.n_nodes)
+    return StencilTable(cloud, stars, coeffs)

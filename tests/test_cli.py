@@ -136,6 +136,12 @@ def test_seed_override_on_a_regular_cloud_is_rejected_like_the_key(tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
+def test_empty_out_is_rejected_before_the_march(capsys):
+    for command in ("run", "stability"):
+        assert main([command, "--preset", "growth-1d-delta005", "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: output.dir: empty path\n"
+
+
 def test_dt_override_halves_the_step(tmp_path):
     scen = write_scenario(tmp_path, QUICK)
     out = tmp_path / "half"

@@ -54,6 +54,25 @@ def test_cloud_rejects_duplicates():
         NodeCloud(pos, 1.0)
 
 
+def test_cloud_rejects_an_empty_face():
+    # without a node at x = 0 the node at 0.25 would silently lose its boundary condition
+    with pytest.raises(CloudError, match=r"^no node on the face x = 0$"):
+        NodeCloud(np.array([[0.25], [0.5], [1.0]]), 1.0)
+
+
+def test_load_cloud_names_the_file_of_a_cloud_with_an_empty_face(tmp_path):
+    # a 6x6 lattice without its y = 1 row: the length is still 1 (from x),
+    # and the row at y = 0.8 would otherwise be taken for interior nodes
+    lattice = generate_regular(6, 1.0, dim=2)
+    kept = lattice.positions[:, 1] < 1.0
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,boundary\n" + "".join(
+        f"{x!r},{y!r},{int(b)}\n"
+        for (x, y), b in zip(lattice.positions[kept].tolist(), lattice.boundary[kept])))
+    with pytest.raises(CloudError, match=r"bad\.csv: no node on the face y = 1 "):
+        load_cloud(path)
+
+
 def test_cloud_rejects_false_boundary_flag(tmp_path):
     # a flag that disagrees with the position, in either direction, names its line
     for text, line in [("x,boundary\n0.0,1\n0.5,1\n1.0,1\n", 3),  # interior node flagged 1
@@ -180,21 +199,20 @@ def test_star_validation():
     # rows hold distinct neighbors and never the center itself
     cloud = generate_jittered(9, 1.0, dim=2, jitter=0.3, seed=4)
     for crit in ("distance", "quadrant"):
-        rows = select_star(cloud, np.arange(cloud.n_nodes), 8, crit)
+        rows = select_star(cloud, 8, crit)
         assert rows.shape == (cloud.n_nodes, 8)
         for center, row in enumerate(rows):
             assert np.unique(row).size == 8 and center not in row
     with pytest.raises(ValueError, match="zero offset"):
         compute_stencil(np.array([[[0.1], [0.0]]]))
-    with pytest.raises(ValueError):
-        select_star(cloud, np.zeros((2, 2), dtype=int), 8, "distance")
 
 
 def test_select_star_distance_matches_brute_force():
     rng = np.random.default_rng(7)
     cloud = generate_jittered(6, 1.0, dim=2, jitter=0.3, seed=3)
+    stars = select_star(cloud, 8, "distance")
     for center in rng.choice(cloud.n_nodes, size=8, replace=False):
-        star = select_star(cloud, [center], 8, "distance")[0]
+        star = stars[center]
         d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
         order = sorted(i for i in range(cloud.n_nodes) if i != center)
         order.sort(key=lambda i: (d[i], i))
@@ -213,9 +231,10 @@ def _quadrant_oracle(h, k):
 
 def test_select_star_quadrant_matches_brute_force():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.35, seed=11)
+    s = 8
+    stars = select_star(cloud, s, "quadrant")
     for center in cloud.interior_indices[:10]:
-        s = 8
-        star = select_star(cloud, [center], s, "quadrant")[0]
+        star = stars[center]
         d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
         ranked = sorted((i for i in range(cloud.n_nodes) if i != center),
                         key=lambda i: (d[i], i))
@@ -239,7 +258,7 @@ def test_select_star_quadrant_matches_brute_force():
 def test_quadrant_star_on_lattice_is_eight_ring():
     cloud = generate_regular(5, 1.0, dim=2)
     center = 12  # middle of the 5x5 lattice
-    star = select_star(cloud, [center], 8, "quadrant")[0]
+    star = select_star(cloud, 8, "quadrant")[center]
     offsets = cloud.positions[star] - cloud.positions[center]
     ring = sorted(map(tuple, np.round(offsets / 0.25).astype(int).tolist()))
     assert ring == [(-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -249,14 +268,14 @@ def test_quadrant_star_on_lattice_is_eight_ring():
 def test_select_star_errors():
     cloud = generate_regular(3, 1.0, dim=1)
     with pytest.raises(InsufficientNodesError):
-        select_star(cloud, [1], 3, "distance")
+        select_star(cloud, 3, "distance")
     with pytest.raises(ValueError):
-        select_star(cloud, [1], 0, "distance")
+        select_star(cloud, 0, "distance")
     with pytest.raises(ValueError):
         build_all_stencils(cloud, 1)  # the 1D fit needs two neighbors
     with pytest.raises(ValueError):
         build_all_stencils(generate_regular(4, 1.0, dim=2), 4)  # the 2D fit needs five
     with pytest.raises(ValueError):
-        select_star(cloud, [1], 2, "quadrant")  # 2D only
+        select_star(cloud, 2, "quadrant")  # 2D only
     with pytest.raises(ValueError):
-        select_star(generate_regular(4, 1.0, dim=2), [5], 5, "voronoi")
+        select_star(generate_regular(4, 1.0, dim=2), 5, "voronoi")

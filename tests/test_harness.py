@@ -58,11 +58,6 @@ def test_polynomial_exactness_jittered(dim, n, s, crit):
                       {"1", "x", "y", "x^2", "y^2", "xy"})
 
 
-def test_fd_equivalence_regular_grids():
-    assert fd_equivalence(generate_regular(11, 1.0, dim=1)) < 1e-12
-    assert fd_equivalence(generate_regular(11, 1.0, dim=2)) < 1e-12
-
-
 def test_fd_equivalence_rejects_nonuniform():
     cloud = generate_jittered(11, 1.0, dim=1, jitter=0.2, seed=0)
     with pytest.raises(ValueError, match="uniform"):
@@ -78,19 +73,6 @@ def test_manufactured_solution_satisfies_neumann():
     h = x[1] - x[0]
     one_sided = (u[1] - u[0]) / h
     assert abs(one_sided) < 0.1  # slope vanishes at the face
-
-
-def test_spatial_convergence_second_order():
-    clouds = regular_refinement(9, 3, 1.0, dim=1)
-    result = convergence_study(clouds, 2, "distance")
-    assert len(result.levels) == 3
-    assert 1.7 <= result.observed_order <= 2.3
-
-
-def test_temporal_convergence_first_order():
-    cloud = generate_regular(41, 1.0, dim=1)
-    result = temporal_convergence_study(cloud, 2, dts=(2e-4, 1e-4, 5e-5))
-    assert 0.8 <= result.observed_order <= 1.2
 
 
 def test_spatial_study_raises_on_a_diverged_level():

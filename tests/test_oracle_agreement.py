@@ -88,7 +88,7 @@ def test_corner_star_is_topped_up_from_the_global_ranking():
     # at the corner only two quadrants hold nodes: the round robin takes two
     # from each and the nearest remaining nodes fill the star
     cloud = generate_regular(5, 1.0, dim=2)
-    star = select_star(cloud, [0], 8, "quadrant")[0]
+    star = select_star(cloud, 8, "quadrant")[0]
     assert star.tolist() == [1, 5, 6, 10, 2, 7, 11, 12]
     assert star.tolist() == oracles.select_star(cloud, 0, 8, "quadrant").tolist()
 

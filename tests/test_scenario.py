@@ -11,7 +11,6 @@ from meshless_growth import (
     CloudSpec,
     FieldSpec,
     GrowthSpec,
-    InitialSpec,
     ModelParams,
     SchemeConfig,
     ScenarioError,
@@ -116,16 +115,16 @@ def test_presets_share_the_documented_settings():
         sc = get_preset(name)
         m = sc.model
         assert (m.p, m.q, m.alpha1, m.alpha2) == (2.0, 2.0, 1.0, 1.0)
-        assert sc.initial.A0 == FieldSpec(kind="constant", value=1.0)
+        assert sc.A0 == FieldSpec(kind="constant", value=1.0)
         assert sc.cloud.kind == "jittered"
         if sc.cloud.dim == 1:
             assert sc.cloud.nodes_per_axis == 13
-            assert sc.initial.k0.kind == "piecewise"
-            ramp = [v for _, v in sc.initial.k0.points]
+            assert sc.k0.kind == "piecewise"
+            ramp = [v for _, v in sc.k0.points]
             assert ramp == sorted(ramp) and ramp[0] < ramp[-1]
         else:
             assert sc.cloud.nodes_per_axis == 12
-            assert sc.initial.k0.kind == "gaussians" and len(sc.initial.k0.bumps) == 2
+            assert sc.k0.kind == "gaussians" and len(sc.k0.bumps) == 2
 
 
 def test_minimal_scenario_defaults():
@@ -133,8 +132,8 @@ def test_minimal_scenario_defaults():
     assert sc.cloud == CloudSpec(kind="regular", dim=1, nodes_per_axis=11)
     assert sc.star == StarSpec(s=2)
     assert sc.model == ModelParams()
-    assert sc.initial == InitialSpec(k0=FieldSpec(kind="constant", value=1.0),
-                                     A0=FieldSpec(kind="constant", value=1.0))
+    assert sc.k0 == FieldSpec(kind="constant", value=1.0)
+    assert sc.A0 == FieldSpec(kind="constant", value=1.0)
     assert sc.scheme == SchemeConfig(dt=0.001, t_final=1.0)
     assert sc.output_dir == "out/mini"
 
@@ -143,7 +142,7 @@ def test_defaults_that_depend_on_other_keys():
     flat = parse_scenario_text(MINIMAL.replace("dim = 1", "dim = 2"))
     assert flat.model.g_spec == GrowthSpec()  # its center is 0.5 on every axis
     a0 = parse_scenario_text(MINIMAL.replace("k0_value = 1.0", "k0_value = 1.0\nA0_value = 3"))
-    assert a0.initial.A0 == FieldSpec(kind="constant", value=3.0)
+    assert a0.A0 == FieldSpec(kind="constant", value=3.0)
     no_size = MINIMAL.replace("nodes_per_axis = 11\n", "")
     with pytest.raises(ScenarioError, match="cloud.nodes_per_axis"):
         parse_scenario_text(no_size)
@@ -308,6 +307,12 @@ def test_file_cloud_kind_requires_path():
         parse_scenario_text(bad.replace("kind = file", "kind = file\npath ="))
 
 
+def test_empty_output_dir_is_rejected():
+    with pytest.raises(ScenarioError, match=r"^output\.dir: empty path$"):
+        parse_scenario_text(MINIMAL + "\n[output]\ndir =\n")
+    assert parse_scenario_text(MINIMAL + "\n[output]\n", name="mini").output_dir == "out/mini"
+
+
 def test_file_cloud_dimension_must_match_the_declared_dim(tmp_path):
     path = tmp_path / "nodes.csv"
     save_cloud(generate_regular(5, 1.0, dim=2), path)
@@ -375,6 +380,6 @@ def test_keys_the_chosen_kind_does_not_read_are_rejected(old, new, where):
 def test_technology_defaults_to_one_only_for_the_constant_kind():
     bumps = parse_scenario_text(MINIMAL.replace(
         K0_CONSTANT, K0_CONSTANT + "\nA0_kind = gaussians\nA0_bumps = 1, 0.5, 0.1"))
-    assert bumps.initial.A0 == FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1),))
+    assert bumps.A0 == FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1),))
     constant = parse_scenario_text(MINIMAL.replace(K0_CONSTANT, K0_CONSTANT + "\nA0_kind = constant"))
-    assert constant.initial.A0 == FieldSpec(kind="constant", value=1.0)
+    assert constant.A0 == FieldSpec(kind="constant", value=1.0)

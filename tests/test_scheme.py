@@ -486,9 +486,9 @@ def test_degenerate_boundary_star_detected():
     cloud = generate_regular(7, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
     # zero out the center x-coefficient of one boundary stencil
-    cc = table.center_coeffs.copy()
-    cc[0, 0] = 0.0
-    bad_table = StencilTable(cloud, table.neighbors, cc, table.neighbor_coeffs)
+    coeffs = table.coeffs.copy()
+    coeffs[0, -1, 0] = 0.0
+    bad_table = StencilTable(cloud, table.stars, coeffs)
     with pytest.raises(DegenerateBoundaryStarError):
         NeumannOperator(cloud, bad_table)
 

@@ -18,9 +18,9 @@ from oracles import apply_stencil, assemble_moment_matrix
 
 
 def solve_one(offsets):
-    """Center and neighbor coefficients of a single star with offsets (s, dim)."""
-    center, neighbors = compute_stencil(np.asarray(offsets, dtype=float)[None])
-    return center[0], neighbors[0]
+    """The (nd, s+1) slots of a single star with offsets (s, dim): the
+    neighbors' coefficients, then -m_0."""
+    return compute_stencil(np.asarray(offsets, dtype=float)[None])[..., 0]
 
 
 def lstsq_derivatives(off, u0, ui):
@@ -50,13 +50,13 @@ def test_moment_matrix_symmetric_pair():
 
 def test_symmetric_star_reproduces_central_differences():
     h = 0.1
-    center, coeffs = solve_one([[-h], [h]])
-    assert np.allclose(coeffs[:, 0], [-1 / (2 * h), 1 / (2 * h)],
+    slots = solve_one([[-h], [h]])
+    assert np.allclose(slots[0, :2], [-1 / (2 * h), 1 / (2 * h)],
                        rtol=0, atol=1e-12)
-    assert np.allclose(coeffs[:, 1], [1 / h**2, 1 / h**2],
+    assert np.allclose(slots[1, :2], [1 / h**2, 1 / h**2],
                        rtol=0, atol=1e-9)
-    assert abs(center[0]) < 1e-12
-    assert np.isclose(center[1], 2 / h**2)
+    assert abs(slots[0, 2]) < 1e-12
+    assert np.isclose(slots[1, 2], -2 / h**2)
 
 
 def test_consistency_center_equals_neighbor_sum():
@@ -85,10 +85,10 @@ def test_scaling_invariance_of_coefficients():
                      [-0.01, -0.1], [0.08, 0.09], [-0.12, 0.11],
                      [-0.1, -0.08], [0.09, -0.11]])
     factor = 37.0
-    _, a = solve_one(base)
-    _, b = solve_one(base * factor)
+    a = solve_one(base)
+    b = solve_one(base * factor)
     orders = np.array([1.0, 1.0, 2.0, 2.0, 2.0])
-    rescaled = b * factor ** orders
+    rescaled = b * factor ** orders[:, None]
     assert np.allclose(rescaled, a, rtol=1e-10)
 
 
@@ -103,8 +103,7 @@ def test_apply_stencil_arity():
     cloud = generate_regular(5, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
     with pytest.raises(ValueError):
-        StencilTable(cloud, table.neighbors[1:], table.center_coeffs[1:],
-                     table.neighbor_coeffs[1:])
+        StencilTable(cloud, table.stars[:, 1:], table.coeffs[..., 1:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,9 +117,9 @@ def test_quadratics_are_differentiated_exactly(coeffs, seed):
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]
     u = a + b * x + c * y + d * x**2 + e * y**2 + f * x * y
     node = int(cloud.interior_indices[0])
-    star = select_star(cloud, [node], 8, "quadrant")[0]
-    center, coeffs = solve_one(cloud.positions[star] - cloud.positions[node])
-    got = apply_stencil(center, coeffs, u[node], u[star])
+    star = select_star(cloud, 8, "quadrant")[node]
+    slots = solve_one(cloud.positions[star] - cloud.positions[node])
+    got = slots @ u[np.append(star, node)]
     expect = np.array([b + 2 * d * x[node] + f * y[node],
                        c + 2 * e * y[node] + f * x[node],
                        2 * d, 2 * e, f])
@@ -146,7 +145,14 @@ def test_table_rejects_mixed_star_sizes():
     t2 = build_all_stencils(cloud, 2)
     t3 = build_all_stencils(cloud, 3)
     with pytest.raises(ValueError):
-        StencilTable(cloud, t2.neighbors, t3.center_coeffs, t3.neighbor_coeffs)
+        StencilTable(cloud, t2.stars, t3.coeffs)
+
+
+def test_table_rejects_stars_whose_last_slot_is_not_their_node():
+    cloud = generate_regular(5, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    with pytest.raises(ValueError, match="last slot"):
+        StencilTable(cloud, table.stars[[0, 2, 1]], table.coeffs)
 
 
 def test_table_is_stored_component_major():
@@ -163,14 +169,11 @@ def test_table_is_stored_component_major():
     assert np.shares_memory(table.neighbors, stars)
     assert np.shares_memory(table.neighbor_coeffs, coeffs)
     assert table.center_coeffs.T.flags.c_contiguous
-    # the table holds its own buffers, not the arrays it was given
-    neighbors, cc, nc = (a.copy() for a in (table.neighbors, table.center_coeffs,
-                                            table.neighbor_coeffs))
-    own = StencilTable(cloud, neighbors, cc, nc)
-    nc[5, 2, 0] += 1.0
-    cc[5, 0] += 1.0
-    assert own.neighbor_coeffs[5, 2, 0] == table.neighbor_coeffs[5, 2, 0]
-    assert own.center_coeffs[5, 0] == table.center_coeffs[5, 0]
+    # the table keeps the arrays it was given
+    given_stars, given_coeffs = stars.copy(), coeffs.copy()
+    kept = StencilTable(cloud, given_stars, given_coeffs)
+    assert kept.stars is given_stars and kept.coeffs is given_coeffs
+    assert np.shares_memory(kept.neighbor_coeffs, given_coeffs)
     # derivatives reads the packed copy of center_coeffs, so it cannot be edited in place
     with pytest.raises(ValueError):
         table.center_coeffs[5, 0] += 1.0
