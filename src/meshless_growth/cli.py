@@ -103,7 +103,7 @@ def _cmd_stability(args) -> int:
     print(f"{scenario.name}: global dt bound {report.global_dt:.6e} over "
           f"{report.nodes.size} interior stars; "
           f"{len(report.violations)} sign-condition failures; report in {path}")
-    if scenario.scheme.dt is not None and scenario.scheme.dt > report.global_dt:
+    if scenario.scheme.dt > report.global_dt:
         print(f"warning: scenario dt={scenario.scheme.dt:g} exceeds the bound")
     return 0
 

@@ -33,8 +33,8 @@ class NodeCloud:
     boundary: np.ndarray = field(init=False)  # (N,) bool, the rows with a nonzero normal
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise CloudError(f"length must be positive, got {self.length}")
+        if not self.length > 0:
+            raise CloudError(f"length: must be positive, got {self.length}")
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] not in (1, 2):
             raise CloudError(f"positions must have shape (N, 1) or (N, 2), got {pos.shape}")
@@ -84,16 +84,11 @@ def _edge_normals(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 def _lattice(nodes_per_axis: int, length: float, dim: int):
     if dim not in (1, 2):
-        raise CloudError(f"dim must be 1 or 2, got {dim}")
+        raise CloudError(f"dim: must be 1 or 2, got {dim}")
     if nodes_per_axis < 2:
-        raise CloudError("nodes_per_axis must be at least 2")
+        raise CloudError(f"nodes_per_axis: must be at least 2, got {nodes_per_axis}")
     axis = np.linspace(0.0, length, nodes_per_axis)
-    if dim == 1:
-        pos = axis[:, None]
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="xy")
-        pos = np.column_stack([xx.ravel(), yy.ravel()])
-    return pos
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="xy"), axis=-1).reshape(-1, dim)
 
 
 def generate_regular(nodes_per_axis: int, length: float = 1.0, dim: int = 1) -> NodeCloud:
@@ -115,7 +110,9 @@ def generate_jittered(
     keeps the node ordering intact, so neighbors never cross.
     """
     if not 0.0 <= jitter < 0.49:
-        raise CloudError(f"jitter must lie in [0, 0.49), got {jitter}")
+        raise CloudError(f"jitter: must lie in [0, 0.49), got {jitter}")
+    if seed < 0:
+        raise CloudError(f"seed: must be nonnegative, got {seed}")
     pos = _lattice(nodes_per_axis, length, dim)
     h = length / (nodes_per_axis - 1)
     rng = np.random.default_rng(seed)

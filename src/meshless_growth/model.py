@@ -43,9 +43,9 @@ class GrowthSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian"):
-            raise ValueError(f"unknown growth kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ValueError("gaussian growth needs sigma > 0")
+            raise ValueError(f"kind: must be one of ['constant', 'gaussian'], got {self.kind!r}")
+        if self.kind == "gaussian" and not self.sigma > 0:
+            raise ValueError("sigma: must be positive for the gaussian kind")
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,13 @@ class ModelParams:
     g_spec: GrowthSpec = field(default_factory=GrowthSpec)
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 and alpha2 must be nonnegative")
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("production exponents must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if self.tech_diffusion < 0:
-            raise ValueError("tech_diffusion must be nonnegative")
+        # Written as `not x >= 0` so that NaN fails too; an error names its field.
+        for name in ("alpha1", "alpha2", "delta", "tech_diffusion"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must be nonnegative")
+        for name in ("p", "q"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive")
 
 
 def production(k, params: ModelParams):

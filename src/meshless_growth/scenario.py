@@ -55,8 +55,15 @@ def _path(raw: str) -> str:
     return raw
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+    return tuple(_finite(x) for x in raw.split(",") if x.strip())
 
 
 def _convert(sec, section: str, converters: dict, prefix: str = "") -> dict:
@@ -72,11 +79,12 @@ def _convert(sec, section: str, converters: dict, prefix: str = "") -> dict:
     return args
 
 
-def _build(section: str, cls, **kwargs):
+def _build(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a rejection names its field, and prefix makes that a key."""
     try:
-        return cls(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{section}: {exc}") from exc
+        raise ScenarioError(f"{prefix}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,10 @@ class CloudSpec:
 
     def build(self) -> NodeCloud:
         if self.kind == "regular":
-            return generate_regular(self.nodes_per_axis, self.length, self.dim)
+            return _build("cloud.", generate_regular, self.nodes_per_axis, self.length, self.dim)
         if self.kind == "jittered":
-            return generate_jittered(self.nodes_per_axis, self.length, self.dim,
-                                     self.jitter, self.seed)
+            return _build("cloud.", generate_jittered, self.nodes_per_axis, self.length,
+                          self.dim, self.jitter, self.seed)
         if self.kind == "file":
             cloud = load_cloud(self.path)
             if cloud.dim != self.dim:
@@ -201,9 +209,10 @@ def _parse_points(raw: str) -> tuple[tuple[float, float], ...]:
         if len(parts) != 2:
             raise ValueError(f"expected x:value pairs, got {chunk!r}")
         try:
-            pts.append((float(parts[0]), float(parts[1])))
+            x, value = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"bad number in {chunk!r}") from None
+        pts.append((_finite(x), _finite(value)))
     if len(pts) < 2:
         raise ValueError("need at least two x:value pairs")
     return tuple(pts)
@@ -221,7 +230,7 @@ def _parse_bumps(raw: str) -> tuple[tuple[float, ...], ...]:
             raise ValueError(f"bad number in bump {chunk!r}") from None
         if len(nums) not in (3, 4):  # amp, cx[, cy], sigma
             raise ValueError(f"bump needs amplitude,center...,sigma, got {chunk!r}")
-        bumps.append(nums)
+        bumps.append(tuple(map(_finite, nums)))
     if not bumps:
         raise ValueError("no bumps given")
     return tuple(bumps)
@@ -233,19 +242,19 @@ _CLOUD_KIND_KEYS = {"regular": ("nodes_per_axis", "length"),
                     "file": ("path",)}
 # Converters of each section's keys, by the dataclass field they fill.
 _CLOUD_KEYS = {"kind": _choice(*_CLOUD_KIND_KEYS), "dim": int,
-               "nodes_per_axis": int, "length": float, "jitter": float, "seed": int,
+               "nodes_per_axis": int, "length": _finite, "jitter": _finite, "seed": int,
                "path": _path}
 _MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
-                            float)
-_GROWTH_KEYS = {"kind": _choice("constant", "gaussian"), "level": float,  # read as g_<field>
-                "center": _parse_float_list, "sigma": float}
+                            _finite)
+_GROWTH_KEYS = {"kind": str, "level": _finite,  # read as g_<field>
+                "center": _parse_float_list, "sigma": _finite}
 # By field kind, read as <field>_<name>; the first key is required.
-_FIELD_KEYS = {"constant": {"value": float},
+_FIELD_KEYS = {"constant": {"value": _finite},
                "piecewise": {"points": _parse_points},
-               "gaussians": {"bumps": _parse_bumps, "base": float},
+               "gaussians": {"bumps": _parse_bumps, "base": _finite},
                "file": {"path": _path}}
-_SCHEME_KEYS = {"dt": float, "t_final": float, "snapshot_times": _parse_float_list,
-                "stability_mode": _choice("off", "check", "adapt"), "stability_interval": int}
+_SCHEME_KEYS = {"dt": _finite, "t_final": _finite, "snapshot_times": _parse_float_list,
+                "stability_mode": str, "stability_interval": int}
 _OUTPUT_KEYS = {"dir": _path}
 # Every key a scenario may set, by section: the keys the tables above read.
 _SECTION_KEYS = {
@@ -308,15 +317,15 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
     _reject_stray(sec, ("kind", "dim", *_CLOUD_KIND_KEYS[cloud.kind]), "cloud",
                   f"not read by kind = {cloud.kind}")
     _require(sec, "cloud", "path" if cloud.kind == "file" else "nodes_per_axis")
+    # Checked here, not only by the build: g_center's arity and STAR_RULE need it first.
     if cloud.dim not in (1, 2):
         _fail("cloud.dim", f"must be 1 or 2, got {cloud.dim}")
 
     sec = cp["model"] if "model" in cp else {}
-    growth = _convert(sec, "model", _GROWTH_KEYS, prefix="g_")
-    g_spec = _build("model", GrowthSpec, **growth)
+    g_spec = _build("model.g_", GrowthSpec, **_convert(sec, "model", _GROWTH_KEYS, "g_"))
     if g_spec.kind == "gaussian" and g_spec.center is not None and len(g_spec.center) != cloud.dim:
         _fail("model.g_center", f"needs {cloud.dim} coordinates")
-    model = _build("model", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
+    model = _build("model.", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
 
     sec = {"A0_kind": "constant", **cp["initial"]}  # technology starts at a constant 1
     if sec["A0_kind"] == "constant":
@@ -324,13 +333,8 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
     k0, a0 = _parse_field(sec, "k0"), _parse_field(sec, "A0")
 
     sec = cp["scheme"]
-    _require(sec, "scheme", "t_final")
-    args = _convert(sec, "scheme", _SCHEME_KEYS)
-    if "dt" not in args:
-        if args.get("stability_mode") != "adapt":
-            _fail("scheme.dt", "required unless stability_mode=adapt")
-        args["dt"] = None  # adapt derives the first step from the bound
-    scheme = _build("scheme", SchemeConfig, **args)
+    _require(sec, "scheme", "dt", "t_final")
+    scheme = _build("scheme.", SchemeConfig, **_convert(sec, "scheme", _SCHEME_KEYS))
 
     sec = {"dir": f"out/{name}", **(cp["output"] if "output" in cp else {})}
     out_dir = _convert(sec, "output", _OUTPUT_KEYS)["dir"]

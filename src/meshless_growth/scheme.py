@@ -27,7 +27,7 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    dt: float | None
+    dt: float
     t_final: float
     snapshot_times: tuple[float, ...] = ()
     stability_mode: str = "off"  # off | check | adapt
@@ -35,21 +35,19 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.stability_mode not in ("off", "check", "adapt"):
-            raise ValueError(f"unknown stability_mode {self.stability_mode!r}")
-        if self.dt is None:
-            if self.stability_mode != "adapt":
-                raise ValueError("dt may be omitted only with stability_mode=adapt")
-        elif self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
-        if self.stability_interval < 1:
-            raise ValueError("stability_interval must be at least 1")
+            raise ValueError("stability_mode: must be one of ['adapt', 'check', 'off'], "
+                             f"got {self.stability_mode!r}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt: must be positive and finite")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError("t_final: must be nonnegative and finite")
+        if not self.stability_interval >= 1:
+            raise ValueError("stability_interval: must be at least 1")
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot_times must be sorted")
-        if times and (times[0] < 0 or times[-1] > self.t_final * (1 + 1e-12) + 1e-300):
-            raise ValueError("snapshot_times must lie in [0, t_final]")
+        if not all(a <= b for a, b in zip(times, times[1:])):
+            raise ValueError("snapshot_times: must be sorted")
+        if times and not (times[0] >= 0 and times[-1] <= self.t_final * (1 + 1e-12) + 1e-300):
+            raise ValueError("snapshot_times: must lie in [0, t_final]")
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -251,7 +249,7 @@ def run(
             traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
                                       float(np.minimum.reduce(state.k)), clamp_count, last_bound))
             remaining = config.t_final - state.time
-            tol = base_tol if dt is None else min(base_tol, 0.5 * dt)
+            tol = min(base_tol, 0.5 * dt)
             while pending and (remaining <= tol or state.time >= pending[0] - 1e-9 * step_dt):
                 t_s = pending.pop(0)
                 pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
@@ -262,9 +260,7 @@ def run(
             if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
                 report = stability.dt_bound(table, state, params)
                 last_bound = report.global_dt
-                if dt is None:
-                    dt = 0.9 * last_bound
-                elif dt > last_bound * (1 + 1e-12):
+                if dt > last_bound * (1 + 1e-12):
                     action = "adapt" if config.stability_mode == "adapt" else "violation"
                     traj.stability_events.append(
                         StabilityEvent(step_idx, state.time, dt, last_bound, action)

@@ -151,6 +151,15 @@ def test_dt_override_halves_the_step(tmp_path):
     assert len(log) == 102  # header + initial record + 100 steps
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dt_override_is_rejected_before_any_output(tmp_path, capsys, value):
+    out = tmp_path / "x"
+    assert main(["run", "--preset", "growth-2d-delta005", "--out", str(out),
+                 "--dt-override", value]) == 1
+    assert capsys.readouterr() == ("", "error: scheme.dt: must be finite\n")
+    assert not out.exists()
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     scen = write_scenario(tmp_path, UNSTABLE)
     out = tmp_path / "boom"

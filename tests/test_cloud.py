@@ -46,6 +46,8 @@ def test_cloud_rejects_out_of_domain():
     pos = np.array([[0.0], [0.5], [1.5]])
     with pytest.raises(CloudError):
         NodeCloud(pos, 1.0)
+    with pytest.raises(CloudError, match=r"^length: must be positive, got nan$"):
+        NodeCloud(pos, math.nan)
 
 
 def test_cloud_rejects_duplicates():
@@ -177,7 +179,7 @@ def test_load_cloud_names_both_lines_of_coincident_nodes(tmp_path):
 def test_load_cloud_names_the_file_when_no_coordinate_is_positive(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y,boundary\n-0.5,0.0,1\n0.0,-0.5,1\n")
-    with pytest.raises(CloudError, match="bad.csv: length must be positive, got 0.0"):
+    with pytest.raises(CloudError, match="bad.csv: length: must be positive, got 0.0"):
         load_cloud(path)
 
 

@@ -75,6 +75,12 @@ def test_params_validation():
         GrowthSpec(kind="linear")
     with pytest.raises(ValueError):
         GrowthSpec(kind="gaussian", sigma=0.0)
+    # each rule fails NaN and names its field
+    for name in ("alpha1", "alpha2", "p", "q", "delta", "tech_diffusion"):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            ModelParams(**{name: np.nan})
+    with pytest.raises(ValueError, match="^sigma: "):
+        GrowthSpec(kind="gaussian", sigma=np.nan)
 
 
 def test_tech_rate_constant_and_gaussian():

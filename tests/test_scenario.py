@@ -199,13 +199,13 @@ def test_bad_number_names_the_key():
         parse_scenario_text(bad)
 
 
-def test_dt_required_unless_adapt():
+def test_dt_is_required():
     no_dt = MINIMAL.replace("dt = 0.001\n", "")
-    with pytest.raises(ScenarioError, match="scheme.dt"):
+    with pytest.raises(ScenarioError, match=r"^scheme\.dt: required key missing$"):
         parse_scenario_text(no_dt)
-    adaptive = no_dt.replace("t_final = 1.0", "t_final = 1.0\nstability_mode = adapt")
-    sc = parse_scenario_text(adaptive)
-    assert sc.scheme.dt is None and sc.scheme.stability_mode == "adapt"
+    # adapt shrinks a stated step; it no longer picks one
+    with pytest.raises(ScenarioError, match=r"^scheme\.dt: required key missing$"):
+        parse_scenario_text(no_dt.replace("t_final = 1.0", "t_final = 1.0\nstability_mode = adapt"))
 
 
 def test_inline_comments_are_stripped():
@@ -240,7 +240,7 @@ def test_with_overrides():
     # an override is checked like the key in the file
     with pytest.raises(ScenarioError, match=r"^cloud\.seed: not read by kind = regular$"):
         parse_scenario_text(MINIMAL, overrides={"cloud.seed": 2})
-    with pytest.raises(ScenarioError, match=r"^scheme: dt must be positive$"):
+    with pytest.raises(ScenarioError, match=r"^scheme\.dt: must be positive and finite$"):
         parse_scenario_text(MINIMAL, overrides={"scheme.dt": -1.0})
     assert parse_scenario_text(MINIMAL, overrides={"output.dir": "o"}).output_dir == "o"
 
@@ -334,7 +334,7 @@ K0_CONSTANT = "k0_kind = constant\nk0_value = 1.0"
      r"cloud\.kind: must be one of \['file', 'jittered', 'regular'\], got 'mesh'"),
     ("t_final = 1.0", "t_final = 1.0\nstability_mode = sometimes",
      r"scheme\.stability_mode: must be one of \['adapt', 'check', 'off'\], got 'sometimes'"),
-    ("[initial]", "[model]\np = 0\n\n[initial]", r"model: production exponents must be positive"),
+    ("[initial]", "[model]\np = 0\n\n[initial]", r"model\.p: must be positive"),
     ("dim = 1", "dim = 3", r"cloud\.dim: must be 1 or 2, got 3"),
     (K0_CONSTANT, "k0_kind = piecewise\nk0_points = 0:1, 1:x",
      r"initial\.k0_points: bad number in '1:x'"),
@@ -349,6 +349,31 @@ K0_CONSTANT = "k0_kind = constant\nk0_value = 1.0"
     (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps =", r"initial\.k0_bumps: no bumps given"),
     (K0_CONSTANT, "k0_kind = file\nk0_path = {path}", r"{path}:3: expected node,value"),
     (K0_CONSTANT, "k0_kind = file\nk0_path =", r"initial\.k0_path: empty path"),
+    # the rules of ModelParams, GrowthSpec and SchemeConfig, named by their keys
+    ("[initial]", "[model]\nq = 0\n\n[initial]", r"model\.q: must be positive"),
+    ("[initial]", "[model]\nalpha1 = -1\n\n[initial]", r"model\.alpha1: must be nonnegative"),
+    ("[initial]", "[model]\nalpha2 = -1\n\n[initial]", r"model\.alpha2: must be nonnegative"),
+    ("[initial]", "[model]\ndelta = -0.1\n\n[initial]", r"model\.delta: must be nonnegative"),
+    ("[initial]", "[model]\ntech_diffusion = -1\n\n[initial]",
+     r"model\.tech_diffusion: must be nonnegative"),
+    ("[initial]", "[model]\ng_kind = linear\n\n[initial]",
+     r"model\.g_kind: must be one of \['constant', 'gaussian'\], got 'linear'"),
+    ("[initial]", "[model]\ng_kind = gaussian\ng_sigma = 0\n\n[initial]",
+     r"model\.g_sigma: must be positive for the gaussian kind"),
+    ("dt = 0.001", "dt = 0", r"scheme\.dt: must be positive and finite"),
+    ("t_final = 1.0", "t_final = -1", r"scheme\.t_final: must be nonnegative and finite"),
+    ("t_final = 1.0", "t_final = 1.0\nstability_interval = 0",
+     r"scheme\.stability_interval: must be at least 1"),
+    ("t_final = 1.0", "t_final = 1.0\nsnapshot_times = 0.5, 0.2",
+     r"scheme\.snapshot_times: must be sorted"),
+    ("t_final = 1.0", "t_final = 1.0\nsnapshot_times = 0, 2",
+     r"scheme\.snapshot_times: must lie in \[0, t_final\]"),
+    # the rules of the cloud generators, named by their keys
+    ("kind = regular", "kind = jittered\njitter = 0.6",
+     r"cloud\.jitter: must lie in \[0, 0\.49\), got 0\.6"),
+    ("nodes_per_axis = 11", "nodes_per_axis = 1", r"cloud\.nodes_per_axis: must be at least 2, got 1"),
+    ("dim = 1", "dim = 1\nlength = 0", r"cloud\.length: must be positive, got 0\.0"),
+    ("kind = regular", "kind = jittered\nseed = -1", r"cloud\.seed: must be nonnegative, got -1"),
 ])
 def test_bad_input_names_the_key_or_the_line(tmp_path, old, new, where):
     path = tmp_path / "k0.csv"
@@ -357,6 +382,21 @@ def test_bad_input_names_the_key_or_the_line(tmp_path, old, new, where):
     with pytest.raises(ScenarioError, match=f"^{where.format(path=re.escape(str(path)))}$"):
         sc = parse_scenario_text(text)
         sc.initial_state(sc.cloud.build())
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("dt = 0.001", "dt = {}", "scheme.dt"),
+    ("t_final = 1.0", "t_final = {}", "scheme.t_final"),
+    ("nodes_per_axis = 11", "nodes_per_axis = 11\nlength = {}", "cloud.length"),
+    ("[initial]", "[model]\ndelta = {}\n\n[initial]", "model.delta"),
+    ("[initial]", "[model]\nchi = {}\n\n[initial]", "model.chi"),
+    ("k0_value = 1.0", "k0_value = {}", "initial.k0_value"),
+    ("t_final = 1.0", "t_final = 1.0\nsnapshot_times = 0, {}", "scheme.snapshot_times"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected_naming_the_key(old, new, key, value):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: must be finite$"):
+        parse_scenario_text(MINIMAL.replace(old, new.format(value)))
 
 
 @pytest.mark.parametrize("old, new, where", [

@@ -1,5 +1,6 @@
 """Explicit stepping: flux terms, boundary enforcement, run loop edges."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -433,17 +434,6 @@ def test_stability_adapt_shrinks_dt_and_survives():
     assert traj.final.k.max() < 2.0
 
 
-def test_adapt_mode_allows_missing_dt():
-    cloud = generate_regular(11, 1.0, dim=1)
-    table = build_all_stencils(cloud, 2)
-    params = ModelParams(alpha1=0.0, delta=0.1)
-    init = State(k=np.ones(11), A=np.ones(11), time=0.0)
-    cfg = SchemeConfig(dt=None, t_final=0.1, stability_mode="adapt")
-    traj = run(cloud, table, params, init, cfg)
-    assert traj.diverged is None
-    assert traj.final.time == pytest.approx(0.1)
-
-
 def test_clamp_count_logged():
     cloud = generate_regular(9, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
@@ -458,8 +448,13 @@ def test_clamp_count_logged():
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(dt=0.0, t_final=1.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=None, t_final=1.0, stability_mode="check")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^dt: "):
+            SchemeConfig(dt=bad, t_final=1.0)
+        with pytest.raises(ValueError, match="^t_final: "):
+            SchemeConfig(dt=0.1, t_final=bad)
+    with pytest.raises(ValueError, match="^snapshot_times: "):
+        SchemeConfig(dt=0.1, t_final=1.0, snapshot_times=(math.nan,))
     with pytest.raises(ValueError):
         SchemeConfig(dt=0.1, t_final=-1.0)
     with pytest.raises(ValueError):

@@ -183,8 +183,9 @@ def test_tech_diffusion_bound_keeps_adapt_run_stable():
     assert report.global_dt == pytest.approx(6.844e-4, rel=1e-3)
     assert np.nanmin(report.dt_max) == pytest.approx(2.053e-3, rel=1e-3)
     traj = run(cloud, table, params, initial,
-               SchemeConfig(dt=None, t_final=3.0, stability_mode="adapt",
+               SchemeConfig(dt=scenario.scheme.dt, t_final=3.0, stability_mode="adapt",
                             stability_interval=scenario.scheme.stability_interval))
+    assert traj.stability_events[0].step == 0  # adapt shrinks the preset's dt at once
     assert traj.diverged is None
     assert traj.final.time == pytest.approx(3.0)
     assert np.all(np.isfinite(traj.final.A))
