@@ -200,25 +200,31 @@ def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, cri
     """Pick each center's star among its row of candidates.
 
     cand is (B, K) node indices, -1 marking an empty slot.  Candidates are
-    ranked by distance, ties broken by ascending index.  Returns per row:
-    the chosen (B, s) neighbors, the largest chosen distance, whether the
-    row held s candidates, and for the quadrant criterion whether each
-    quadrant held ceil(s/4) of them, (B, 4) (None for distance).
+    ranked by distance, ties broken by ascending index.  Under the quadrant
+    criterion an edge center ranks interior candidates only and a corner
+    every candidate but the corners, taking the nearest.  Returns per row:
+    the chosen (B, s) neighbors, the largest chosen distance (inf where the
+    row held fewer than s candidates), and for the quadrant criterion
+    whether each quadrant held ceil(s/4) of them, (B, 4), corners counting
+    as full (None for distance).
     """
     pos = cloud.positions
-    valid = (cand >= 0) & (cand != centers[:, None])
+    faces = np.count_nonzero(cloud.normals, axis=1)  # 0 interior, 1 edge, 2 corner
+    own = faces[centers][:, None] if criterion == "quadrant" else 0
+    valid = (cand >= 0) & (cand != centers[:, None]) & ((own == 0) | (faces[cand] < own))
     offsets = pos[np.where(valid, cand, 0)] - pos[centers][:, None, :]
     dist = np.sqrt((offsets ** 2).sum(axis=2))
     dist[~valid] = np.inf
     order = np.lexsort((np.where(valid, cand, cloud.n_nodes), dist), axis=1)
     cand = np.take_along_axis(cand, order, axis=1)
     dist = np.take_along_axis(dist, order, axis=1)
-    enough = valid.sum(axis=1) >= s
 
     if criterion == "distance":
-        return cand[:, :s], dist[:, s - 1], enough, None
+        return cand[:, :s], dist[:, s - 1], None
 
-    quad = np.take_along_axis(np.where(valid, _quadrants(offsets), 4), order, axis=1)
+    corner = own == 2
+    # A corner's candidates all sit in quadrant 4, so its key is its ranking.
+    quad = np.take_along_axis(np.where(valid & ~corner, _quadrants(offsets), 4), order, axis=1)
     rounds = math.ceil(s / 4)
     running = np.cumsum(quad[..., None] == np.arange(4), axis=1)  # (B, K, 4)
     rank = np.take_along_axis(running, np.minimum(quad, 3)[..., None], axis=2)[..., 0] - 1
@@ -230,7 +236,7 @@ def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, cri
     key = np.where((quad < 4) & (rank < rounds), 4 * rank + quad, 4 * rounds + position)
     pick = np.argsort(key, axis=1, kind="stable")[:, :s]
     chosen_dist = np.take_along_axis(dist, pick, axis=1).max(axis=1)
-    return np.take_along_axis(cand, pick, axis=1), chosen_dist, enough, counts >= rounds
+    return np.take_along_axis(cand, pick, axis=1), chosen_dist, (counts >= rounds) | corner
 
 
 class _CellGrid:
@@ -284,13 +290,16 @@ class _CellGrid:
         return rho, lo_cov, hi_cov
 
     def complete_quadrants(self, p: np.ndarray, lo_cov: np.ndarray, hi_cov: np.ndarray):
-        """(B, 4): quadrant q of the center holds no node outside its window."""
-        (x, y), (lx, ly), (hx, hy) = p.T, lo_cov.T, hi_cov.T
+        """(B, 4): quadrant q of the center holds no candidate outside its
+        window.  On a face, the quadrants that reach only the face hold no
+        candidate at all: an edge center ranks interior nodes only."""
+        (x_lo, y_lo), (x_hi, y_hi) = (p <= self.lo).T, (p >= self.hi).T
+        (lx, ly), (hx, hy) = lo_cov.T, hi_cov.T
         return np.column_stack([
-            (x >= self.hi[0]) | (hx & hy),   # h > 0, k >= 0
-            (y >= self.hi[1]) | (lx & hy),   # h <= 0, k > 0
-            (x <= self.lo[0]) | (lx & ly),   # h < 0, k <= 0
-            (y <= self.lo[1]) | (hx & ly),   # h >= 0, k < 0
+            x_hi | y_hi | (hx & hy),   # h > 0, k >= 0
+            y_hi | x_lo | (lx & hy),   # h <= 0, k > 0
+            x_lo | y_lo | (lx & ly),   # h < 0, k <= 0
+            y_lo | x_hi | (hx & ly),   # h >= 0, k < 0
         ])
 
 
@@ -300,7 +309,10 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
     distance: the s nearest nodes, distance ties broken by node index.
     quadrant (2D only): nearest ceil(s/4) per sign quadrant of the offset,
     cycling quadrants and falling back to global nearest when quadrants
-    run short.
+    run short.  An edge node ranks interior nodes only, and a corner takes
+    its s nearest nodes off the corners, so no boundary value of the
+    zero-flux closure reads another through more than one corner-on-edge
+    step.
 
     Candidates come from the 3^dim window of grid cells around each center.
     A row is kept only when the window provably holds its whole answer: every
@@ -315,10 +327,11 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
     if criterion == "quadrant" and cloud.dim != 2:
         raise ValueError("quadrant criterion requires a 2D cloud")
     n = cloud.n_nodes
-    if s > n - 1:
-        raise InsufficientNodesError(
-            f"star of size {s} requested but only {n - 1} candidates exist"
-        )
+    # Under the quadrant criterion an edge node, the node with the fewest
+    # candidates, ranks the interior nodes.
+    pool = n - 1 if criterion == "distance" else cloud.interior_indices.size
+    if s > pool:
+        raise InsufficientNodesError(f"star of size {s} requested but only {pool} candidates exist")
     out = np.empty((n, s), dtype=np.intp)
     grid = _CellGrid(cloud, s)
     block = max(1, min(BLOCK_CENTERS, BLOCK_SLOTS // (grid.window.shape[0] * grid.counts.max())))
@@ -327,9 +340,9 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
         c = np.arange(b0, min(b0 + block, n))
         p = cloud.positions[c]
         cells = grid.cell_of(p)
-        chosen, farthest, enough, full = _choose(cloud, c, grid.candidates(cells), s, criterion)
+        chosen, farthest, full = _choose(cloud, c, grid.candidates(cells), s, criterion)
         rho, lo_cov, hi_cov = grid.reach(p, cells)
-        ok = enough & (farthest < rho)
+        ok = farthest < rho
         if full is not None:
             ok &= (full | grid.complete_quadrants(p, lo_cov, hi_cov)).all(axis=1)
         out[c] = chosen

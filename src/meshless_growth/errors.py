@@ -23,7 +23,9 @@ class DegenerateStarError(ArithmeticError):
 
 
 class DegenerateBoundaryStarError(DegenerateStarError):
-    """Boundary star whose normal-derivative center coefficient vanishes."""
+    """Boundary star the zero-flux closure cannot use: its normal-derivative
+    center coefficient vanishes, or it reads a boundary node whose own star
+    reads the boundary."""
 
 
 class DivergenceError(RuntimeError):

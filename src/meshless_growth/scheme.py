@@ -2,10 +2,10 @@
 
 Each step advances interior nodes with forward Euler on the stencil
 derivatives and then overwrites boundary nodes so the discrete normal
-derivative of both fields vanishes.  Boundary values are coupled when
-boundary stars contain other boundary nodes, so the enforcement solves one
-small linear system over the boundary set instead of sweeping node by node;
-that keeps the residual at rounding level and makes the operation idempotent.
+derivative of both fields vanishes.  Edge stars hold interior nodes only
+and corner stars interior and edge nodes, so each boundary value is an
+explicit weighted sum of interior values: no system is solved, the
+residual stays at rounding level and the operation is idempotent.
 """
 
 from __future__ import annotations
@@ -88,42 +88,40 @@ class Trajectory:
 
 
 class NeumannOperator:
-    """Linear solve that zeroes the stencil normal derivative on the boundary.
+    """Explicit weights that zero the stencil normal derivative on the boundary.
 
     Row b:  sum_i (n . m_i^b) U_stars[i, b] = 0 over the s+1 slots of the
-    star of boundary node b, whose own slot holds -m_0^b.  The rows are
-    scattered into one system whose first n_b columns are the boundary
-    nodes, the node's own slot on the diagonal, and whose remaining columns
-    are cols, the sorted interior nodes that boundary stars reach.  The
-    solve is done once at construction: closure (n_b, len(cols)) maps the
-    values at cols to the boundary values.
+    star of boundary node b, whose own slot holds -m_0^b, so U_b is the sum
+    of its neighbors weighted by w_i = (n . m_i^b) / (n . m_0^b).  An edge
+    star holds interior nodes only, and a corner star adds edge nodes, each
+    of which stands for its own weighted row: closure (n_b, len(cols))
+    maps the values at cols, the sorted interior nodes that boundary stars
+    reach, to the boundary values.  A star that reads a boundary node whose
+    own star reads the boundary is rejected.
     """
 
     def __init__(self, cloud: NodeCloud, table: StencilTable):
-        b_idx = cloud.boundary_indices
-        n_b = b_idx.size
-        stars = table.stars[:, b_idx].T                      # (n_b, s+1)
+        b_idx = self.boundary_idx = cloud.boundary_indices
+        stars = table.stars[:-1, b_idx].T                    # (n_b, s), the node itself left out
         # n . m_i over every slot, (n_b, s+1); the last is -(n . m_0)
-        rows = (table.coeffs[:cloud.dim, :, b_idx].T @ cloud.normals[b_idx, :, None])[..., 0]
-        center_norm = np.linalg.norm(table.coeffs[:, -1, b_idx], axis=0)
-        bad = np.flatnonzero(np.abs(rows[:, -1]) < 1e-14 * center_norm)
-        if bad.size:
-            raise DegenerateBoundaryStarError(
-                int(b_idx[bad[0]]), "normal derivative has no center contribution"
-            )
-        col = np.full(cloud.n_nodes, -1)
-        col[b_idx] = np.arange(n_b)
-        reached = np.zeros(cloud.n_nodes, dtype=bool)
-        reached[stars[col[stars] < 0]] = True
-        cols = np.flatnonzero(reached)
-        col[cols] = n_b + np.arange(cols.size)
-        system = np.zeros((n_b, n_b + cols.size))
-        # The system holds 0.0 - c and its right-hand side 0.0 - (0.0 - c),
-        # rather than -c and c: a zero coefficient is +0.0.
-        system[np.arange(n_b)[:, None], col[stars]] = 0.0 - rows
-        self.boundary_idx = b_idx
-        self.cols = cols
-        self.closure = np.linalg.solve(system[:, :n_b], 0.0 - system[:, n_b:])
+        rows = (table.coeffs[:cloud.dim, :, b_idx] * cloud.normals[b_idx].T[:, None]).sum(axis=0).T
+        on_boundary = cloud.boundary[stars]
+        col = np.zeros(cloud.n_nodes, dtype=np.intp)  # a boundary node's closure row
+        col[b_idx] = np.arange(b_idx.size)
+        chained = (on_boundary & on_boundary.any(axis=1)[col[stars]]).any(axis=1)
+        flat = np.abs(rows[:, -1]) < 1e-14 * np.sqrt((table.coeffs[:, -1, b_idx] ** 2).sum(axis=0))
+        for bad, why in ((flat, "normal derivative has no center contribution"),
+                         (chained, "its star reads a boundary node whose star reads the boundary")):
+            if bad.any():
+                raise DegenerateBoundaryStarError(int(b_idx[bad.argmax()]), why)
+        weights = rows[:, :-1] / -rows[:, -1:]
+        self.cols = np.flatnonzero(np.bincount(stars[~on_boundary], minlength=cloud.n_nodes))
+        col[self.cols] = np.arange(self.cols.size)  # and an interior node's closure column
+        self.closure = np.zeros((b_idx.size, self.cols.size))
+        self.closure[np.nonzero(~on_boundary)[0], col[stars[~on_boundary]]] = weights[~on_boundary]
+        # A corner adds the rows of its edge neighbors, scaled by its weights.
+        b, i = np.nonzero(on_boundary)
+        np.add.at(self.closure, b, weights[b, i, None] * self.closure[col[stars[b, i]]])
 
     def project(self, field: np.ndarray) -> np.ndarray:
         out = field.copy()

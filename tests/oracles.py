@@ -5,9 +5,10 @@ computes for all nodes at once: star selection over every candidate, the
 per-star moment solve, the per-star Phi terms of the step bound, the taxis
 flux, the growth rate, and the stencil dump, snapshot, run-log and
 stability CSVs written row by row.  The others are the plainer dense forms
-of the per-step kernels: derivatives on node-major arrays and the boundary
+of the per-step kernels: derivatives on node-major arrays, the boundary
 closure as a dense (n_b, N) gather times the inverse of the boundary
-matrix, and the forward-Euler step written as plain expressions.  Tests
+matrix, whatever the stars, the closed Laplacian that it gives, and the
+forward-Euler step written as plain expressions.  Tests
 require the package to match them.  `save_cloud` writes the cloud
 files that `load_cloud` reads.  Last, `ode_oracle` integrates the spatially
 uniform reduction of the system with Runge-Kutta 4.
@@ -50,14 +51,22 @@ def tech_rate(position, spec) -> float:
 
 
 def select_star(cloud, center: int, s: int, criterion: str = "distance") -> np.ndarray:
-    """Neighbors of one center, ranked against every other node."""
+    """Neighbors of one center, ranked against every other node.  Under the
+    quadrant criterion an edge node ranks the interior nodes only, and a
+    corner takes the nearest of the nodes that lie on at most one face."""
     offsets = cloud.positions - cloud.positions[center]
     dist = np.sqrt((offsets ** 2).sum(axis=1))
     idx = np.arange(cloud.n_nodes)
     keep = idx != center
+    corners = (cloud.normals != 0.0).all(axis=1)
+    corner = criterion == "quadrant" and corners[center]
+    if corner:
+        keep &= ~corners
+    elif criterion == "quadrant" and cloud.boundary[center]:
+        keep &= ~cloud.boundary
     idx, dist = idx[keep], dist[keep]
     ranked = idx[np.lexsort((idx, dist))]
-    if criterion == "distance":
+    if criterion == "distance" or corner:
         return ranked[:s]
     h, k = offsets[ranked, 0], offsets[ranked, 1]
     # each positive half-axis belongs to the quadrant counterclockwise from it
@@ -259,9 +268,10 @@ def euler_step(state, table, params, dt, *, g_field, neumann, forcing=None):
     return State(k=neumann.project(k_new), A=neumann.project(a_new), time=state.time + dt)
 
 
-def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:
-    """Zero-flux projection with a dense (n_b, N) gather of the interior
-    values and the explicit inverse of the boundary matrix."""
+def dense_projection(cloud, table) -> np.ndarray:
+    """The zero-flux projection as a dense (N, N) matrix: identity rows at
+    interior nodes, and at boundary nodes the explicit inverse of the
+    boundary matrix times the dense (n_b, N) gather of interior values."""
     b_idx = cloud.boundary_indices
     n_b = b_idx.size
     col = {int(b): j for j, b in enumerate(b_idx)}
@@ -276,9 +286,26 @@ def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:
                 mat[row, col[int(nbr)]] = -coeff
             else:
                 gather[row, nbr] = coeff
-    out = np.array(field, dtype=float)
-    out[b_idx] = np.linalg.inv(mat) @ (gather @ field)
-    return out
+    proj = np.eye(cloud.n_nodes)
+    proj[b_idx] = np.linalg.inv(mat) @ gather
+    return proj
+
+
+def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:
+    """Zero-flux projection of one field by the dense projection matrix."""
+    return dense_projection(cloud, table) @ np.asarray(field, dtype=float)
+
+
+def closed_laplacian(cloud, table) -> np.ndarray:
+    """The closed Laplacian L·P on interior nodes, dense: the interior
+    stars' Laplacian rows applied after the zero-flux projection."""
+    interior = cloud.interior_indices
+    lap = np.zeros((interior.size, cloud.n_nodes))
+    for row, node in enumerate(interior):
+        lap[row, node] -= laplacian_center(table, node)
+        for nbr, coeff in zip(table.neighbors[node], laplacian_neighbors(table, node)):
+            lap[row, nbr] += coeff
+    return (lap @ dense_projection(cloud, table))[:, interior]
 
 
 def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> str:

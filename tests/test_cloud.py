@@ -281,3 +281,7 @@ def test_select_star_errors():
         select_star(cloud, 2, "quadrant")  # 2D only
     with pytest.raises(ValueError):
         select_star(generate_regular(4, 1.0, dim=2), 5, "voronoi")
+    # a quadrant star of an edge node is drawn from the interior nodes alone
+    with pytest.raises(InsufficientNodesError, match="only 4 candidates exist"):
+        select_star(generate_regular(4, 1.0, dim=2), 8, "quadrant")
+    assert select_star(generate_regular(5, 1.0, dim=2), 8, "quadrant").shape == (25, 8)

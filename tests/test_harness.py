@@ -6,6 +6,7 @@ import pytest
 from meshless_growth import (
     DivergenceError,
     ModelParams,
+    NodeCloud,
     convergence_study,
     fd_equivalence,
     generate_jittered,
@@ -76,12 +77,17 @@ def test_manufactured_solution_satisfies_neumann():
 
 
 def test_spatial_study_raises_on_a_diverged_level():
-    # the finest jittered level blows up at t = 0.0064; dropping it would
-    # fit an order of 2.55 from the two levels that remain
+    # the finest level moves its middle node to 1e-2 h beside its neighbor:
+    # the closed Laplacian's spectral radius grows from 6.2e3 to 4.7e4,
+    # above the 1.2e4 that the study's dt = 0.2 h^2 allows, while the
+    # median spacing, the study's h, does not move
     clouds = [generate_jittered(n, 1.0, dim=2, jitter=0.1, seed=2) for n in (9, 17, 33)]
+    pos = clouds[-1].positions.copy()
+    pos[544] = pos[545] - [1e-2 / 32, 0.0]
+    clouds[-1] = NodeCloud(pos, 1.0)
     with pytest.raises(DivergenceError) as info:
         convergence_study(clouds, 8, "quadrant")
-    assert info.value.node == 329 and info.value.step is not None
+    assert info.value.node == 544 and info.value.step is not None
 
 
 def test_temporal_study_raises_on_a_diverged_level():

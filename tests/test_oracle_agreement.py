@@ -4,8 +4,8 @@ Neighbor arrays must be equal and stencil coefficients equal bit for bit,
 since the array code performs the same floating-point operations per star.
 So must derivatives on the component-major table, and the CSV files must
 equal byte for byte those the row-by-row writers produce; the
-compressed boundary closure, which solves instead of inverting, agrees with
-the dense one to rounding.
+explicit boundary closure, which composes corner rows from edge rows
+instead of inverting, agrees with the dense inverse to rounding.
 """
 
 from dataclasses import replace
@@ -84,13 +84,17 @@ def test_preset_build_matches_loop_oracle(preset):
     assert_matches_oracle(cloud, scenario.star.s, scenario.star.criterion)
 
 
-def test_corner_star_is_topped_up_from_the_global_ranking():
-    # at the corner only two quadrants hold nodes: the round robin takes two
-    # from each and the nearest remaining nodes fill the star
+def test_corner_star_is_its_nearest_nodes_off_the_corners():
+    # the corner takes its 8 nearest nodes, edge nodes included, ties broken
+    # by index; the edge node at (0.5, 0) ranks interior nodes only, so two
+    # quadrants hold none, the round robin takes two from each of the others
+    # and the nearest remaining nodes fill the star
     cloud = generate_regular(5, 1.0, dim=2)
-    star = select_star(cloud, 8, "quadrant")[0]
-    assert star.tolist() == [1, 5, 6, 10, 2, 7, 11, 12]
-    assert star.tolist() == oracles.select_star(cloud, 0, 8, "quadrant").tolist()
+    stars = select_star(cloud, 8, "quadrant")
+    assert stars[0].tolist() == [1, 5, 6, 2, 10, 7, 11, 12]
+    assert stars[2].tolist() == [8, 7, 13, 6, 12, 11, 17, 16]
+    for node in (0, 2):
+        assert stars[node].tolist() == oracles.select_star(cloud, node, 8, "quadrant").tolist()
 
 
 def uneven_cloud():
