@@ -35,15 +35,20 @@ class NodeCloud:
     def __post_init__(self):
         if not self.length > 0:
             raise CloudError(f"length: must be positive, got {self.length}")
+        if not math.isfinite(self.length):
+            raise CloudError(f"length: must be finite, got {self.length}")
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] not in (1, 2):
             raise CloudError(f"positions must have shape (N, 1) or (N, 2), got {pos.shape}")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise CloudError(f"node {bad[0]}: position must be finite, got {pos[bad[0]].tolist()}")
         tol = BOUNDARY_TOL * self.length
         if pos.min() < -tol or pos.max() > self.length + tol:
             raise CloudError("positions fall outside [0, length]^dim")
-        uniq = np.unique(pos, axis=0)
-        if uniq.shape[0] != pos.shape[0]:
-            raise CloudError("cloud contains coincident nodes")
+        pair = _coincident_pair(pos)
+        if pair is not None:
+            raise CloudError(f"nodes {pair[0]} and {pair[1]} coincide at {pos[pair[0]].tolist()}")
         low, high = pos <= tol, pos >= self.length - tol  # (N, dim) face membership
         for axis in range(pos.shape[1]):
             for on, face in ((low, 0.0), (high, self.length)):
@@ -80,6 +85,19 @@ def _edge_normals(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     nz = norms[:, 0] > 0
     n[nz] /= norms[nz]
     return n
+
+
+def _coincident_pair(pos: np.ndarray) -> tuple[int, int] | None:
+    """The first row of pos that repeats an earlier row, as (earlier, later),
+    or None.  "First" is the lowest later row; earlier is the first row at
+    its position.  Rows are compared with ==, so -0.0 and 0.0 coincide."""
+    order = np.lexsort(pos.T)
+    ranked = pos[order]
+    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+    if not repeats.size:
+        return None
+    later = int(repeats.min())
+    return int(np.flatnonzero((pos == pos[later]).all(axis=1))[0]), later
 
 
 def _lattice(nodes_per_axis: int, length: float, dim: int):
@@ -162,13 +180,14 @@ def load_cloud(path) -> NodeCloud:
     if not pos:
         raise CloudError(f"{path}: no nodes")
     positions = np.asarray(pos, dtype=float)
-    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
-    owner = first[inverse.ravel()]  # the first row at each row's position
-    repeat = np.flatnonzero(owner != np.arange(len(pos)))
-    if repeat.size:
-        i = repeat[0]
-        raise CloudError(f"{path}:{linenos[i]}: node coincides with the node on line "
-                         f"{linenos[owner[i]]}")
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if bad.size:
+        raise CloudError(f"{path}:{linenos[bad[0]]}: position must be finite, "
+                         f"got {positions[bad[0]].tolist()}")
+    pair = _coincident_pair(positions)
+    if pair is not None:
+        raise CloudError(f"{path}:{linenos[pair[1]]}: node coincides with the node on line "
+                         f"{linenos[pair[0]]}")
     try:
         cloud = NodeCloud(positions, float(positions.max()))
     except CloudError as exc:
@@ -187,13 +206,13 @@ BLOCK_CENTERS = 256
 BLOCK_SLOTS = 1 << 18
 
 
-def _quadrants(offsets: np.ndarray) -> np.ndarray:
+def _quadrants(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     # Half-open, rotationally symmetric partition: each positive half-axis
     # belongs to the quadrant counterclockwise from it.  On a lattice this
     # assigns one axis neighbor and one diagonal neighbor to every quadrant.
-    h, k = offsets[..., 0], offsets[..., 1]
-    return np.select([(h > 0) & (k >= 0), (h <= 0) & (k > 0), (h < 0) & (k <= 0)],
-                     [0, 1, 2], 3)
+    # The upper half (quadrants 0 and 1) holds k > 0 and the half-axis h > 0.
+    upper = (k > 0) | ((k == 0) & (h > 0))
+    return np.where(upper, h <= 0, 2 + (h >= 0))
 
 
 def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, criterion: str):
@@ -208,35 +227,48 @@ def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, cri
     whether each quadrant held ceil(s/4) of them, (B, 4), corners counting
     as full (None for distance).
     """
-    pos = cloud.positions
-    faces = np.count_nonzero(cloud.normals, axis=1)  # 0 interior, 1 edge, 2 corner
-    own = faces[centers][:, None] if criterion == "quadrant" else 0
-    valid = (cand >= 0) & (cand != centers[:, None]) & ((own == 0) | (faces[cand] < own))
-    offsets = pos[np.where(valid, cand, 0)] - pos[centers][:, None, :]
-    dist = np.sqrt((offsets ** 2).sum(axis=2))
-    dist[~valid] = np.inf
-    order = np.lexsort((np.where(valid, cand, cloud.n_nodes), dist), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
+    rows, width = cand.shape
+    invalid = (cand < 0) | (cand == centers[:, None])
+    if criterion == "quadrant":
+        faces = np.count_nonzero(cloud.normals, axis=1)  # 0 interior, 1 edge, 2 corner
+        own = faces[centers][:, None]
+        invalid |= (own > 0) & (faces[cand] >= own)
+    # Offsets one axis at a time; an empty slot reads node -1 and is masked.
+    offsets = [x[cand] - x[centers, None] for x in cloud.positions.T]
+    dist = offsets[0] ** 2
+    for o in offsets[1:]:
+        dist += o ** 2
+    dist[invalid] = np.inf
+    np.sqrt(dist, out=dist)
+    order = np.lexsort((np.where(invalid, cloud.n_nodes, cand), dist), axis=1)
+    # Row offsets turn per-row slot numbers into indices of the flat arrays.
+    base = np.arange(0, rows * width, width)[:, None]
 
     if criterion == "distance":
-        return cand[:, :s], dist[:, s - 1], None
+        first = order[:, :s] + base
+        return cand.ravel()[first], dist.ravel()[first[:, -1]], None
 
     corner = own == 2
     # A corner's candidates all sit in quadrant 4, so its key is its ranking.
-    quad = np.take_along_axis(np.where(valid & ~corner, _quadrants(offsets), 4), order, axis=1)
+    quad = _quadrants(*offsets)
+    quad[invalid | corner] = 4
+    quad = quad.ravel()[order + base]  # in ranked order
     rounds = math.ceil(s / 4)
-    running = np.cumsum(quad[..., None] == np.arange(4), axis=1)  # (B, K, 4)
-    rank = np.take_along_axis(running, np.minimum(quad, 3)[..., None], axis=2)[..., 0] - 1
-    counts = running[:, -1, :]
+    # Per quadrant, how many of the row's first j ranked candidates it holds,
+    # counted along the contiguous axis; int32 holds any row, the all-nodes
+    # rows included.
+    member = quad[:, None, :] == np.arange(4)[:, None]  # (B, 4, K)
+    running = np.cumsum(member, axis=2, dtype=np.int32)
+    rank = running.ravel()[4 * base + width * np.minimum(quad, 3) + np.arange(width)] - 1
+    counts = running[:, :, -1]
     # Round robin over quadrants takes the rank-r member of each quadrant in
     # turn for r < rounds; what it leaves short is topped up with the
     # nearest remaining candidates in ranked order.
-    position = np.arange(cand.shape[1])
+    position = np.arange(width)
     key = np.where((quad < 4) & (rank < rounds), 4 * rank + quad, 4 * rounds + position)
     pick = np.argsort(key, axis=1, kind="stable")[:, :s]
-    chosen_dist = np.take_along_axis(dist, pick, axis=1).max(axis=1)
-    return np.take_along_axis(cand, pick, axis=1), chosen_dist, (counts >= rounds) | corner
+    slot = order.ravel()[pick + base] + base
+    return cand.ravel()[slot], dist.ravel()[slot].max(axis=1), (counts >= rounds) | corner
 
 
 class _CellGrid:

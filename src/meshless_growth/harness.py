@@ -75,8 +75,8 @@ def polynomial_exactness(cloud: NodeCloud, s: int, criterion: str = "distance") 
 
 
 def _grid_spacing(cloud: NodeCloud) -> float:
-    xs = np.unique(cloud.positions[:, 0])
-    gaps = np.diff(xs)
+    gaps = np.diff(np.sort(cloud.positions[:, 0]))
+    gaps = gaps[gaps > 0]  # between the distinct x values
     if gaps.size == 0 or not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0):
         raise ValueError("fd_equivalence needs a uniform grid")
     return float(gaps[0])

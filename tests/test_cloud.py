@@ -1,6 +1,7 @@
 """Node cloud construction, persistence, and star selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,11 +49,29 @@ def test_cloud_rejects_out_of_domain():
         NodeCloud(pos, 1.0)
     with pytest.raises(CloudError, match=r"^length: must be positive, got nan$"):
         NodeCloud(pos, math.nan)
+    with pytest.raises(CloudError, match=r"^length: must be finite, got inf$"):
+        NodeCloud(pos, math.inf)
 
 
 def test_cloud_rejects_duplicates():
+    # the error names the lowest node that repeats an earlier one and the
+    # first node at its position; -0.0 and 0.0 compare equal, so they coincide
     pos = np.array([[0.0], [0.5], [0.5], [1.0]])
-    with pytest.raises(CloudError):
+    with pytest.raises(CloudError, match=r"^nodes 1 and 2 coincide at \[0\.5\]$"):
+        NodeCloud(pos, 1.0)
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    for extra, message in [([[1.0, 0.0], [-0.0, 0.0]], r"nodes 1 and 4 coincide at \[1\.0, 0\.0\]"),
+                           ([[0.5, 0.5], [-0.0, 0.0], [0.5, 0.5]], r"nodes 0 and 5 coincide")]:
+        with pytest.raises(CloudError, match=f"^{message}"):
+            NodeCloud(np.array(square + extra), 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cloud_rejects_a_non_finite_position(value):
+    # NaN fails every comparison, so the range check alone would let it in
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, value]])
+    with pytest.raises(CloudError, match=re.escape(f"node 4: position must be finite, "
+                                                   f"got [0.5, {value}]")):
         NodeCloud(pos, 1.0)
 
 
@@ -173,6 +192,15 @@ def test_load_cloud_names_both_lines_of_coincident_nodes(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,boundary\n0.0,1\n0.5,0\n0.25,0\n0.5,0\n1.0,1\n")
     with pytest.raises(CloudError, match="bad.csv:5: node coincides with the node on line 3"):
+        load_cloud(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_cloud_names_the_line_of_a_non_finite_position(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,boundary\n0.0,1\n{value},0\n1.0,1\n")
+    with pytest.raises(CloudError, match=re.escape(f"bad.csv:3: position must be finite, "
+                                                   f"got [{value}]")):
         load_cloud(path)
 
 

@@ -8,10 +8,13 @@ explicit boundary closure, which composes corner rows from edge rows
 instead of inverting, agrees with the dense inverse to rounding.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from meshless_growth import (
@@ -123,6 +126,39 @@ def test_rows_the_grid_cannot_prove_are_recomputed(monkeypatch, criterion):
     monkeypatch.setattr(cloud_module, "_choose", spy)
     assert_matches_oracle(cloud, 8, criterion)
     assert cloud.n_nodes in widths
+
+
+def test_select_star_matches_the_oracle_on_random_clouds(monkeypatch):
+    # every row, whether the grid proves it or the all-nodes search redoes it,
+    # equals the node-by-node ranking; at least one row is redone
+    redone = []
+    choose = cloud_module._choose
+
+    def spy(cloud_, centers, cand, s, crit):
+        if cand.shape[1] == cloud_.n_nodes:
+            redone.append(centers.size)
+        return choose(cloud_, centers, cand, s, crit)
+
+    monkeypatch.setattr(cloud_module, "_choose", spy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), criterion=st.sampled_from(["distance", "quadrant"]),
+           s=st.integers(1, 12), extra=st.integers(0, 10), jitter=st.floats(0.0, 0.45),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dim=2, criterion="quadrant", s=8, extra=7, jitter=0.1, seed=11)  # 12x12: 2 redone
+    def check(dim, criterion, s, extra, jitter, seed):
+        if dim == 1:
+            criterion, n = "distance", s + 2 + 3 * extra
+        else:
+            s = max(s, 5) if criterion == "quadrant" else s
+            n = math.isqrt(s) + 3 + extra  # at least s interior nodes
+        cloud = generate_jittered(n, 1.0, dim=dim, jitter=jitter, seed=seed)
+        stars = select_star(cloud, s, criterion)
+        for node in range(cloud.n_nodes):
+            assert stars[node].tolist() == oracles.select_star(cloud, node, s, criterion).tolist()
+
+    check()
+    assert redone
 
 
 def test_spacing_estimate_equals_dense_nearest_neighbor_median():
