@@ -1,0 +1,116 @@
+"""Check that the working tree writes the same output files as a git revision.
+
+Usage:
+    python scripts/same_outputs.py REF
+
+Extracts REF with `git archive` and copies the working tree (its tracked and
+untracked, not ignored, files) into a temporary directory each.  In both it
+runs `meshless-growth run` and `stability --dump-stencils` on every preset,
+`verify --out`, `convergence --dim 1 --out` and `--dim 2 --out`, and
+`perfbench/run.py --workload W --seed 1 --seconds 0 --trace 0` for every
+workload of BENCHMARK.json.  Every file those commands write is compared byte
+for byte, and so is each exit code; standard output is not, since it prints
+paths, and neither is perfbench's results file, which holds timings.  Prints
+one line per difference and exits 1 if there is any.
+"""
+
+import argparse
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from meshless_growth import PRESET_NAMES  # noqa: E402
+
+
+def commands() -> dict[str, tuple[list[str], str]]:
+    """(arguments, the directory they write) of each command by name, run
+    from a tree's root; the CLI writes straight to out/<name>."""
+    cli = [sys.executable, "-m", "meshless_growth.cli"]
+    cmds = {}
+    for preset in PRESET_NAMES:
+        cmds[f"run-{preset}"] = [*cli, "run", "--preset", preset]
+        cmds[f"stability-{preset}"] = [*cli, "stability", "--preset", preset, "--dump-stencils"]
+    cmds["verify"] = [*cli, "verify"]
+    for dim in (1, 2):
+        cmds[f"convergence-{dim}d"] = [*cli, "convergence", "--dim", str(dim)]
+    cmds = {name: ([*argv, "--out", f"out/{name}"], f"out/{name}") for name, argv in cmds.items()}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in benchmark["workloads"]:
+        cmds[f"perfbench-{workload['name']}"] = (
+            [sys.executable, "perfbench/run.py", "--workload", workload["name"],
+             "--seed", "1", "--seconds", "0", "--trace", "0"], "perfbench/out")
+    return cmds
+
+
+def extract(ref: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_working_tree(dest: Path) -> None:
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def run_all(tree: Path, cmds) -> dict[str, int]:
+    """Exit code of each command; what it writes ends up in tree/out/<name>."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    codes = {}
+    for name, (argv, written) in cmds.items():
+        codes[name] = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.DEVNULL).returncode
+        if written != f"out/{name}" and (tree / written).exists():
+            shutil.move(tree / written, tree / "out" / name)
+    return codes
+
+
+def files(top: Path) -> set[Path]:
+    return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("ref", help="git revision to compare against, such as HEAD or a commit")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_tree, work_tree = Path(tmp) / "ref", Path(tmp) / "work"
+        for tree in (ref_tree, work_tree):
+            tree.mkdir()
+        extract(args.ref, ref_tree)
+        copy_working_tree(work_tree)
+        cmds = commands()
+        ref_codes, work_codes = run_all(ref_tree, cmds), run_all(work_tree, cmds)
+
+        diffs = [f"exit code of {name}: {ref_codes[name]} at {args.ref}, "
+                 f"{work_codes[name]} in the working tree"
+                 for name in cmds if ref_codes[name] != work_codes[name]]
+        ref_out, work_out = ref_tree / "out", work_tree / "out"
+        ref_files, work_files = files(ref_out), files(work_out)
+        diffs += [f"only at {args.ref}: {p}" for p in sorted(ref_files - work_files)]
+        diffs += [f"only in the working tree: {p}" for p in sorted(work_files - ref_files)]
+        diffs += [f"differs: {p}" for p in sorted(ref_files & work_files)
+                  if not filecmp.cmp(ref_out / p, work_out / p, shallow=False)]
+        for line in diffs:
+            print(line)
+        print(f"{len(cmds)} commands, {len(ref_files | work_files)} files: "
+              f"{len(diffs)} difference{'' if len(diffs) == 1 else 's'}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

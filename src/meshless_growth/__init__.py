@@ -52,12 +52,14 @@ from .scenario import (
 )
 from .scheme import (
     LogRecord,
+    March,
     NeumannOperator,
     SchemeConfig,
     Snapshot,
     StabilityEvent,
     State,
     Trajectory,
+    rhs,
     run,
     step,
 )

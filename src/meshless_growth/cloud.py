@@ -55,6 +55,7 @@ class NodeCloud:
                 if not on[:, axis].any():
                     raise CloudError(f"no node on the face {'xy'[axis]} = {face:g}")
         normals = _edge_normals(low, high)
+        object.__setattr__(self, "positions", pos)  # the same object for float64 input
         object.__setattr__(self, "dim", pos.shape[1])
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "boundary", normals.any(axis=1))

@@ -132,37 +132,43 @@ class FieldSpec:
     base: float = 0.0
     path: str | None = None
 
+    def __post_init__(self):
+        if not all(bump[-1] > 0 for bump in self.bumps):
+            raise ValueError("bumps: sigma must be positive")
+        if any(a[0] > b[0] for a, b in zip(self.points, self.points[1:])):
+            raise ValueError("points: breakpoints must be sorted")
+
     def evaluate(self, cloud: NodeCloud) -> np.ndarray:
+        """The field at every node; a rejection names its field, as the
+        dataclass rules do."""
         if self.kind == "constant":
             return np.full(cloud.n_nodes, float(self.value))
         if self.kind == "piecewise":
             if cloud.dim != 1:
-                raise ScenarioError("piecewise initial fields are 1D only")
+                raise ScenarioError("points: piecewise initial fields are 1D only")
             xs = np.array([p[0] for p in self.points])
             vs = np.array([p[1] for p in self.points])
-            if np.any(np.diff(xs) < 0):
-                raise ScenarioError("piecewise breakpoints must be sorted")
             return np.interp(cloud.positions[:, 0], xs, vs)
         if self.kind == "gaussians":
             out = np.full(cloud.n_nodes, float(self.base))
             for bump in self.bumps:
                 amp, *center, sigma = bump
                 if len(center) != cloud.dim:
-                    raise ScenarioError(
-                        f"bump center has {len(center)} coordinates on a {cloud.dim}D cloud")
+                    raise ScenarioError(f"bumps: bump center has {len(center)} coordinates "
+                                        f"on a {cloud.dim}D cloud")
                 r2 = ((cloud.positions - np.asarray(center)) ** 2).sum(axis=1)
                 out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
             return out
         if self.kind == "file":
             return _load_field_file(self.path, cloud.n_nodes)
-        raise ScenarioError(f"unknown initial field kind {self.kind!r}")
+        raise ScenarioError(f"kind: unknown initial field kind {self.kind!r}")
 
 
 def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["node", "value"]:
-        raise ScenarioError(f"{path}: field file header must be node,value")
+        raise ScenarioError(f"path: {path}: field file header must be node,value")
     out = np.full(n_nodes, np.nan)
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -170,13 +176,13 @@ def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
         try:
             idx, val = int(row[0]), float(row[1])
         except (ValueError, IndexError):
-            raise ScenarioError(f"{path}:{lineno}: expected node,value") from None
+            raise ScenarioError(f"path: {path}:{lineno}: expected node,value") from None
         if not 0 <= idx < n_nodes:
-            raise ScenarioError(f"{path}:{lineno}: node {idx} out of range")
+            raise ScenarioError(f"path: {path}:{lineno}: node {idx} out of range")
         out[idx] = val
     if np.any(np.isnan(out)):
         missing = int(np.flatnonzero(np.isnan(out))[0])
-        raise ScenarioError(f"{path}: no value for node {missing}")
+        raise ScenarioError(f"path: {path}: no value for node {missing}")
     return out
 
 
@@ -196,7 +202,8 @@ class Scenario:
         return StarSpec(*STAR_RULE[self.cloud.dim])
 
     def initial_state(self, cloud: NodeCloud) -> State:
-        return State(k=self.k0.evaluate(cloud), A=self.A0.evaluate(cloud), time=0.0)
+        return State(k=_build("initial.k0_", self.k0.evaluate, cloud),
+                     A=_build("initial.A0_", self.A0.evaluate, cloud), time=0.0)
 
 
 def _parse_points(raw: str) -> tuple[tuple[float, float], ...]:
@@ -276,7 +283,8 @@ def _parse_field(sec, prefix: str) -> FieldSpec:
                   [prefix + name for name in ("kind", *converters)],
                   "initial", f"not read by {prefix}kind = {kind}")
     _require(sec, "initial", prefix + next(iter(converters)))  # the kind's data
-    return FieldSpec(kind=kind, **_convert(sec, "initial", converters, prefix))
+    return _build(f"initial.{prefix}", FieldSpec, kind=kind,
+                  **_convert(sec, "initial", converters, prefix))
 
 
 def _config_parser() -> configparser.ConfigParser:

@@ -11,7 +11,7 @@ residual stays at rounding level and the operation is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,31 +144,34 @@ def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=()) -> None:
             raise DivergenceError(node=int(np.argmax(bad)), time=time)
 
 
-def step(
-    state: State,
-    table: StencilTable,
-    params: ModelParams,
-    dt: float,
-    *,
-    g_field: np.ndarray,
-    neumann: NeumannOperator,
-    forcing=None,
-) -> State:
-    """One forward Euler step followed by boundary enforcement, checked
-    once for divergence after it.
+@dataclass(frozen=True, eq=False)
+class March:
+    """What every step of one run reads, built once from the table, the
+    parameters and an optional forcing: g_field is tech_rate_field(cloud,
+    params.g_spec) and neumann the cloud's NeumannOperator.  forcing, if
+    given, is called as forcing(positions, time) and added to the capital
+    equation (manufactured solutions)."""
 
-    g_field is tech_rate_field(cloud, params.g_spec) and neumann the
-    cloud's NeumannOperator.  Reads only level-n values, so the node update
-    order is immaterial.  forcing, if given, is called as forcing(positions,
-    time) and added to the capital equation (manufactured solutions).  The
-    right-hand sides are built in place in the order of lap + flux + A f(k)
-    - delta k and D lap_A + A g, so each rounding is the plain expression's.
-    A step that overflows is reported by DivergenceError, and run silences
-    the overflow and invalid-value warnings of its march; a direct caller of
-    step owns them.
+    table: StencilTable
+    params: ModelParams
+    forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
+    g_field: np.ndarray = field(init=False)
+    neumann: NeumannOperator = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "g_field", tech_rate_field(self.table.cloud, self.params.g_spec))
+        object.__setattr__(self, "neumann", NeumannOperator(self.table.cloud, self.table))
+
+
+def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
+    """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
+
+    They are built in place, as fresh arrays, in the order of lap + flux +
+    A f(k) - delta k + forcing and D lap_A + A g, so each rounding is the
+    plain expression's.
     """
+    table, params = march.table, march.params
     k, A = state.k, state.A
-    new_time = state.time + dt
     chi = params.chi
     dk = table.derivatives(k)
     rhs_k = table.laplacian_parts(dk)  # a fresh array, or a column of dk in 1D
@@ -183,25 +186,37 @@ def step(
             flux -= chi * k * rhs_a
             rhs_k += flux
         rhs_a *= params.tech_diffusion
-        rhs_a += A * g_field
+        rhs_a += A * march.g_field
     else:  # a zero term is left out, not added: that could only turn -0.0 to +0.0
-        rhs_a = A * g_field
+        rhs_a = A * march.g_field
 
     # Undershoots from the explicit step feed the production term as zero.
     rhs_k += A * production(np.maximum(k, 0.0), params)
     rhs_k -= params.delta * k
-    if forcing is not None:
-        rhs_k += forcing(table.cloud.positions, state.time)
+    if march.forcing is not None:
+        rhs_k += march.forcing(table.cloud.positions, state.time)
+    return rhs_k, rhs_a
 
-    rhs_k *= dt
-    rhs_k += k
-    rhs_a *= dt
-    rhs_a += A
-    k_new = neumann.project(rhs_k)
-    a_new = neumann.project(rhs_a)
+
+def step(state: State, march: March, dt: float) -> State:
+    """One forward Euler step on rhs, the boundary projection of both
+    fields, and one divergence check after it.
+
+    Reads only level-n values, so the node update order is immaterial.  A
+    step that overflows is reported by DivergenceError, and run silences
+    the overflow and invalid-value warnings of its march; a direct caller
+    of step owns them.
+    """
+    new_k, new_a = rhs(state, march)
+    new_k *= dt
+    new_k += state.k
+    new_a *= dt
+    new_a += state.A
+    new_time = state.time + dt
+    k, A = march.neumann.project(new_k), march.neumann.project(new_a)
     # Nodes are named as the update left them; a bad value the projection replaced is dropped.
-    _check_finite(k_new, a_new, new_time, before=[(rhs_k, rhs_a)])
-    return State(k=k_new, A=a_new, time=new_time)
+    _check_finite(k, A, new_time, before=[(new_k, new_a)])
+    return State(k=k, A=A, time=new_time)
 
 
 def run(
@@ -224,12 +239,10 @@ def run(
     if initial.k.shape != (cloud.n_nodes,):
         raise ValueError("initial state size does not match the cloud")
     traj = Trajectory(cloud=cloud)
-    g_field = tech_rate_field(cloud, params.g_spec)
-    neumann = NeumannOperator(cloud, table)
-
+    march = March(table, params, forcing)
     # Project the initial data too, so even the t=0 snapshot honors zero flux.
-    state = State(k=neumann.project(initial.k.astype(float)),
-                  A=neumann.project(initial.A.astype(float)), time=float(initial.time))
+    state = State(k=march.neumann.project(initial.k.astype(float)),
+                  A=march.neumann.project(initial.A.astype(float)), time=float(initial.time))
     dt = config.dt
     pending = list(config.snapshot_times)
     prev, step_dt = state, 0.0
@@ -271,8 +284,7 @@ def run(
             # The log holds this state's min k, so most steps need no count.
             clamp_count = int(np.count_nonzero(state.k < 0)) if traj.log[-1].min_k < 0 else 0
             try:
-                state = step(state, table, params, step_dt,
-                             g_field=g_field, neumann=neumann, forcing=forcing)
+                state = step(state, march, step_dt)
             except DivergenceError as exc:
                 traj.diverged = DivergenceError(exc.node, exc.time, step_idx + 1)
                 break

@@ -67,8 +67,7 @@ class StabilityReport:
     """Per interior star (arrays aligned with nodes) and the global bound.
 
     dt_max is the capital bound 2 / (m00 + Phi1 + Phi2), NaN where that
-    denominator is not positive; dt_tech is the technology bound, NaN where
-    technology does not diffuse or its denominator is not positive.
+    denominator is not positive; global_dt also takes the technology bound.
     """
 
     nodes: np.ndarray
@@ -76,7 +75,6 @@ class StabilityReport:
     phi2: np.ndarray
     margin: np.ndarray
     dt_max: np.ndarray
-    dt_tech: np.ndarray
     global_dt: float
     violations: np.ndarray  # nodes failing the sign condition
 
@@ -126,13 +124,10 @@ def dt_bound(table: StencilTable, state: State, params: ModelParams) -> Stabilit
     else:
         raise NoAdmissibleTimeStepError("no star yields a positive step bound")
 
-    dt_tech = np.full(nodes.size, np.nan)
     if params.tech_diffusion != 0.0:
         g = tech_rate_field(table.cloud, params.g_spec)[nodes]
         tech_denom = params.tech_diffusion * (m00 + spread) - g
         pos = tech_denom > 0
-        dt_tech[pos] = 2.0 / tech_denom[pos]
         if pos.any():
-            global_dt = min(global_dt, float(dt_tech[pos].min()))
-    return StabilityReport(nodes, phi1, phi2, margin, dt_max, dt_tech, global_dt,
-                           nodes[~(margin > 0)])
+            global_dt = min(global_dt, float((2.0 / tech_denom[pos]).min()))
+    return StabilityReport(nodes, phi1, phi2, margin, dt_max, global_dt, nodes[~(margin > 0)])

@@ -91,10 +91,9 @@ class StencilTable:
     the two arrays it is given, which build_all_stencils makes C-contiguous,
     and every consumer reads them.  A derivative is one gather and one
     contraction along the node axis, with the center term summed last.
-    neighbors (N, s) and neighbor_coeffs (N, s, nd) are transposed views of
-    the first s slots, and an in-place edit through them changes
-    derivatives; center_coeffs (N, nd) is a read-only copy of the last slot,
-    negated.
+    neighbor_coeffs (N, s, nd) is a transposed view of the first s slots,
+    and an in-place edit through it changes derivatives; center_coeffs
+    (N, nd) is a read-only copy of the last slot, negated.
     """
 
     def __init__(self, cloud: NodeCloud, stars: np.ndarray, coeffs: np.ndarray):
@@ -109,7 +108,6 @@ class StencilTable:
         self.cloud = cloud
         self.stars = stars
         self.coeffs = coeffs
-        self.neighbors = stars[:s].T
         self.neighbor_coeffs = coeffs[:, :s].T
         self.center_coeffs = np.negative(coeffs[:, s], order="C").T
         self.center_coeffs.flags.writeable = False

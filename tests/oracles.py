@@ -8,7 +8,7 @@ stability CSVs written row by row.  The others are the plainer dense forms
 of the per-step kernels: derivatives on node-major arrays, the boundary
 closure as a dense (n_b, N) gather times the inverse of the boundary
 matrix, whatever the stars, the closed Laplacian that it gives, and the
-forward-Euler step written as plain expressions.  Tests
+right-hand sides and the forward-Euler step written as plain expressions.  Tests
 require the package to match them.  `save_cloud` writes the cloud
 files that `load_cloud` reads.  Last, `ode_oracle` integrates the spatially
 uniform reduction of the system with Runge-Kutta 4.
@@ -172,7 +172,7 @@ def f_prime(k_center: float, k_field: np.ndarray, params) -> float:
 
 def phi_terms(table, node: int, k_field, A_field, params):
     """Phi1 and Phi2 of one star evaluated on the current fields."""
-    nbrs = table.neighbors[node]
+    nbrs = table.stars[:-1, node]
     a0 = float(A_field[node])
     ai = A_field[nbrs]
     m00 = laplacian_center(table, node)
@@ -219,7 +219,7 @@ def dt_bound(table, state, params):
 
 def flux_term(table, node: int, k_field, A_field, chi: float) -> float:
     """Taxis flux -chi grad(k).grad(A) - chi k0 lap(A) at one star."""
-    nbrs = table.neighbors[node]
+    nbrs = table.stars[:-1, node]
     cc, nc = table.center_coeffs[node], table.neighbor_coeffs[node]
     dk = apply_stencil(cc, nc, k_field[node], k_field[nbrs])
     da = apply_stencil(cc, nc, A_field[node], A_field[nbrs])
@@ -232,16 +232,15 @@ def derivatives(table, field: np.ndarray) -> np.ndarray:
     """All derivative components at every node from node-major copies of
     the table's arrays, shape (N, nd)."""
     coeffs = np.ascontiguousarray(table.neighbor_coeffs)
-    gathered = field[np.ascontiguousarray(table.neighbors)]
+    gathered = field[np.ascontiguousarray(table.stars[:-1].T)]
     return np.einsum("nsd,ns->nd", coeffs, gathered) \
         - np.ascontiguousarray(table.center_coeffs) * field[:, None]
 
 
-def euler_step(state, table, params, dt, *, g_field, neumann, forcing=None):
-    """The forward-Euler step as plain array expressions, without the
-    divergence check.  scheme.step builds the same right-hand sides in
-    place and must match this bit for bit."""
-    cloud = table.cloud
+def plain_rhs(state, march):
+    """The right-hand sides (dk/dt, dA/dt) as plain array expressions.
+    scheme.rhs builds the same sums in place and must match this bit for bit."""
+    table, params = march.table, march.params
     k, A = state.k, state.A
     with np.errstate(over="ignore", invalid="ignore"):
         dk = table.derivatives(k)
@@ -252,7 +251,7 @@ def euler_step(state, table, params, dt, *, g_field, neumann, forcing=None):
         else:
             lap_a = 0.0
         if params.chi != 0.0:
-            if cloud.dim == 1:
+            if table.cloud.dim == 1:
                 grad_dot = dk[:, 0] * da[:, 0]
             else:
                 grad_dot = dk[:, 0] * da[:, 0] + dk[:, 1] * da[:, 1]
@@ -260,12 +259,20 @@ def euler_step(state, table, params, dt, *, g_field, neumann, forcing=None):
         else:
             flux = 0.0
         rhs_k = lap_k + flux + A * production(np.maximum(k, 0.0), params) - params.delta * k
-        if forcing is not None:
-            rhs_k = rhs_k + forcing(cloud.positions, state.time)
-        rhs_a = params.tech_diffusion * lap_a + A * g_field
-        k_new = k + dt * rhs_k
-        a_new = A + dt * rhs_a
-    return State(k=neumann.project(k_new), A=neumann.project(a_new), time=state.time + dt)
+        if march.forcing is not None:
+            rhs_k = rhs_k + march.forcing(table.cloud.positions, state.time)
+        rhs_a = params.tech_diffusion * lap_a + A * march.g_field
+    return rhs_k, rhs_a
+
+
+def euler_step(state, march, dt):
+    """The forward-Euler step on plain_rhs, without the divergence check."""
+    rhs_k, rhs_a = plain_rhs(state, march)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_new = state.k + dt * rhs_k
+        a_new = state.A + dt * rhs_a
+    return State(k=march.neumann.project(k_new), A=march.neumann.project(a_new),
+                 time=state.time + dt)
 
 
 def dense_projection(cloud, table) -> np.ndarray:
@@ -280,7 +287,7 @@ def dense_projection(cloud, table) -> np.ndarray:
     for row, b in enumerate(b_idx):
         normal = cloud.normals[b]
         mat[row, row] = float(normal @ table.center_coeffs[b, :cloud.dim])
-        for i, nbr in enumerate(table.neighbors[b]):
+        for i, nbr in enumerate(table.stars[:-1, b]):
             coeff = float(normal @ table.neighbor_coeffs[b, i, :cloud.dim])
             if int(nbr) in col:
                 mat[row, col[int(nbr)]] = -coeff
@@ -303,7 +310,7 @@ def closed_laplacian(cloud, table) -> np.ndarray:
     lap = np.zeros((interior.size, cloud.n_nodes))
     for row, node in enumerate(interior):
         lap[row, node] -= laplacian_center(table, node)
-        for nbr, coeff in zip(table.neighbors[node], laplacian_neighbors(table, node)):
+        for nbr, coeff in zip(table.stars[:-1, node], laplacian_neighbors(table, node)):
             lap[row, nbr] += coeff
     return (lap @ dense_projection(cloud, table))[:, interior]
 

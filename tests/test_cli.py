@@ -252,6 +252,32 @@ def test_bad_scenario_content_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+QUICK_K0 = "k0_kind = piecewise\nk0_points = 0:1, 0.5:3, 1:1"
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    # a zero sigma would give a NaN initial field, reported as divergence at step 1
+    (QUICK, QUICK_K0, "k0_kind = gaussians\nk0_bumps = 1, 0.5, 0",
+     "initial.k0_bumps: sigma must be positive"),
+    (QUICK, QUICK_K0, "k0_kind = gaussians\nk0_bumps = 1, 0.5, 0.1; 1, 0.2, -0.1",
+     "initial.k0_bumps: sigma must be positive"),
+    (QUICK, QUICK_K0, "k0_kind = piecewise\nk0_points = 0:1, 1:2, 0.5:3",
+     "initial.k0_points: breakpoints must be sorted"),
+    (QUICK_2D, "k0_kind = constant\nk0_value = 1.0", "k0_kind = piecewise\nk0_points = 0:1, 1:2",
+     "initial.k0_points: piecewise initial fields are 1D only"),
+    (QUICK, QUICK_K0, "k0_kind = gaussians\nk0_bumps = 1, 0.5, 0.5, 0.1",
+     "initial.k0_bumps: bump center has 2 coordinates on a 1D cloud"),
+], ids=["sigma-zero", "sigma-negative", "unsorted-points", "piecewise-in-2d", "bump-center-arity"])
+def test_bad_initial_field_is_config_error_naming_its_key(tmp_path, capsys, text, old, new,
+                                                          message):
+    assert old in text
+    scen = write_scenario(tmp_path, text.replace(old, new))
+    out = tmp_path / "x"
+    assert main(["run", "--scenario", scen, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_preset_stability_smoke(tmp_path, capsys):
     out = tmp_path / "preset"
     assert main(["stability", "--preset", "growth-1d-delta005",

@@ -79,8 +79,8 @@ def test_closure_rows_read_their_stars_and_their_edge_neighbors_stars():
     table = build_all_stencils(cloud, 8, "quadrant")
     op = NeumannOperator(cloud, table)
     for row, node in enumerate(cloud.boundary_indices):
-        star = table.neighbors[node]
+        star = table.stars[:-1, node]
         edges = star[cloud.boundary[star]]
         assert edges.size == 0 or np.count_nonzero(cloud.normals[node]) == 2
-        reach = np.union1d(star, table.neighbors[edges].ravel())
+        reach = np.union1d(star, table.stars[:-1].T[edges].ravel())
         assert op.cols[op.closure[row] != 0].tolist() == reach[~cloud.boundary[reach]].tolist()

@@ -53,6 +53,21 @@ def test_cloud_rejects_out_of_domain():
         NodeCloud(pos, math.inf)
 
 
+@pytest.mark.parametrize("dim,s,criterion", [(1, 2, "distance"), (2, 8, "quadrant")])
+def test_cloud_stores_its_positions_as_a_float_array(dim, s, criterion):
+    # integer nodes on [0, 4]^dim, given as a list of rows and as an int array
+    grid = np.stack(np.meshgrid(*[np.arange(5)] * dim, indexing="xy"), axis=-1).reshape(-1, dim)
+    floats = NodeCloud(grid.astype(float), 4.0)
+    assert NodeCloud(floats.positions, 4.0).positions is floats.positions
+    expect = build_all_stencils(floats, s, criterion)
+    for given in (grid.tolist(), grid):
+        cloud = NodeCloud(given, 4.0)
+        assert cloud.positions.dtype == float and cloud.n_nodes == grid.shape[0]
+        table = build_all_stencils(cloud, s, criterion)
+        assert np.array_equal(table.stars, expect.stars)
+        assert table.coeffs.tobytes() == expect.coeffs.tobytes()
+
+
 def test_cloud_rejects_duplicates():
     # the error names the lowest node that repeats an earlier one and the
     # first node at its position; -0.0 and 0.0 compare equal, so they coincide

@@ -251,11 +251,10 @@ def test_piecewise_field_evaluation():
                      points=((0.0, 5.0), (0.25, 5.0), (0.75, 25.0), (1.0, 25.0)))
     vals = spec.evaluate(cloud)
     assert vals.tolist() == [5.0, 5.0, 15.0, 25.0, 25.0]
-    with pytest.raises(ScenarioError, match="1D"):
+    with pytest.raises(ScenarioError, match=r"^points: piecewise initial fields are 1D only$"):
         spec.evaluate(generate_regular(4, 1.0, dim=2))
-    unsorted = FieldSpec(kind="piecewise", points=((0.5, 1.0), (0.0, 2.0)))
-    with pytest.raises(ScenarioError, match="sorted"):
-        unsorted.evaluate(cloud)
+    with pytest.raises(ValueError, match=r"^points: breakpoints must be sorted$"):
+        FieldSpec(kind="piecewise", points=((0.5, 1.0), (0.0, 2.0)))
 
 
 def test_gaussian_bump_field_evaluation():
@@ -347,7 +346,8 @@ K0_CONSTANT = "k0_kind = constant\nk0_value = 1.0"
     (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps = 1, 0.1",
      r"initial\.k0_bumps: bump needs amplitude,center\.\.\.,sigma, got '1, 0\.1'"),
     (K0_CONSTANT, "k0_kind = gaussians\nk0_bumps =", r"initial\.k0_bumps: no bumps given"),
-    (K0_CONSTANT, "k0_kind = file\nk0_path = {path}", r"{path}:3: expected node,value"),
+    (K0_CONSTANT, "k0_kind = file\nk0_path = {path}",
+     r"initial\.k0_path: {path}:3: expected node,value"),
     (K0_CONSTANT, "k0_kind = file\nk0_path =", r"initial\.k0_path: empty path"),
     # the rules of ModelParams, GrowthSpec and SchemeConfig, named by their keys
     ("[initial]", "[model]\nq = 0\n\n[initial]", r"model\.q: must be positive"),

@@ -11,6 +11,7 @@ from meshless_growth import (
     DegenerateBoundaryStarError,
     DivergenceError,
     GrowthSpec,
+    March,
     ModelParams,
     NeumannOperator,
     PRESET_NAMES,
@@ -23,16 +24,16 @@ from meshless_growth import (
     generate_regular,
     get_preset,
     production,
+    rhs,
     run,
     step,
-    tech_rate_field,
 )
 from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
-from oracles import apply_stencil, euler_step, flux_term
+from oracles import apply_stencil, euler_step, flux_term, plain_rhs
 
 
 def star_values(field, table, i):
-    return np.concatenate([[field[i]], field[table.neighbors[i]]])
+    return np.concatenate([[field[i]], field[table.stars[:-1, i]]])
 
 
 def test_flux_1d_frozen_example():
@@ -59,8 +60,9 @@ def test_flux_2d_frozen_example():
         assert got == pytest.approx(-6 * chi * (x[i] + y[i]), rel=1e-9)
 
 
-def scalar_reference_step(state, table, params, dt, g_field, neumann):
+def scalar_reference_step(state, march, dt):
     """Per-node loop in shuffled order; must equal the vectorized step."""
+    table, params = march.table, march.params
     cloud = table.cloud
     n = cloud.n_nodes
     k_new = np.empty(n)
@@ -78,10 +80,10 @@ def scalar_reference_step(state, table, params, dt, g_field, neumann):
         flux = flux_term(table, i, state.k, state.A, params.chi)
         rhs_k = lap_k + flux + As[0] * production(max(ks[0], 0.0), params) \
             - params.delta * ks[0]
-        rhs_a = params.tech_diffusion * lap_a + As[0] * g_field[i]
+        rhs_a = params.tech_diffusion * lap_a + As[0] * march.g_field[i]
         k_new[i] = ks[0] + dt * rhs_k
         a_new[i] = As[0] + dt * rhs_a
-    return State(neumann.project(k_new), neumann.project(a_new), state.time + dt)
+    return State(march.neumann.project(k_new), march.neumann.project(a_new), state.time + dt)
 
 
 @pytest.mark.parametrize("dim,s,crit", [(1, 4, "distance"), (2, 8, "quadrant")])
@@ -92,12 +94,11 @@ def test_step_matches_scalar_reference(dim, s, crit):
     params = ModelParams(alpha1=1.0, alpha2=1.0, p=2.0, q=2.0, delta=0.1,
                          chi=0.8, tech_diffusion=0.05,
                          g_spec=GrowthSpec("gaussian", 0.1, (0.5,) * dim, 0.2))
-    g_field = tech_rate_field(cloud, params.g_spec)
-    neumann = NeumannOperator(cloud, table)
+    march = March(table, params)
     state = State(k=rng.uniform(0.5, 2.0, cloud.n_nodes),
                   A=rng.uniform(0.8, 1.2, cloud.n_nodes), time=0.0)
-    got = step(state, table, params, 1e-4, g_field=g_field, neumann=neumann)
-    ref = scalar_reference_step(state, table, params, 1e-4, g_field, neumann)
+    got = step(state, march, 1e-4)
+    ref = scalar_reference_step(state, march, 1e-4)
     assert np.allclose(got.k, ref.k, rtol=1e-12, atol=1e-14)
     assert np.allclose(got.A, ref.A, rtol=1e-12, atol=1e-14)
 
@@ -116,16 +117,6 @@ def test_neumann_projection_idempotent_and_zero_flux():
         assert abs(normal_deriv) < 1e-10
 
 
-def test_step_requires_the_growth_field_and_the_closure():
-    cloud = generate_regular(5, 1.0, dim=1)
-    table = build_all_stencils(cloud, 2)
-    state = State(k=np.ones(5), A=np.ones(5), time=0.0)
-    with pytest.raises(TypeError, match="g_field"):
-        step(state, table, ModelParams(), 1e-3, neumann=NeumannOperator(cloud, table))
-    with pytest.raises(TypeError, match="neumann"):
-        step(state, table, ModelParams(), 1e-3, g_field=np.zeros(5))
-
-
 def _forcing(positions, t):
     return np.sin(3.0 * positions[:, 0]) * (1.0 + t)
 
@@ -141,35 +132,46 @@ STEP_CASES = [(name, {}, False) for name in PRESET_NAMES] + [
 ]
 
 
-@pytest.mark.parametrize("name,changes,forced", STEP_CASES,
-                         ids=[f"{n}{'-D' if c else ''}{'-forced' if f else ''}"
-                              for n, c, f in STEP_CASES])
-def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
+STEP_CASE_IDS = [f"{n}{'-D' if c else ''}{'-forced' if f else ''}" for n, c, f in STEP_CASES]
+
+
+def _step_case(name, changes, forced):
+    """The case's march and its projected initial state."""
     scenario = get_preset(name)
-    params = replace(scenario.model, **changes)
     cloud = scenario.cloud.build()
-    table = scenario.star.build_table(cloud)
-    neumann = NeumannOperator(cloud, table)
-    kw = {"g_field": tech_rate_field(cloud, params.g_spec), "neumann": neumann,
-          "forcing": _forcing if forced else None}
+    march = March(scenario.star.build_table(cloud), replace(scenario.model, **changes),
+                  _forcing if forced else None)
     init = scenario.initial_state(cloud)
     a0 = init.A * (1.0 + 0.3 * np.sin(7.0 * cloud.positions[:, 0])) if forced else init.A
-    got = ref = State(k=neumann.project(init.k), A=neumann.project(a0), time=0.0)
+    return march, State(k=march.neumann.project(init.k), A=march.neumann.project(a0), time=0.0)
+
+
+@pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
+def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
+    march, got = _step_case(name, changes, forced)
+    ref = got
     for _ in range(50):  # 5e-4 is under every case's step bound
-        got = step(got, table, params, 5e-4, **kw)
-        ref = euler_step(ref, table, params, 5e-4, **kw)
+        got = step(got, march, 5e-4)
+        ref = euler_step(ref, march, 5e-4)
     assert got.k.tobytes() == ref.k.tobytes()
     assert got.A.tobytes() == ref.A.tobytes()
     assert got.time == ref.time
 
 
+@pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
+def test_rhs_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
+    march, state = _step_case(name, changes, forced)
+    for _ in range(20):
+        got, ref = rhs(state, march), plain_rhs(state, march)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        state = step(state, march, 5e-4)
+
+
 def _bad_node_setup():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=3)
     table = build_all_stencils(cloud, 8, "quadrant")
-    neumann = NeumannOperator(cloud, table)
-    params = ModelParams(p=2.0, q=2.0, g_spec=GrowthSpec("constant", 0.02))
-    kw = {"g_field": tech_rate_field(cloud, params.g_spec), "neumann": neumann}
-    return cloud, table, neumann, params, kw
+    return March(table, ModelParams(p=2.0, q=2.0, g_spec=GrowthSpec("constant", 0.02)))
 
 
 def _at(node, value, n):
@@ -179,7 +181,8 @@ def _at(node, value, n):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["k", "A"])
 def test_step_names_the_interior_node_that_went_bad(field, value):
-    cloud, table, neumann, params, kw = _bad_node_setup()
+    march = _bad_node_setup()
+    cloud, neumann = march.table.cloud, march.neumann
     n = cloud.n_nodes
     # An interior node the boundary closure reads: projecting spreads its
     # value to every boundary node, lower-numbered ones included.  The
@@ -192,21 +195,21 @@ def test_step_names_the_interior_node_that_went_bad(field, value):
     assert cloud.boundary_indices.min() < node
     state = State(k=np.ones(n), A=np.ones(n), time=0.5)
     if field == "k":
-        kw["forcing"] = lambda pos, t: _at(node, value, len(pos))
+        march = replace(march, forcing=lambda pos, t: _at(node, value, len(pos)))
     else:  # without taxis or diffusion only the node's own update reads A there
         state = State(k=state.k, A=state.A + _at(node, value, n), time=0.5)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
-        step(state, table, params, 1e-3, **kw)
+        step(state, march, 1e-3)
     assert err.value.node == node and err.value.time == 0.5 + 1e-3
 
 
 def test_step_drops_a_bad_boundary_value_the_projection_overwrites():
-    cloud, table, neumann, params, kw = _bad_node_setup()
+    march = _bad_node_setup()
+    cloud = march.table.cloud
     n = cloud.n_nodes
     node = int(cloud.boundary_indices[3])
     state = State(k=np.ones(n), A=np.ones(n), time=0.0)
-    out = step(state, table, params, 1e-3,
-               forcing=lambda pos, t: _at(node, np.nan, len(pos)), **kw)
+    out = step(state, replace(march, forcing=lambda pos, t: _at(node, np.nan, len(pos))), 1e-3)
     assert np.isfinite(out.k).all()
 
 
@@ -286,9 +289,8 @@ def test_forcing_enters_capital_equation():
     params = ModelParams(alpha1=0.0, delta=0.0)
     state = State(k=np.ones(9), A=np.ones(9), time=0.0)
     dt = 1e-3
-    kw = {"g_field": np.zeros(9), "neumann": NeumannOperator(cloud, table)}
-    plain = step(state, table, params, dt, **kw)
-    forced = step(state, table, params, dt, forcing=lambda pos, t: np.ones(len(pos)), **kw)
+    plain = step(state, March(table, params), dt)
+    forced = step(state, March(table, params, lambda pos, t: np.ones(len(pos))), dt)
     inner = cloud.interior_indices
     assert np.allclose(forced.k[inner] - plain.k[inner], dt, rtol=0, atol=1e-15)
     assert np.array_equal(forced.A, plain.A)
@@ -401,12 +403,11 @@ def test_run_silences_the_warnings_of_a_march_that_overflows():
     assert err is not None and err.node is not None and err.step is not None
     assert np.abs(traj.final.A).max() > 1e300  # the last finite state
     # a direct caller of step owns the warnings
-    neumann = NeumannOperator(cloud, table)
-    g_field = tech_rate_field(cloud, params.g_spec)
-    state = State(neumann.project(init.k), neumann.project(init.A), 0.0)
+    march = March(table, params)
+    state = State(march.neumann.project(init.k), march.neumann.project(init.A), 0.0)
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DivergenceError):
         for _ in range(err.step):
-            state = step(state, table, params, config.dt, g_field=g_field, neumann=neumann)
+            state = step(state, march, config.dt)
 
 
 def test_stability_check_records_violations():

@@ -73,7 +73,7 @@ def test_derivatives_match_unscaled_lstsq_fit():
     table = build_all_stencils(cloud, 8, "quadrant")
     packed = table.derivatives(field)
     for node in rng.choice(cloud.n_nodes, size=10, replace=False):
-        nbrs = table.neighbors[node]
+        nbrs = table.stars[:-1, node]
         ref = lstsq_derivatives(cloud.positions[nbrs] - cloud.positions[node],
                                 field[node], field[nbrs])
         assert np.allclose(packed[node], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
@@ -134,7 +134,7 @@ def test_table_matches_per_star_application():
     packed = table.derivatives(field)
     for i in range(cloud.n_nodes):
         one = apply_stencil(table.center_coeffs[i], table.neighbor_coeffs[i],
-                            field[i], field[table.neighbors[i]])
+                            field[i], field[table.stars[:-1, i]])
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
     lap = table.laplacian_parts(table.derivatives(field))
     assert np.allclose(lap, packed[:, 1], rtol=0, atol=0)
@@ -158,15 +158,14 @@ def test_table_rejects_stars_whose_last_slot_is_not_their_node():
 def test_table_is_stored_component_major():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
     table = build_all_stencils(cloud, 8, "quadrant")
-    n, s = table.neighbors.shape
+    s, n = table.coeffs.shape[1] - 1, cloud.n_nodes
     # each star is packed with its node as the last slot, whose coefficient is -center
     stars, coeffs = table.stars, table.coeffs
     assert stars.flags.c_contiguous and stars.shape == (s + 1, n)
     assert coeffs.flags.c_contiguous and coeffs.shape == (5, s + 1, n)
     assert np.array_equal(stars[s], np.arange(n))
     assert np.array_equal(coeffs[:, s].T, -table.center_coeffs)
-    # the node-major attributes are views of the first s slots
-    assert np.shares_memory(table.neighbors, stars)
+    # neighbor_coeffs is a node-major view of the first s slots
     assert np.shares_memory(table.neighbor_coeffs, coeffs)
     assert table.center_coeffs.T.flags.c_contiguous
     # the table keeps the arrays it was given
@@ -188,7 +187,7 @@ def test_in_place_coefficient_edit_reaches_derivatives():
     table.neighbor_coeffs[17, 3, 2] += 0.5
     after = table.derivatives(field)
     expect = before.copy()
-    expect[17, 2] += 0.5 * field[table.neighbors[17, 3]]
+    expect[17, 2] += 0.5 * field[table.stars[3, 17]]
     assert np.allclose(after, expect, rtol=1e-14, atol=0)
     changed = after != before
     assert changed[17, 2] and changed.sum() == 1
