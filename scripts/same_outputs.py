@@ -66,6 +66,17 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def make_trees(ref: str, top: Path) -> tuple[Path, Path]:
+    """top/ref, REF as `git archive` gives it, and top/work, a copy of the
+    working tree."""
+    ref_tree, work_tree = top / "ref", top / "work"
+    for tree in (ref_tree, work_tree):
+        tree.mkdir()
+    extract(ref, ref_tree)
+    copy_working_tree(work_tree)
+    return ref_tree, work_tree
+
+
 def run_all(tree: Path, cmds) -> dict[str, int]:
     """Exit code of each command; what it writes ends up in tree/out/<name>."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -88,11 +99,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        ref_tree, work_tree = Path(tmp) / "ref", Path(tmp) / "work"
-        for tree in (ref_tree, work_tree):
-            tree.mkdir()
-        extract(args.ref, ref_tree)
-        copy_working_tree(work_tree)
+        ref_tree, work_tree = make_trees(args.ref, Path(tmp))
         cmds = commands()
         ref_codes, work_codes = run_all(ref_tree, cmds), run_all(work_tree, cmds)
 

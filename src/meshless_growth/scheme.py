@@ -166,18 +166,20 @@ class March:
 def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
 
-    They are built in place, as fresh arrays, in the order of lap + flux +
-    A f(k) - delta k + forcing and D lap_A + A g, so each rounding is the
-    plain expression's.
+    Only the components the terms read are differentiated (laplacian_slice),
+    and A only for taxis or technology diffusion.  The sums are built in
+    place, as fresh arrays, in the order of lap + flux + A f(k) - delta k +
+    forcing and D lap_A + A g, so each rounding is the plain expression's.
     """
     table, params = march.table, march.params
     k, A = state.k, state.A
     chi = params.chi
-    dk = table.derivatives(k)
-    rhs_k = table.laplacian_parts(dk)  # a fresh array, or a column of dk in 1D
+    parts = table.laplacian_slice(gradient=chi != 0.0)
+    dk = table.derivatives(k, parts)
+    rhs_k = table.laplacian_parts(dk, parts)  # a fresh array, or a column of dk in 1D
     if chi != 0.0 or params.tech_diffusion != 0.0:
-        da = table.derivatives(A)
-        rhs_a = table.laplacian_parts(da)
+        da = table.derivatives(A, parts)
+        rhs_a = table.laplacian_parts(da, parts)
         if chi != 0.0:
             flux = dk[:, 0] * da[:, 0]
             if table.cloud.dim == 2:

@@ -112,20 +112,27 @@ class StencilTable:
         self.center_coeffs = np.negative(coeffs[:, s], order="C").T
         self.center_coeffs.flags.writeable = False
 
-    def derivatives(self, field: np.ndarray) -> np.ndarray:
-        """All derivative components at every node, shape (N, nd).
+    def derivatives(self, field: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
+        """The derivative components parts, all of them by default, at every
+        node: shape (N, len(parts)), columns ordered as DERIV_NAMES[parts].
 
-        The result is the transpose of a C-contiguous (nd, N) array, so each
-        component column is contiguous.
+        Only coeffs[parts] is contracted; unoptimized np.einsum sums the
+        slots in order per component, so a column keeps the full result's
+        bits (tested).  The result is the transpose of a C-contiguous
+        (len(parts), N) array, so each column is contiguous.
         """
-        return np.einsum("dsn,sn->dn", self.coeffs, field[self.stars]).T
+        return np.einsum("dsn,sn->dn", self.coeffs[parts], field[self.stars]).T
 
-    def laplacian_parts(self, derivs: np.ndarray) -> np.ndarray:
-        """Sum of the pure second-derivative columns; also applies to
+    def laplacian_slice(self, gradient: bool = False) -> slice:
+        """The parts laplacian_parts sums, with gradient the gradient too."""
+        return slice(0 if gradient else self.cloud.dim, 2 * self.cloud.dim)
+
+    def laplacian_parts(self, derivs: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
+        """Sum of the pure second-derivative columns of derivs, which holds
+        the components parts, all of them by default; also applies to
         coefficient arrays, whose last axis holds the components."""
-        if self.cloud.dim == 1:
-            return derivs[..., 1]
-        return derivs[..., 2] + derivs[..., 3]
+        i = self.cloud.dim - (parts.start or 0)
+        return derivs[..., i] if self.cloud.dim == 1 else derivs[..., i] + derivs[..., i + 1]
 
 
 def build_all_stencils(

@@ -168,6 +168,37 @@ def test_rhs_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
         state = step(state, march, 5e-4)
 
 
+# (preset, model changes, the widths rhs asks of derivatives as multiples of
+# dim): the Laplacian parts of k alone without taxis or technology diffusion,
+# those of A too with diffusion, and the gradients before them with taxis.
+PARTS_CASES = [
+    ("growth-2d-delta005", {}, (1,)),
+    ("growth-1d-delta005", {}, (1,)),
+    ("growth-2d-delta005", {"tech_diffusion": 3.0}, (1, 1)),
+    ("growth-1d-delta005", {"tech_diffusion": 3.0}, (1, 1)),
+    ("growth-2d-delta03-chi1", {}, (2, 2)),
+    ("growth-1d-chi1", {}, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,changes,widths", PARTS_CASES,
+                         ids=[f"{n}{'-D' if c else ''}" for n, c, _ in PARTS_CASES])
+def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths, monkeypatch):
+    march, state = _step_case(name, changes, False)
+    shapes = []
+    full = StencilTable.derivatives
+
+    def recorder(table, field, *parts):
+        out = full(table, field, *parts)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(StencilTable, "derivatives", recorder)
+    rhs(state, march)
+    dim = march.table.cloud.dim
+    assert shapes == [(march.table.cloud.n_nodes, w * dim) for w in widths]
+
+
 def _bad_node_setup():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=3)
     table = build_all_stencils(cloud, 8, "quadrant")

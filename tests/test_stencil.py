@@ -12,6 +12,7 @@ from meshless_growth import (
     compute_stencil,
     generate_jittered,
     generate_regular,
+    get_preset,
     select_star,
 )
 from oracles import apply_stencil, assemble_moment_matrix
@@ -138,6 +139,39 @@ def test_table_matches_per_star_application():
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
     lap = table.laplacian_parts(table.derivatives(field))
     assert np.allclose(lap, packed[:, 1], rtol=0, atol=0)
+
+
+def _preset_table(name):
+    scenario = get_preset(name)
+    return scenario.star.build_table(scenario.cloud.build())
+
+
+# (table, the slices of the components the march reads): the Laplacian parts,
+# and with taxis the gradient before them, as laplacian_slice gives them.
+PART_CASES = {
+    "growth-1d-chi1": (lambda: _preset_table("growth-1d-chi1"), (slice(1, 2), slice(0, 2))),
+    "growth-2d-delta005": (lambda: _preset_table("growth-2d-delta005"),
+                           (slice(2, 4), slice(0, 4))),
+    "jittered-48x48": (lambda: build_all_stencils(
+        generate_jittered(48, 1.0, dim=2, jitter=0.1, seed=11), 8, "quadrant"),
+        (slice(2, 4), slice(0, 4))),
+}
+
+
+@pytest.mark.parametrize("case", PART_CASES)
+def test_derivative_parts_have_the_bits_of_the_full_columns(case):
+    make_table, slices = PART_CASES[case]
+    table = make_table()
+    field = np.random.default_rng(5).uniform(0.5, 2.0, table.cloud.n_nodes)
+    full = table.derivatives(field)
+    assert slices == (table.laplacian_slice(), table.laplacian_slice(gradient=True))
+    for parts in slices:
+        got = table.derivatives(field, parts)
+        assert got.shape == (table.cloud.n_nodes, parts.stop - parts.start)
+        assert got.T.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(full[:, parts]).tobytes()
+        lap = table.laplacian_parts(got, parts)
+        assert lap.tobytes() == table.laplacian_parts(full).tobytes()
 
 
 def test_table_rejects_mixed_star_sizes():
