@@ -34,7 +34,7 @@ from .output import (
     write_stencil_dump,
 )
 from .scenario import PRESET_NAMES, Scenario, get_preset, parse_scenario
-from .scheme import NeumannOperator, State, run as run_scheme
+from .scheme import March, run as run_scheme
 from .stability import dt_bound
 from .stencil import STAR_RULE
 
@@ -91,9 +91,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_stability(args) -> int:
     scenario = _load_scenario(args)
-    cloud, table, initial = _assemble(scenario)
-    op = NeumannOperator(cloud, table)
-    state = State(k=op.project(initial.k), A=op.project(initial.A), time=initial.time)
+    _, table, initial = _assemble(scenario)
+    state = March(table, scenario.model).project(initial.k, initial.A, initial.time)
     report = dt_bound(table, state, scenario.model)
     out = scenario.output_dir
     os.makedirs(out, exist_ok=True)
@@ -152,8 +151,8 @@ def _print_levels(title: str, result, label: str, fmt: str) -> None:
 
 def _cmd_convergence(args) -> int:
     clouds = regular_refinement(9, 3, dim=args.dim)
-    spatial = convergence_study(clouds, *STAR_RULE[args.dim])
-    temporal = temporal_convergence_study(clouds[1], *STAR_RULE[args.dim])
+    spatial = convergence_study(clouds)
+    temporal = temporal_convergence_study(clouds[1])
 
     _print_levels(f"spatial refinement ({args.dim}D):", spatial, "h", ".5f")
     _print_levels("time refinement:", temporal, "dt", ".2e")

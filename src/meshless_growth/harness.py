@@ -15,7 +15,7 @@ import numpy as np
 from .cloud import NodeCloud, generate_regular
 from .model import GrowthSpec, ModelParams
 from .scheme import SchemeConfig, State, run
-from .stencil import DERIV_NAMES, StencilTable, build_all_stencils, compute_stencil
+from .stencil import DERIV_NAMES, STAR_RULE, StencilTable, build_all_stencils, compute_stencil
 
 # The manufactured problem's depreciation, the spatial study's step
 # dt = DT_FACTOR * h^2, and the end time of every run.
@@ -180,10 +180,8 @@ def _march(cloud: NodeCloud, table: StencilTable, dt: float) -> State:
     return traj.final
 
 
-def convergence_study(
-    clouds: list[NodeCloud], s: int, criterion: str = "distance"
-) -> ConvergenceResult:
-    """Max-norm error of the scheme against the manufactured solution.
+def convergence_study(clouds: list[NodeCloud]) -> ConvergenceResult:
+    """Max-norm error against the manufactured solution, on STAR_RULE[cloud.dim].
 
     The step follows dt = DT_FACTOR * h^2 so the first-order time error
     refines at the same rate as the second-order space error.  A level that
@@ -192,26 +190,22 @@ def convergence_study(
     levels: list[tuple[float, float]] = []
     for cloud in clouds:
         h = cloud.spacing_estimate()
-        final = _march(cloud, build_all_stencils(cloud, s, criterion), DT_FACTOR * h ** 2)
+        table = build_all_stencils(cloud, *STAR_RULE[cloud.dim])
+        final = _march(cloud, table, DT_FACTOR * h ** 2)
         exact = manufactured_solution(cloud.positions, final.time, cloud.length)
         levels.append((h, float(np.abs(final.k - exact).max())))
     return ConvergenceResult(tuple(levels), _fit_order(levels))
 
 
-def temporal_convergence_study(
-    cloud: NodeCloud,
-    s: int,
-    criterion: str = "distance",
-    *,
-    dts: tuple[float, ...] = (1e-3, 5e-4, 2.5e-4),
-) -> ConvergenceResult:
-    """Error against a reference run at min(dts) / 16 on a fixed cloud.
+def temporal_convergence_study(cloud: NodeCloud, *,
+                               dts: tuple[float, ...] = (1e-3, 5e-4, 2.5e-4)) -> ConvergenceResult:
+    """Error against a reference run at min(dts) / 16, on STAR_RULE[cloud.dim].
 
     Comparing against the dt -> 0 limit on the same mesh cancels the spatial
     error, isolating the first-order time error of the forward Euler update.
     A run that diverges, the reference included, raises its DivergenceError.
     """
-    table = build_all_stencils(cloud, s, criterion)
+    table = build_all_stencils(cloud, *STAR_RULE[cloud.dim])
     ref = _march(cloud, table, min(dts) / 16.0)
     levels = [(dt, float(np.abs(_march(cloud, table, dt).k - ref.k).max()))
               for dt in dts]

@@ -89,8 +89,7 @@ def write_stencil_dump(table: StencilTable, path) -> str:
     s = table.stars.shape[0] - 1
     n = table.cloud.n_nodes
     # (N, nd + 1, s+1) rows, the Laplacian last; the last slot holds -center.
-    lap = table.laplacian_parts(table.coeffs.T).T
-    rows = np.concatenate([table.coeffs, lap[None]]).transpose(2, 0, 1)
+    rows = np.concatenate([table.coeffs, table.lap[None]]).transpose(2, 0, 1)
     return write_csv(path, ["node", "deriv", "coeff_center"] +
                      [f"coeff_{i + 1}" for i in range(s)],
                      zip(np.repeat(np.arange(n), len(names)).tolist(), names * n,

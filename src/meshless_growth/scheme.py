@@ -162,6 +162,10 @@ class March:
         object.__setattr__(self, "g_field", tech_rate_field(self.table.cloud, self.params.g_spec))
         object.__setattr__(self, "neumann", NeumannOperator(self.table.cloud, self.table))
 
+    def project(self, k: np.ndarray, A: np.ndarray, time: float) -> State:
+        """The State of k and A at time, both projected to zero flux."""
+        return State(k=self.neumann.project(k), A=self.neumann.project(A), time=time)
+
 
 def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
@@ -214,11 +218,10 @@ def step(state: State, march: March, dt: float) -> State:
     new_k += state.k
     new_a *= dt
     new_a += state.A
-    new_time = state.time + dt
-    k, A = march.neumann.project(new_k), march.neumann.project(new_a)
+    new = march.project(new_k, new_a, state.time + dt)
     # Nodes are named as the update left them; a bad value the projection replaced is dropped.
-    _check_finite(k, A, new_time, before=[(new_k, new_a)])
-    return State(k=k, A=A, time=new_time)
+    _check_finite(new.k, new.A, new.time, before=[(new_k, new_a)])
+    return new
 
 
 def run(
@@ -243,8 +246,7 @@ def run(
     traj = Trajectory(cloud=cloud)
     march = March(table, params, forcing)
     # Project the initial data too, so even the t=0 snapshot honors zero flux.
-    state = State(k=march.neumann.project(initial.k.astype(float)),
-                  A=march.neumann.project(initial.A.astype(float)), time=float(initial.time))
+    state = march.project(initial.k.astype(float), initial.A.astype(float), float(initial.time))
     dt = config.dt
     pending = list(config.snapshot_times)
     prev, step_dt = state, 0.0

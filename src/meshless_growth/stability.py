@@ -94,7 +94,7 @@ def dt_bound(table: StencilTable, state: State, params: ModelParams) -> Stabilit
     # every node at once, the node's own slot last; results are then taken
     # at the interior nodes, which avoids gathering the coefficients.
     a = state.A[table.stars]                                # (s+1, N)
-    lap = table.laplacian_parts(table.coeffs.T).T           # (s+1, N)
+    lap = table.lap                                         # (s+1, N)
     m00 = -lap[-1, nodes]
     a0 = state.A[nodes]
     chi = params.chi

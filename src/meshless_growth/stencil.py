@@ -123,16 +123,20 @@ class StencilTable:
         """
         return np.einsum("dsn,sn->dn", self.coeffs[parts], field[self.stars]).T
 
+    @property
+    def lap(self) -> np.ndarray:
+        """The (s+1, N) Laplacian rows, summed from coeffs on each read."""
+        return self.coeffs[self.laplacian_slice()].sum(axis=0)
+
     def laplacian_slice(self, gradient: bool = False) -> slice:
         """The parts laplacian_parts sums, with gradient the gradient too."""
         return slice(0 if gradient else self.cloud.dim, 2 * self.cloud.dim)
 
     def laplacian_parts(self, derivs: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
-        """Sum of the pure second-derivative columns of derivs, which holds
-        the components parts, all of them by default; also applies to
-        coefficient arrays, whose last axis holds the components."""
+        """Sum of the pure second-derivative columns of derivs (N, len(parts)),
+        a derivatives result holding the components parts, all by default."""
         i = self.cloud.dim - (parts.start or 0)
-        return derivs[..., i] if self.cloud.dim == 1 else derivs[..., i] + derivs[..., i + 1]
+        return derivs[:, i] if self.cloud.dim == 1 else derivs[:, i] + derivs[:, i + 1]
 
 
 def build_all_stencils(

@@ -132,8 +132,8 @@ def test_acceptance_5_stability_bound():
 
 
 def test_acceptance_6_convergence_orders():
-    spatial = convergence_study(regular_refinement(9, 3, 1.0, dim=1), 2, "distance")
-    temporal = temporal_convergence_study(generate_regular(41, 1.0, dim=1), 2,
+    spatial = convergence_study(regular_refinement(9, 3, 1.0, dim=1))
+    temporal = temporal_convergence_study(generate_regular(41, 1.0, dim=1),
                                           dts=(2e-4, 1e-4, 5e-5))
     sp_ok = 1.7 <= spatial.observed_order <= 2.3
     tm_ok = 0.8 <= temporal.observed_order <= 1.2

@@ -3,10 +3,13 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from meshless_growth import PRESET_NAMES, March, State, dt_bound, get_preset, run
 from meshless_growth.cli import main
+from meshless_growth.output import write_stability_report
 
 QUICK = """\
 [cloud]
@@ -191,6 +194,28 @@ def test_stability_command(tmp_path, capsys):
     assert dump[0] == ["node", "deriv", "coeff_center", "coeff_1", "coeff_2"]
     assert len(dump) == 1 + 9 * 3  # x, xx, lap per node
     assert "global dt bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_stability_command_projects_the_state_run_starts_from(preset, tmp_path, capsys):
+    assert main(["stability", "--preset", preset, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    scenario = get_preset(preset)
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    initial = scenario.initial_state(cloud)
+    two_steps = replace(scenario.scheme, t_final=2 * scenario.scheme.dt, snapshot_times=(0.0,))
+    traj = run(cloud, table, scenario.model, initial, two_steps)
+    snap = traj.snapshots[0]
+    projected = March(table, scenario.model).project(initial.k, initial.A, 0.0)
+    assert snap.time == 0.0
+    assert snap.k.tobytes() == projected.k.tobytes() and snap.A.tobytes() == projected.A.tobytes()
+    report = dt_bound(table, State(snap.k, snap.A, snap.time), scenario.model)
+    write_stability_report(report, tmp_path / "from_run.csv")
+    assert (tmp_path / "stability.csv").read_bytes() == (tmp_path / "from_run.csv").read_bytes()
+    first = traj.log[1]
+    assert first.step == 1 and first.dt_bound == report.global_dt
+    assert f"global dt bound {first.dt_bound:.6e} over" in printed
 
 
 def test_stability_warns_when_dt_exceeds_bound(tmp_path, capsys):

@@ -86,14 +86,14 @@ def test_spatial_study_raises_on_a_diverged_level():
     pos[544] = pos[545] - [1e-2 / 32, 0.0]
     clouds[-1] = NodeCloud(pos, 1.0)
     with pytest.raises(DivergenceError) as info:
-        convergence_study(clouds, 8, "quadrant")
+        convergence_study(clouds)
     assert info.value.node == 544 and info.value.step is not None
 
 
 def test_temporal_study_raises_on_a_diverged_level():
     # dt = 1e-2 is eight times the h^2/2 bound of h = 0.05
     with pytest.raises(DivergenceError):
-        temporal_convergence_study(generate_regular(21, 1.0, dim=1), 2, dts=(1e-2, 1e-3))
+        temporal_convergence_study(generate_regular(21, 1.0, dim=1), dts=(1e-2, 1e-3))
 
 
 def test_regular_refinement_halves_spacing():

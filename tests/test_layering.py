@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and the
+zero-flux projection of a state is built in one module."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,24 @@ def test_package_imports_form_no_cycle():
 
     for module in graph:
         visit(module)
+
+
+def named(path: Path) -> set[str]:
+    """Every identifier path names in code: names, attributes and imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_only_scheme_names_the_neumann_operator():
+    # March.project is the one place zero flux is imposed on a state; a
+    # module that builds its own NeumannOperator projects a second way.
+    users = {p.stem for p in PACKAGE.glob("*.py") if "NeumannOperator" in named(p)}
+    assert "scheme" in users  # the parse sees the class's own module
+    assert users <= {"scheme", "__init__"}, sorted(users - {"scheme", "__init__"})

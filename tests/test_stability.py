@@ -63,7 +63,7 @@ def test_heat_bound_2d_quarter_h_squared():
     report = dt_bound(table, uniform_state(121), heat_params())
     # the eight-ring stencil is not the five-point row; freeze the observed
     # family member instead of the classical 4/h^2
-    m00 = table.laplacian_parts(table.center_coeffs)[60]
+    m00 = -table.lap[-1, 60]
     assert report.global_dt == pytest.approx(2.0 / (2 * m00), rel=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_chi_zero_matches_heat_terms_in_2d():
     node = int(cloud.interior_indices[0])
     phi1, phi2, _ = star_terms(dt_bound(table, state, heat_params(delta=0.3)), node)
     assert phi1 == pytest.approx(0.3, abs=1e-10)
-    lap_neighbors = table.laplacian_parts(table.neighbor_coeffs[node])
+    lap_neighbors = table.lap[:-1, node]
     assert phi2 == pytest.approx(np.abs(lap_neighbors).sum(), rel=1e-12)
 
 

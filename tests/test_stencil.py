@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshless_growth import (
+    PRESET_NAMES,
     DegenerateStarError,
     StencilTable,
     build_all_stencils,
@@ -217,11 +218,24 @@ def test_in_place_coefficient_edit_reaches_derivatives():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
     table = build_all_stencils(cloud, 8, "quadrant")
     field = rng.uniform(1.0, 2.0, cloud.n_nodes)
-    before = table.derivatives(field).copy()
+    before, lap_before = table.derivatives(field).copy(), table.lap
     table.neighbor_coeffs[17, 3, 2] += 0.5
     after = table.derivatives(field)
+    lap_changed = table.lap != lap_before  # xx is a Laplacian part
+    assert lap_changed[3, 17] and lap_changed.sum() == 1
     expect = before.copy()
     expect[17, 2] += 0.5 * field[table.stars[3, 17]]
     assert np.allclose(after, expect, rtol=1e-14, atol=0)
     changed = after != before
     assert changed[17, 2] and changed.sum() == 1
+
+
+@pytest.mark.parametrize("case", [*PRESET_NAMES, "jittered-48x48"])
+def test_lap_is_the_sum_of_the_laplacian_slots(case):
+    table = _preset_table(case) if case in PRESET_NAMES else PART_CASES[case][0]()
+    coeffs = table.coeffs
+    expect = coeffs[1] if table.cloud.dim == 1 else coeffs[2] + coeffs[3]
+    lap = table.lap
+    assert lap.shape == table.stars.shape and lap.flags.c_contiguous
+    assert lap.tobytes() == expect.tobytes()
+
