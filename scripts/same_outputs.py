@@ -67,9 +67,12 @@ def copy_working_tree(dest: Path) -> None:
 
 
 def make_trees(ref: str, top: Path) -> tuple[Path, Path]:
-    """top/ref, REF as `git archive` gives it, and top/work, a copy of the
-    working tree."""
-    ref_tree, work_tree = top / "ref", top / "work"
+    """top/parent, REF as `git archive` gives it, and top/change, a copy of
+    the working tree."""
+    # Names of one length: with "ref" and "work", timing HEAD against a clean
+    # copy of itself read large-cloud-2d march_s 4-6 % slower on the "work"
+    # side in 12 of 12 pairs, and with these no side was favoured.
+    ref_tree, work_tree = top / "parent", top / "change"
     for tree in (ref_tree, work_tree):
         tree.mkdir()
     extract(ref, ref_tree)

@@ -243,48 +243,54 @@ def _parse_bumps(raw: str) -> tuple[tuple[float, ...], ...]:
     return tuple(bumps)
 
 
-# The cloud keys each kind reads besides kind and dim.
-_CLOUD_KIND_KEYS = {"regular": ("nodes_per_axis", "length"),
-                    "jittered": ("nodes_per_axis", "length", "jitter", "seed"),
-                    "file": ("path",)}
-# Converters of each section's keys, by the dataclass field they fill.
-_CLOUD_KEYS = {"kind": _choice(*_CLOUD_KIND_KEYS), "dim": int,
-               "nodes_per_axis": int, "length": _finite, "jitter": _finite, "seed": int,
-               "path": _path}
+# The keys of each kinded spec, by kind and then by the dataclass field they
+# fill; each is read as <prefix><field>, and a kind's first key is its data.
+_CLOUD_KINDS = {"regular": {"nodes_per_axis": int, "length": _finite},  # prefix ""
+                "jittered": {"nodes_per_axis": int, "length": _finite, "jitter": _finite,
+                             "seed": int},
+                "file": {"path": _path}}
+_FIELD_KINDS = {"constant": {"value": _finite},  # prefixes k0_ and A0_
+                "piecewise": {"points": _parse_points},
+                "gaussians": {"bumps": _parse_bumps, "base": _finite},
+                "file": {"path": _path}}
+_GROWTH_KINDS = {"constant": {"level": _finite},  # prefix g_
+                 "gaussian": {"level": _finite, "center": _parse_float_list, "sigma": _finite}}
 _MODEL_KEYS = dict.fromkeys(("alpha1", "alpha2", "p", "q", "delta", "chi", "tech_diffusion"),
                             _finite)
-_GROWTH_KEYS = {"kind": str, "level": _finite,  # read as g_<field>
-                "center": _parse_float_list, "sigma": _finite}
-# By field kind, read as <field>_<name>; the first key is required.
-_FIELD_KEYS = {"constant": {"value": _finite},
-               "piecewise": {"points": _parse_points},
-               "gaussians": {"bumps": _parse_bumps, "base": _finite},
-               "file": {"path": _path}}
 _SCHEME_KEYS = {"dt": _finite, "t_final": _finite, "snapshot_times": _parse_float_list,
                 "stability_mode": str, "stability_interval": int}
 _OUTPUT_KEYS = {"dir": _path}
+
+
+def _kind_keys(prefix: str, kinds: dict) -> set:
+    """<prefix>kind and the key of every field that a kind in kinds reads."""
+    return {prefix + name for name in ("kind", *(n for keys in kinds.values() for n in keys))}
+
+
 # Every key a scenario may set, by section: the keys the tables above read.
 _SECTION_KEYS = {
-    "cloud": set(_CLOUD_KEYS),
-    "model": {*_MODEL_KEYS, *("g_" + name for name in _GROWTH_KEYS)},
-    "initial": {f"{prefix}_{name}" for prefix in ("k0", "A0")
-                for name in ("kind", *(n for keys in _FIELD_KEYS.values() for n in keys))},
+    "cloud": {"dim", *_kind_keys("", _CLOUD_KINDS)},
+    "model": {*_MODEL_KEYS, *_kind_keys("g_", _GROWTH_KINDS)},
+    "initial": _kind_keys("k0_", _FIELD_KINDS) | _kind_keys("A0_", _FIELD_KINDS),
     "scheme": set(_SCHEME_KEYS),
     "output": set(_OUTPUT_KEYS),
 }
 
 
-def _parse_field(sec, prefix: str) -> FieldSpec:
-    prefix += "_"
-    _require(sec, "initial", prefix + "kind")
-    kind = _convert(sec, "initial", {"kind": _choice(*_FIELD_KEYS)}, prefix)["kind"]
-    converters = _FIELD_KEYS[kind]
-    _reject_stray([key for key in sec if key.startswith(prefix)],
-                  [prefix + name for name in ("kind", *converters)],
-                  "initial", f"not read by {prefix}kind = {kind}")
-    _require(sec, "initial", prefix + next(iter(converters)))  # the kind's data
-    return _build(f"initial.{prefix}", FieldSpec, kind=kind,
-                  **_convert(sec, "initial", converters, prefix))
+def _parse_kind(sec, section: str, prefix: str, kinds: dict, default: str | None = None) -> dict:
+    """The kind read from <prefix>kind and the keyword arguments of its keys;
+    a key that only another kind reads is rejected, and without a default the
+    kind and its first key are required."""
+    if default is None:
+        _require(sec, section, prefix + "kind")
+    kind = _convert(sec, section, {"kind": _choice(*kinds)}, prefix).get("kind", default)
+    converters = kinds[kind]
+    present = _kind_keys(prefix, kinds).intersection(sec)
+    _reject_stray(present, _kind_keys(prefix, {kind: converters}), section,
+                  f"not read by {prefix}kind = {kind}")
+    if default is None:
+        _require(sec, section, prefix + next(iter(converters)))
+    return {"kind": kind, **_convert(sec, section, converters, prefix)}
 
 
 def _config_parser() -> configparser.ConfigParser:
@@ -320,25 +326,24 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
             _fail(section, "required section missing")
 
     sec = cp["cloud"]
-    _require(sec, "cloud", "kind")
-    cloud = CloudSpec(**_convert(sec, "cloud", _CLOUD_KEYS))
-    _reject_stray(sec, ("kind", "dim", *_CLOUD_KIND_KEYS[cloud.kind]), "cloud",
-                  f"not read by kind = {cloud.kind}")
-    _require(sec, "cloud", "path" if cloud.kind == "file" else "nodes_per_axis")
+    cloud = CloudSpec(**_parse_kind(sec, "cloud", "", _CLOUD_KINDS),
+                      **_convert(sec, "cloud", {"dim": int}))
     # Checked here, not only by the build: g_center's arity and STAR_RULE need it first.
     if cloud.dim not in (1, 2):
         _fail("cloud.dim", f"must be 1 or 2, got {cloud.dim}")
 
     sec = cp["model"] if "model" in cp else {}
-    g_spec = _build("model.g_", GrowthSpec, **_convert(sec, "model", _GROWTH_KEYS, "g_"))
-    if g_spec.kind == "gaussian" and g_spec.center is not None and len(g_spec.center) != cloud.dim:
+    g_spec = _build("model.g_", GrowthSpec,
+                    **_parse_kind(sec, "model", "g_", _GROWTH_KINDS, default="constant"))
+    if g_spec.center is not None and len(g_spec.center) != cloud.dim:
         _fail("model.g_center", f"needs {cloud.dim} coordinates")
     model = _build("model.", ModelParams, **_convert(sec, "model", _MODEL_KEYS), g_spec=g_spec)
 
     sec = {"A0_kind": "constant", **cp["initial"]}  # technology starts at a constant 1
     if sec["A0_kind"] == "constant":
         sec.setdefault("A0_value", "1.0")
-    k0, a0 = _parse_field(sec, "k0"), _parse_field(sec, "A0")
+    k0, a0 = (_build(f"initial.{p}", FieldSpec, **_parse_kind(sec, "initial", p, _FIELD_KINDS))
+              for p in ("k0_", "A0_"))
 
     sec = cp["scheme"]
     _require(sec, "scheme", "dt", "t_final")
@@ -416,10 +421,6 @@ p = 2.0
 q = 2.0
 delta = 0.05
 chi = 0.0
-g_kind = gaussian
-g_level = 0.1
-g_center = 0.5, 0.5
-g_sigma = 0.2
 
 [initial]
 k0_kind = gaussians
@@ -437,6 +438,8 @@ stability_mode = check
 stability_interval = 500
 """,
 }
+_GROWING_TECH_2D = {"g_kind": "gaussian", "g_level": "0.1", "g_center": "0.5, 0.5",
+                    "g_sigma": "0.2"}
 _FROZEN_TECH = {"g_kind": "constant", "g_level": "0.0"}
 _LOW_CAPITAL_2D = {"k0_bumps": "0.22, 0.3, 0.3, 0.12; 0.18, 0.7, 0.6, 0.1", "k0_base": "0.02"}
 _HORIZON_30 = {"t_final": "30.0", "snapshot_times": "0, 1, 5, 10, 30"}
@@ -452,7 +455,7 @@ _PRESETS = {
         {"model": {"delta": "0.02", "chi": "1.0", "g_center": "0.1"}}),
     "growth-2d-delta005": (
         2, "2D growth, moderate depreciation, no taxis; long horizon.",
-        {}),
+        {"model": _GROWING_TECH_2D}),
     "growth-2d-delta0085": (
         2, "2D poverty trap: with frozen technology the rich bumps hold, then drain away.",
         {"model": {"delta": "0.085", **_FROZEN_TECH},
@@ -464,7 +467,7 @@ _PRESETS = {
     "growth-2d-delta03-chi1": (
         2, "2D, very high depreciation with taxis and growing technology: capital decays, "
            "then piles up near the technology peak; the step adapts to taxis spikes.",
-        {"model": {"delta": "0.3", "chi": "1.0"},
+        {"model": {"delta": "0.3", "chi": "1.0", **_GROWING_TECH_2D},
          "initial": _LOW_CAPITAL_2D,
          "scheme": {**_HORIZON_30, "stability_mode": "adapt", "stability_interval": "20"}}),
 }

@@ -243,6 +243,8 @@ def run(
     """
     if initial.k.shape != (cloud.n_nodes,):
         raise ValueError("initial state size does not match the cloud")
+    if table.cloud is not cloud:  # the march reads the table's cloud, the snapshots this one
+        raise ValueError("the stencil table was built on another cloud")
     traj = Trajectory(cloud=cloud)
     march = March(table, params, forcing)
     # Project the initial data too, so even the t=0 snapshot honors zero flux.

@@ -21,6 +21,7 @@ from meshless_growth import (
     parse_scenario_text,
     preset_text,
 )
+from meshless_growth.scenario import _CLOUD_KINDS, _FIELD_KINDS, _GROWTH_KINDS
 from meshless_growth.stencil import STAR_RULE
 from oracles import save_cloud
 
@@ -399,6 +400,54 @@ def test_non_finite_numbers_are_rejected_naming_the_key(old, new, key, value):
         parse_scenario_text(MINIMAL.replace(old, new.format(value)))
 
 
+# A value each kinded key accepts, by field name; a key added to a kind table
+# without one here fails the generated cases below.
+KIND_KEY_SAMPLES = {"nodes_per_axis": "11", "length": "1.0", "jitter": "0.1", "seed": "2",
+                    "path": "data.csv", "value": "1.0", "points": "0:1, 1:2",
+                    "bumps": "1, 0.5, 0.1", "base": "0.5", "level": "0.1", "center": "0.5",
+                    "sigma": "0.2"}
+# (section, key prefix, kind table, default kind, the text of MINIMAL that a
+# case replaces, and the lines its replacement starts with); the spec's keys
+# come last in each replacement, so a case can append one more.
+KINDED_SPECS = [
+    ("cloud", "", _CLOUD_KINDS, None, "kind = regular\ndim = 1\nnodes_per_axis = 11", ["dim = 1"]),
+    ("model", "g_", _GROWTH_KINDS, "constant", "t_final = 1.0", ["t_final = 1.0", "[model]"]),
+    ("initial", "k0_", _FIELD_KINDS, None, K0_CONSTANT, []),
+    ("initial", "A0_", _FIELD_KINDS, None, K0_CONSTANT, [K0_CONSTANT]),
+]
+
+
+def _kind_cases():
+    """(id, section, prefix, kind, the spec's keys it does not read, old, new)
+    for each kind of each kinded spec, new holding the keys the kind reads,
+    with its kind key spelled out and, for the default kind, also left out."""
+    for section, prefix, kinds, default, old, lead in KINDED_SPECS:
+        spec_keys = {name for names in kinds.values() for name in names}
+        for kind, names in kinds.items():
+            lines = [f"{prefix}{name} = {KIND_KEY_SAMPLES[name]}" for name in names]
+            for kind_line in [[f"{prefix}kind = {kind}"]] + ([[]] if kind == default else []):
+                yield (f"{prefix}kind={kind if kind_line else '(default)'}", section, prefix, kind,
+                       spec_keys - set(names), old, "\n".join([*lead, *kind_line, *lines]))
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(MINIMAL.replace(old, new), id=case) for case, *_, old, new in _kind_cases()),
+    # a preset diff that brings back a key its kind does not read fails here
+    *(pytest.param(preset_text(name), id=name) for name in PRESET_NAMES),
+])
+def test_texts_holding_only_keys_their_kinds_read_parse(text):
+    parse_scenario_text(text)
+
+
+def _stray_key_cases():
+    """Each kind of each kinded spec plus one key that only another kind reads."""
+    for case, section, prefix, kind, unread, old, new in _kind_cases():
+        for name in sorted(unread):
+            yield pytest.param(old, f"{new}\n{prefix}{name} = {KIND_KEY_SAMPLES[name]}",
+                               rf"{section}\.{prefix}{name}: not read by {prefix}kind = {kind}",
+                               id=f"{prefix}{name}-{case}")
+
+
 @pytest.mark.parametrize("old, new, where", [
     # a file cloud reads neither a length nor a jitter, so both were dropped silently
     ("kind = regular\ndim = 1\nnodes_per_axis = 11", "kind = file\nlength = 7.0\njitter = 0.3",
@@ -411,6 +460,7 @@ def test_non_finite_numbers_are_rejected_naming_the_key(old, new, key, value):
     (K0_CONSTANT, K0_CONSTANT + "\nk0_base = 0.5", r"initial\.k0_base: not read by k0_kind = constant"),
     (K0_CONSTANT, K0_CONSTANT + "\nA0_kind = gaussians\nA0_bumps = 1, 0.5, 0.1\nA0_value = 2",
      r"initial\.A0_value: not read by A0_kind = gaussians"),
+    *_stray_key_cases(),
 ])
 def test_keys_the_chosen_kind_does_not_read_are_rejected(old, new, where):
     with pytest.raises(ScenarioError, match=f"^{where}$"):

@@ -513,6 +513,22 @@ def test_state_shape_validation():
             SchemeConfig(dt=0.1, t_final=0.1))
 
 
+def test_run_rejects_a_table_built_on_another_cloud():
+    # The march reads the table's cloud and the snapshots the given one, so
+    # a twin of the same size would pair one cloud's positions with values
+    # marched on another.
+    c1 = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=1)
+    table = build_all_stencils(c1, 8, "quadrant")
+    config = SchemeConfig(dt=1e-4, t_final=1e-3)
+    for other in (generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=2),
+                  generate_jittered(9, 1.0, dim=2, jitter=0.1, seed=2)):
+        init = State(np.ones(other.n_nodes), np.ones(other.n_nodes), 0.0)
+        with pytest.raises(ValueError, match="^the stencil table was built on another cloud$"):
+            run(other, table, ModelParams(), init, config)
+    init = State(np.ones(c1.n_nodes), np.ones(c1.n_nodes), 0.0)
+    assert run(c1, table, ModelParams(), init, config).cloud is c1
+
+
 def test_degenerate_boundary_star_detected():
     cloud = generate_regular(7, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)

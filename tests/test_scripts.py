@@ -53,3 +53,12 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     assert march["pairs"] == 1 and march["change_wins"] in (0, 1)
     assert march["parent_stats"]["median"] == pair["parent"]["march_s"]
     assert report["traced"] == {"march-2d": []}
+
+
+def test_both_trees_have_paths_of_one_length(tmp_path, monkeypatch):
+    # A longer path on one side slowed that side's benchmark runs.
+    monkeypatch.syspath_prepend(str(SCRIPT_DIR))
+    from same_outputs import make_trees
+
+    parent, change = make_trees("HEAD", tmp_path)
+    assert len(str(parent)) == len(str(change))
