@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .scheme import Trajectory
+from .scheme import Trajectory, snapshot_filename
 from .stability import StabilityReport
 from .stencil import DERIV_NAMES, StencilTable
 
@@ -25,10 +25,6 @@ def write_csv(path, header, rows) -> str:
         writer.writerow(header)
         writer.writerows(rows)
     return str(path)
-
-
-def snapshot_filename(requested_time: float) -> str:
-    return f"snap_t{requested_time:.6f}.csv"
 
 
 def write_snapshots(trajectory: Trajectory, output_dir) -> list[str]:

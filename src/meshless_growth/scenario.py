@@ -165,11 +165,14 @@ class FieldSpec:
 
 
 def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
+    """One finite value per node from a node,value CSV; a rejected row
+    names path:line, and a repeated node also the line of its first row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["node", "value"]:
         raise ScenarioError(f"path: {path}: field file header must be node,value")
-    out = np.full(n_nodes, np.nan)
+    out = np.empty(n_nodes)
+    line_of = np.zeros(n_nodes, dtype=np.intp)  # 0 until the node's row is read
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -179,10 +182,16 @@ def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
             raise ScenarioError(f"path: {path}:{lineno}: expected node,value") from None
         if not 0 <= idx < n_nodes:
             raise ScenarioError(f"path: {path}:{lineno}: node {idx} out of range")
-        out[idx] = val
-    if np.any(np.isnan(out)):
-        missing = int(np.flatnonzero(np.isnan(out))[0])
-        raise ScenarioError(f"path: {path}: no value for node {missing}")
+        if line_of[idx]:
+            raise ScenarioError(f"path: {path}:{lineno}: node {idx} repeats line {line_of[idx]}")
+        try:
+            out[idx] = _finite(val)
+        except ValueError as exc:
+            raise ScenarioError(f"path: {path}:{lineno}: value of node {idx} {exc}") from None
+        line_of[idx] = lineno
+    missing = np.flatnonzero(line_of == 0)
+    if missing.size:
+        raise ScenarioError(f"path: {path}: no value for node {missing[0]}")
     return out
 
 

@@ -25,6 +25,12 @@ from .stencil import StencilTable
 DIVERGENCE_LIMIT = 1e12
 
 
+def snapshot_filename(requested_time: float) -> str:
+    """The file of the snapshot at requested_time; SchemeConfig keeps the
+    names of its snapshot times distinct."""
+    return f"snap_t{requested_time:.6f}.csv"
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     dt: float
@@ -48,6 +54,10 @@ class SchemeConfig:
             raise ValueError("snapshot_times: must be sorted")
         if times and not (times[0] >= 0 and times[-1] <= self.t_final * (1 + 1e-12) + 1e-300):
             raise ValueError("snapshot_times: must lie in [0, t_final]")
+        for a, b in zip(times, times[1:]):  # sorted, so a shared name is adjacent
+            if snapshot_filename(a) == snapshot_filename(b):
+                raise ValueError(f"snapshot_times: {a!r} and {b!r} "
+                                 f"would both write {snapshot_filename(b)}")
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -170,23 +180,25 @@ class March:
 def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
 
-    Only the components the terms read are differentiated (laplacian_slice),
-    and A only for taxis or technology diffusion.  The sums are built in
-    place, as fresh arrays, in the order of lap + flux + A f(k) - delta k +
-    forcing and D lap_A + A g, so each rounding is the plain expression's.
+    Only the components the terms read are differentiated: the Laplacian
+    parts, which come last, and for taxis the gradient before them; A only
+    for taxis or technology diffusion.  The sums are built in place, as
+    fresh arrays, in the order of lap + flux + A f(k) - delta k + forcing
+    and D lap_A + A g, so each rounding is the plain expression's.
     """
     table, params = march.table, march.params
     k, A = state.k, state.A
-    chi = params.chi
-    parts = table.laplacian_slice(gradient=chi != 0.0)
+    chi, dim = params.chi, table.cloud.dim
+    parts = slice(0 if chi != 0.0 else dim, 2 * dim)
     dk = table.derivatives(k, parts)
-    rhs_k = table.laplacian_parts(dk, parts)  # a fresh array, or a column of dk in 1D
+    # The Laplacian: a fresh array, or a column of the derivatives in 1D.
+    rhs_k = dk[:, -1] if dim == 1 else dk[:, -2] + dk[:, -1]
     if chi != 0.0 or params.tech_diffusion != 0.0:
         da = table.derivatives(A, parts)
-        rhs_a = table.laplacian_parts(da, parts)
+        rhs_a = da[:, -1] if dim == 1 else da[:, -2] + da[:, -1]
         if chi != 0.0:
             flux = dk[:, 0] * da[:, 0]
-            if table.cloud.dim == 2:
+            if dim == 2:
                 flux += dk[:, 1] * da[:, 1]
             flux *= -chi
             flux -= chi * k * rhs_a
@@ -239,12 +251,17 @@ def run(
     stability_mode "check" the per-star bound is recomputed every
     stability_interval steps and violations are recorded; in "adapt" the
     step additionally shrinks to 0.9x the bound whenever it exceeds it.
-    Divergence aborts the march and returns the partial trajectory.
+    Divergence aborts the march and returns the partial trajectory; a
+    non-finite initial value raises ValueError naming its field and node.
     """
     if initial.k.shape != (cloud.n_nodes,):
         raise ValueError("initial state size does not match the cloud")
     if table.cloud is not cloud:  # the march reads the table's cloud, the snapshots this one
         raise ValueError("the stencil table was built on another cloud")
+    for name, values in (("k", initial.k), ("A", initial.A)):  # the projection would spread it
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"initial {name} is not finite at node {bad[0]}: {values[bad[0]]}")
     traj = Trajectory(cloud=cloud)
     march = March(table, params, forcing)
     # Project the initial data too, so even the t=0 snapshot honors zero flux.

@@ -85,15 +85,13 @@ class StencilTable:
 
     Each star holds the node itself as its last slot s: stars (s+1, N) is an
     index buffer whose last row is the node, and coeffs (nd, s+1, N) holds
-    the slots of compute_stencil, whose last slot is -center_coeffs, so
-    derivative j at node n is sum_i coeffs[j, i, n] U_stars[i, n],
-    components ordered as DERIV_NAMES for the dimension.  The table keeps
-    the two arrays it is given, which build_all_stencils makes C-contiguous,
-    and every consumer reads them.  A derivative is one gather and one
-    contraction along the node axis, with the center term summed last.
-    neighbor_coeffs (N, s, nd) is a transposed view of the first s slots,
-    and an in-place edit through it changes derivatives; center_coeffs
-    (N, nd) is a read-only copy of the last slot, negated.
+    the slots of compute_stencil, whose last slot is -m_0, so derivative j
+    at node n is sum_i coeffs[j, i, n] U_stars[i, n], components ordered as
+    DERIV_NAMES for the dimension.  The table is these two arrays, kept as
+    given (build_all_stencils makes them C-contiguous), and every consumer
+    reads them; the other views are derived from coeffs on each read.  A
+    derivative is one gather and one contraction along the node axis, with
+    the center term summed last.
     """
 
     def __init__(self, cloud: NodeCloud, stars: np.ndarray, coeffs: np.ndarray):
@@ -105,12 +103,28 @@ class StencilTable:
             raise ValueError("coefficient arrays do not match the stars")
         if not np.array_equal(stars[s], np.arange(n)):
             raise ValueError("the last slot of each star must be its node")
+        if stars.min() < 0 or stars.max() >= n:
+            raise ValueError(f"star indices must lie in [0, {n}), "
+                             f"got {stars.min()} to {stars.max()}")
         self.cloud = cloud
         self.stars = stars
         self.coeffs = coeffs
-        self.neighbor_coeffs = coeffs[:, :s].T
-        self.center_coeffs = np.negative(coeffs[:, s], order="C").T
-        self.center_coeffs.flags.writeable = False
+
+    @property
+    def neighbor_coeffs(self) -> np.ndarray:
+        """(N, s, nd) transposed view of the first s slots, read by the
+        per-star oracles of the tests and written by perfbench's check (a):
+        an in-place edit through it changes derivatives."""
+        return self.coeffs[:, :-1].T
+
+    @property
+    def center_coeffs(self) -> np.ndarray:
+        """(N, nd) m_0 of each node, the last slot negated, read by the
+        per-star oracles of the tests and acceptance check 3: a read-only
+        copy whose transpose is C-contiguous."""
+        out = np.negative(self.coeffs[:, -1], order="C").T
+        out.flags.writeable = False
+        return out
 
     def derivatives(self, field: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
         """The derivative components parts, all of them by default, at every
@@ -126,17 +140,7 @@ class StencilTable:
     @property
     def lap(self) -> np.ndarray:
         """The (s+1, N) Laplacian rows, summed from coeffs on each read."""
-        return self.coeffs[self.laplacian_slice()].sum(axis=0)
-
-    def laplacian_slice(self, gradient: bool = False) -> slice:
-        """The parts laplacian_parts sums, with gradient the gradient too."""
-        return slice(0 if gradient else self.cloud.dim, 2 * self.cloud.dim)
-
-    def laplacian_parts(self, derivs: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
-        """Sum of the pure second-derivative columns of derivs (N, len(parts)),
-        a derivatives result holding the components parts, all by default."""
-        i = self.cloud.dim - (parts.start or 0)
-        return derivs[:, i] if self.cloud.dim == 1 else derivs[:, i] + derivs[:, i + 1]
+        return self.coeffs[self.cloud.dim:2 * self.cloud.dim].sum(axis=0)
 
 
 def build_all_stencils(

@@ -242,16 +242,21 @@ def plain_rhs(state, march):
     scheme.rhs builds the same sums in place and must match this bit for bit."""
     table, params = march.table, march.params
     k, A = state.k, state.A
+    dim = table.cloud.dim
+
+    def laplacian(d):  # the columns xx, or xx + yy, of a full derivatives result
+        return d[:, dim] if dim == 1 else d[:, dim] + d[:, dim + 1]
+
     with np.errstate(over="ignore", invalid="ignore"):
         dk = table.derivatives(k)
-        lap_k = table.laplacian_parts(dk)
+        lap_k = laplacian(dk)
         if params.chi != 0.0 or params.tech_diffusion != 0.0:
             da = table.derivatives(A)
-            lap_a = table.laplacian_parts(da)
+            lap_a = laplacian(da)
         else:
             lap_a = 0.0
         if params.chi != 0.0:
-            if table.cloud.dim == 1:
+            if dim == 1:
                 grad_dot = dk[:, 0] * da[:, 0]
             else:
                 grad_dot = dk[:, 0] * da[:, 0] + dk[:, 1] * da[:, 1]

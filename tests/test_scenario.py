@@ -289,6 +289,21 @@ def test_file_field_round_trip(tmp_path):
         FieldSpec(kind="file", path=str(path)).evaluate(cloud)
 
 
+@pytest.mark.parametrize("rows, where", [
+    ("0,1\n1,2\n1,3\n2,4\n", "4: node 1 repeats line 3"),
+    ("0,1\n1,nan\n2,4\n", "3: value of node 1 must be finite"),
+    ("0,1\n1,inf\n2,4\n", "3: value of node 1 must be finite"),
+    ("0,1\n1,2\n2,-inf\n", "4: value of node 2 must be finite"),
+], ids=["repeated", "nan", "inf", "-inf"])
+def test_field_file_rejects_a_repeated_node_or_a_non_finite_value(tmp_path, rows, where):
+    path = tmp_path / "k0.csv"
+    path.write_text("node,value\n" + rows)
+    text = MINIMAL.replace(K0_CONSTANT, f"k0_kind = file\nk0_path = {path}")
+    sc = parse_scenario_text(text.replace("nodes_per_axis = 11", "nodes_per_axis = 3"))
+    with pytest.raises(ScenarioError, match=f"^initial\\.k0_path: {re.escape(str(path))}:{where}$"):
+        sc.initial_state(sc.cloud.build())
+
+
 def test_parse_scenario_from_file(tmp_path):
     path = tmp_path / "myrun.ini"
     path.write_text(MINIMAL)

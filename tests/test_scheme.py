@@ -1,6 +1,7 @@
 """Explicit stepping: flux terms, boundary enforcement, run loop edges."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from meshless_growth import (
     run,
     step,
 )
+from meshless_growth.output import snapshot_filename
 from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
 from oracles import apply_stencil, euler_step, flux_term, plain_rhs
 
@@ -503,6 +505,18 @@ def test_scheme_config_validation():
         SchemeConfig(dt=0.1, t_final=1.0, stability_interval=0)
 
 
+@pytest.mark.parametrize("times, name", [((1e-7, 4e-7), "snap_t0.000000.csv"),
+                                         ((0.5, 0.5), "snap_t0.500000.csv"),
+                                         ((0.0, 0.1234561, 0.1234564), "snap_t0.123456.csv")])
+def test_snapshot_times_that_would_share_a_file_are_rejected(times, name):
+    # The later snapshot would overwrite the earlier, and plot.gp plot that file twice.
+    with pytest.raises(ValueError, match=rf"^snapshot_times: .* would both write {re.escape(name)}$"):
+        SchemeConfig(dt=1e-8, t_final=1.0, snapshot_times=times)
+    with pytest.raises(ValueError, match=r"^scheme\.snapshot_times: "):
+        get_preset("growth-1d-chi1", {"scheme.snapshot_times": ", ".join(map(repr, times))})
+    assert len({snapshot_filename(t) for t in (0.0, 1e-6, 0.5, 0.500001)}) == 4
+
+
 def test_state_shape_validation():
     with pytest.raises(ValueError):
         State(k=np.ones(3), A=np.ones(4), time=0.0)
@@ -527,6 +541,22 @@ def test_run_rejects_a_table_built_on_another_cloud():
             run(other, table, ModelParams(), init, config)
     init = State(np.ones(c1.n_nodes), np.ones(c1.n_nodes), 0.0)
     assert run(c1, table, ModelParams(), init, config).cloud is c1
+
+
+@pytest.mark.parametrize("name, node, value", [("k", 1, np.inf), ("k", 4, np.inf),
+                                               ("A", 0, np.nan), ("A", 8, -np.inf)])
+def test_run_rejects_a_non_finite_initial_state_before_its_march(name, node, value):
+    # Projected, such a value would reach the neighbors of its node, and the
+    # march would report it as divergence at a node where it did not start.
+    cloud = generate_regular(9, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    fields = {"k": np.ones(9), "A": np.ones(9)}
+    fields[name][node] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning out of run fails the test
+        with pytest.raises(ValueError, match=rf"^initial {name} is not finite at node {node}: "):
+            run(cloud, table, ModelParams(), State(fields["k"], fields["A"], 0.0),
+                SchemeConfig(dt=1e-4, t_final=1e-3))
 
 
 def test_degenerate_boundary_star_detected():

@@ -138,8 +138,6 @@ def test_table_matches_per_star_application():
         one = apply_stencil(table.center_coeffs[i], table.neighbor_coeffs[i],
                             field[i], field[table.stars[:-1, i]])
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
-    lap = table.laplacian_parts(table.derivatives(field))
-    assert np.allclose(lap, packed[:, 1], rtol=0, atol=0)
 
 
 def _preset_table(name):
@@ -148,7 +146,7 @@ def _preset_table(name):
 
 
 # (table, the slices of the components the march reads): the Laplacian parts,
-# and with taxis the gradient before them, as laplacian_slice gives them.
+# and with taxis the gradient before them, as scheme.rhs asks for them.
 PART_CASES = {
     "growth-1d-chi1": (lambda: _preset_table("growth-1d-chi1"), (slice(1, 2), slice(0, 2))),
     "growth-2d-delta005": (lambda: _preset_table("growth-2d-delta005"),
@@ -165,14 +163,15 @@ def test_derivative_parts_have_the_bits_of_the_full_columns(case):
     table = make_table()
     field = np.random.default_rng(5).uniform(0.5, 2.0, table.cloud.n_nodes)
     full = table.derivatives(field)
-    assert slices == (table.laplacian_slice(), table.laplacian_slice(gradient=True))
+    dim = table.cloud.dim
+    full_lap = full[:, dim] if dim == 1 else full[:, dim] + full[:, dim + 1]
     for parts in slices:
         got = table.derivatives(field, parts)
         assert got.shape == (table.cloud.n_nodes, parts.stop - parts.start)
         assert got.T.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(full[:, parts]).tobytes()
-        lap = table.laplacian_parts(got, parts)
-        assert lap.tobytes() == table.laplacian_parts(full).tobytes()
+        lap = got[:, -1] if dim == 1 else got[:, -2] + got[:, -1]
+        assert lap.tobytes() == full_lap.tobytes()
 
 
 def test_table_rejects_mixed_star_sizes():
@@ -228,6 +227,34 @@ def test_in_place_coefficient_edit_reaches_derivatives():
     assert np.allclose(after, expect, rtol=1e-14, atol=0)
     changed = after != before
     assert changed[17, 2] and changed.sum() == 1
+
+
+def test_table_holds_only_its_cloud_and_two_arrays():
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    assert set(vars(table)) == {"cloud", "stars", "coeffs"}
+
+
+def test_in_place_center_slot_edit_reaches_center_coeffs():
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    field = np.random.default_rng(2).uniform(1.0, 2.0, cloud.n_nodes)
+    table.coeffs[2, -1, 5] += 1.0
+    assert table.center_coeffs[5, 2] == -table.coeffs[2, -1, 5]
+    # an oracle built from the two views follows derivatives
+    one = apply_stencil(table.center_coeffs[5], table.neighbor_coeffs[5],
+                        field[5], field[table.stars[:-1, 5]])
+    assert np.allclose(one, table.derivatives(field)[5], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("bad", [-1, 64])
+def test_table_rejects_star_indices_outside_the_cloud(bad):
+    cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
+    table = build_all_stencils(cloud, 8, "quadrant")
+    stars = table.stars.copy()
+    stars[0, 5] = bad
+    with pytest.raises(ValueError, match=r"star indices must lie in \[0, 64\)"):
+        StencilTable(cloud, stars, table.coeffs)
 
 
 @pytest.mark.parametrize("case", [*PRESET_NAMES, "jittered-48x48"])
