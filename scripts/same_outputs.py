@@ -4,9 +4,12 @@ Usage:
     python scripts/same_outputs.py REF
 
 Extracts REF with `git archive` and copies the working tree (its tracked and
-untracked, not ignored, files) into a temporary directory each.  In both it
-runs `meshless-growth run` and `stability --dump-stencils` on every preset,
-`verify --out`, `convergence --dim 1 --out` and `--dim 2 --out`, and
+untracked, not ignored, files) into a temporary directory each, and writes
+the same file inputs into both: a 2D cloud file whose face nodes alternate
+between the face and 5e-13 inside it, and an initial-capital field file.  In
+both trees it runs `meshless-growth run` and `stability --dump-stencils` on
+every preset, `run` on a scenario that reads those two files, `verify
+--out`, `convergence --dim 1 --out` and `--dim 2 --out`, and
 `perfbench/run.py --workload W --seed 1 --seconds 0 --trace 0` for every
 workload of BENCHMARK.json.  Every file those commands write is compared byte
 for byte, and so is each exit code; standard output is not, since it prints
@@ -25,9 +28,51 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from meshless_growth import PRESET_NAMES  # noqa: E402
+import numpy as np  # noqa: E402
+from meshless_growth import PRESET_NAMES, generate_jittered  # noqa: E402
+from oracles import nudge_faces, save_cloud  # noqa: E402
+
+# Where each tree holds the file inputs, relative to its root.
+INPUTS = "file-inputs"
+FILE_SCENARIO = f"""\
+[cloud]
+kind = file
+dim = 2
+path = {INPUTS}/cloud.csv
+
+[model]
+chi = 1.0
+g_kind = gaussian
+g_level = 0.1
+g_center = 0.5, 0.5
+
+[initial]
+k0_kind = file
+k0_path = {INPUTS}/k0.csv
+
+[scheme]
+dt = 0.001
+t_final = 0.2
+snapshot_times = 0, 0.1, 0.2
+stability_mode = check
+stability_interval = 20
+"""
+
+
+def write_file_inputs(dest: Path) -> None:
+    """The scenario of the file-inputs command and the files it reads: the
+    12x12 cloud of the 2D presets with every other face node moved inside
+    its face, so that the faces are not the extreme coordinates of the
+    point set, and a capital bump, both written with repr."""
+    dest.mkdir()
+    cloud = nudge_faces(generate_jittered(12, 1.0, dim=2, jitter=0.1, seed=11))
+    save_cloud(cloud, dest / "cloud.csv")
+    k0 = 0.05 + np.exp(-((cloud.positions - 0.3) ** 2).sum(axis=1) / 0.03)
+    (dest / "k0.csv").write_text("node,value\n" + "".join(
+        f"{i},{float(v)!r}\n" for i, v in enumerate(k0)))
+    (dest / "scenario.ini").write_text(FILE_SCENARIO)
 
 
 def commands() -> dict[str, tuple[list[str], str]]:
@@ -38,6 +83,7 @@ def commands() -> dict[str, tuple[list[str], str]]:
     for preset in PRESET_NAMES:
         cmds[f"run-{preset}"] = [*cli, "run", "--preset", preset]
         cmds[f"stability-{preset}"] = [*cli, "stability", "--preset", preset, "--dump-stencils"]
+    cmds["run-file-inputs"] = [*cli, "run", "--scenario", f"{INPUTS}/scenario.ini"]
     cmds["verify"] = [*cli, "verify"]
     for dim in (1, 2):
         cmds[f"convergence-{dim}d"] = [*cli, "convergence", "--dim", str(dim)]
@@ -68,7 +114,7 @@ def copy_working_tree(dest: Path) -> None:
 
 def make_trees(ref: str, top: Path) -> tuple[Path, Path]:
     """top/parent, REF as `git archive` gives it, and top/change, a copy of
-    the working tree."""
+    the working tree, each with the file inputs."""
     # Names of one length: with "ref" and "work", timing HEAD against a clean
     # copy of itself read large-cloud-2d march_s 4-6 % slower on the "work"
     # side in 12 of 12 pairs, and with these no side was favoured.
@@ -77,6 +123,8 @@ def make_trees(ref: str, top: Path) -> tuple[Path, Path]:
         tree.mkdir()
     extract(ref, ref_tree)
     copy_working_tree(work_tree)
+    for tree in (ref_tree, work_tree):
+        write_file_inputs(tree / INPUTS)
     return ref_tree, work_tree
 
 

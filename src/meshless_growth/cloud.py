@@ -136,10 +136,8 @@ def generate_jittered(
     h = length / (nodes_per_axis - 1)
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-jitter * h, jitter * h, size=pos.shape)
-    tol = BOUNDARY_TOL * length
-    for axis in range(dim):
-        onface = (pos[:, axis] <= tol) | (pos[:, axis] >= length - tol)
-        shift[onface, axis] = 0.0  # never move a node off its face
+    # Never move a node off its face; linspace sets both ends exactly.
+    shift[(pos == 0.0) | (pos == length)] = 0.0
     return NodeCloud(pos + shift, length)
 
 
@@ -273,30 +271,28 @@ def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, cri
 
 
 class _CellGrid:
-    """Uniform cells over the cloud's bounding box, nodes bucketed by cell.
+    """Uniform cells over [0, L]^dim, nodes bucketed by cell.
 
     The side is chosen so that the ball inscribed in a center's 3^dim window
     of cells holds about 3s nodes on a uniform cloud.
     """
 
     def __init__(self, cloud: NodeCloud, s: int):
-        pos = cloud.positions
-        self.lo, self.hi = pos.min(axis=0), pos.max(axis=0)
-        extent = self.hi - self.lo
         ball = 2.0 if cloud.dim == 1 else math.pi
         side = (3.0 * s * cloud.length ** cloud.dim / (cloud.n_nodes * ball)) ** (1.0 / cloud.dim)
-        self.shape = np.maximum(1, np.floor(extent / side)).astype(np.intp)
-        self.side = extent / self.shape
-        self.scale = np.divide(self.shape, extent, out=np.zeros(cloud.dim), where=extent > 0)
-        cells = self.cell_of(pos)
-        lin = np.ravel_multi_index(cells.T, self.shape)
+        cells = max(1, math.floor(cloud.length / side))  # per axis
+        self.shape = np.full(cloud.dim, cells, dtype=np.intp)
+        self.side = cloud.length / cells
+        self.scale = cells / cloud.length
+        self.normals = cloud.normals
+        lin = np.ravel_multi_index(self.cell_of(cloud.positions).T, self.shape)
         self.order = np.argsort(lin, kind="stable")
         self.counts = np.bincount(lin, minlength=int(np.prod(self.shape)))
         self.starts = np.cumsum(self.counts) - self.counts
         self.window = np.array(list(itertools.product((-1, 0, 1), repeat=cloud.dim)))
 
     def cell_of(self, p: np.ndarray) -> np.ndarray:
-        return np.clip(np.floor((p - self.lo) * self.scale).astype(np.intp), 0, self.shape - 1)
+        return np.clip(np.floor(p * self.scale).astype(np.intp), 0, self.shape - 1)
 
     def candidates(self, cells: np.ndarray) -> np.ndarray:
         """(B, K) nodes in each center's window of cells, -1 for empty slots."""
@@ -316,17 +312,18 @@ class _CellGrid:
         last cell, so that no node lies beyond it."""
         lo_cov = cells - 1 <= 0
         hi_cov = cells + 1 >= self.shape - 1
-        below = np.where(lo_cov, np.inf, p - (self.lo + (cells - 1) * self.side))
-        above = np.where(hi_cov, np.inf, self.lo + (cells + 2) * self.side - p)
+        below = np.where(lo_cov, np.inf, p - (cells - 1) * self.side)
+        above = np.where(hi_cov, np.inf, (cells + 2) * self.side - p)
         # A margin absorbs rounding in the binning and in the distances.
-        rho = np.minimum(below, above).min(axis=1) - 1e-9 * self.side.max()
+        rho = np.minimum(below, above).min(axis=1) - 1e-9 * self.side
         return rho, lo_cov, hi_cov
 
-    def complete_quadrants(self, p: np.ndarray, lo_cov: np.ndarray, hi_cov: np.ndarray):
+    def complete_quadrants(self, centers: np.ndarray, lo_cov: np.ndarray, hi_cov: np.ndarray):
         """(B, 4): quadrant q of the center holds no candidate outside its
         window.  On a face, the quadrants that reach only the face hold no
         candidate at all: an edge center ranks interior nodes only."""
-        (x_lo, y_lo), (x_hi, y_hi) = (p <= self.lo).T, (p >= self.hi).T
+        normals = self.normals[centers]
+        (x_lo, y_lo), (x_hi, y_hi) = (normals < 0).T, (normals > 0).T
         (lx, ly), (hx, hy) = lo_cov.T, hi_cov.T
         return np.column_stack([
             x_hi | y_hi | (hx & hy),   # h > 0, k >= 0
@@ -377,7 +374,7 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
         rho, lo_cov, hi_cov = grid.reach(p, cells)
         ok = farthest < rho
         if full is not None:
-            ok &= (full | grid.complete_quadrants(p, lo_cov, hi_cov)).all(axis=1)
+            ok &= (full | grid.complete_quadrants(c, lo_cov, hi_cov)).all(axis=1)
         out[c] = chosen
         redo.append(c[~ok])
     redo = np.concatenate(redo)

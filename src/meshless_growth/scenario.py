@@ -104,7 +104,10 @@ class CloudSpec:
             return _build("cloud.", generate_jittered, self.nodes_per_axis, self.length,
                           self.dim, self.jitter, self.seed)
         if self.kind == "file":
-            cloud = load_cloud(self.path)
+            try:
+                cloud = load_cloud(self.path)
+            except (OSError, ValueError) as exc:
+                raise ScenarioError(f"cloud.path: {exc}") from exc
             if cloud.dim != self.dim:
                 raise ScenarioError(f"cloud.dim: {self.path} holds a {cloud.dim}D cloud, "
                                     f"not {self.dim}D")
@@ -157,7 +160,12 @@ class FieldSpec:
                     raise ScenarioError(f"bumps: bump center has {len(center)} coordinates "
                                         f"on a {cloud.dim}D cloud")
                 r2 = ((cloud.positions - np.asarray(center)) ** 2).sum(axis=1)
-                out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
+                with np.errstate(over="ignore"):  # an overflow is rejected below
+                    out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                raise ScenarioError(f"bumps: the field is not finite at node {bad[0]}: "
+                                    f"{out[bad[0]]}")
             return out
         if self.kind == "file":
             return _load_field_file(self.path, cloud.n_nodes)
@@ -165,10 +173,14 @@ class FieldSpec:
 
 
 def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
-    """One finite value per node from a node,value CSV; a rejected row
-    names path:line, and a repeated node also the line of its first row."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """One finite value per node from a node,value CSV, two columns a row;
+    a rejected row names path:line, and a repeated node also the line of
+    its first row."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"path: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["node", "value"]:
         raise ScenarioError(f"path: {path}: field file header must be node,value")
     out = np.empty(n_nodes)
@@ -177,8 +189,9 @@ def _load_field_file(path: str, n_nodes: int) -> np.ndarray:
         if not row:
             continue
         try:
-            idx, val = int(row[0]), float(row[1])
-        except (ValueError, IndexError):
+            node, value = row  # exactly two columns
+            idx, val = int(node), float(value)
+        except ValueError:
             raise ScenarioError(f"path: {path}:{lineno}: expected node,value") from None
         if not 0 <= idx < n_nodes:
             raise ScenarioError(f"path: {path}:{lineno}: node {idx} out of range")

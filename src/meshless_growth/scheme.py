@@ -49,7 +49,7 @@ class SchemeConfig:
             raise ValueError("t_final: must be nonnegative and finite")
         if not self.stability_interval >= 1:
             raise ValueError("stability_interval: must be at least 1")
-        times = tuple(float(t) for t in self.snapshot_times)
+        times = tuple(float(t) + 0.0 for t in self.snapshot_times)  # -0 is the time 0
         if not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError("snapshot_times: must be sorted")
         if times and not (times[0] >= 0 and times[-1] <= self.t_final * (1 + 1e-12) + 1e-300):

@@ -10,8 +10,9 @@ closure as a dense (n_b, N) gather times the inverse of the boundary
 matrix, whatever the stars, the closed Laplacian that it gives, and the
 right-hand sides and the forward-Euler step written as plain expressions.  Tests
 require the package to match them.  `save_cloud` writes the cloud
-files that `load_cloud` reads.  Last, `ode_oracle` integrates the spatially
-uniform reduction of the system with Runge-Kutta 4.
+files that `load_cloud` reads, and `nudge_faces` moves face nodes inside
+the boundary tolerance, as a cloud file may hold them.  Last, `ode_oracle`
+integrates the spatially uniform reduction of the system with Runge-Kutta 4.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from meshless_growth import (
     DegenerateStarError,
     DivergenceError,
+    NodeCloud,
     State,
     production,
     production_derivative,
@@ -383,6 +385,19 @@ def save_cloud(cloud, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_csv_text(header, ([repr(float(v)) for v in p] + [int(b)]
                                     for p, b in zip(cloud.positions, cloud.boundary))))
+
+
+def nudge_faces(cloud):
+    """The cloud with every other node of each face, by index, moved
+    5e-13*L inside it: within the boundary tolerance, so the boundary and
+    the normals stay those of the cloud, but off the extreme coordinates of
+    the point set."""
+    pos = cloud.positions.copy()
+    for axis in range(cloud.dim):
+        for face, inward in ((0.0, 5e-13), (cloud.length, -5e-13)):
+            on = np.flatnonzero(cloud.positions[:, axis] == face)
+            pos[on[1::2], axis] += inward * cloud.length
+    return NodeCloud(pos, cloud.length)
 
 
 def ode_oracle(

@@ -3,13 +3,23 @@
 import csv
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
 
-from meshless_growth import PRESET_NAMES, March, State, dt_bound, get_preset, run
+from meshless_growth import (
+    PRESET_NAMES,
+    March,
+    State,
+    dt_bound,
+    generate_regular,
+    get_preset,
+    run,
+)
 from meshless_growth.cli import main
 from meshless_growth.output import write_stability_report
+from oracles import save_cloud
 
 QUICK = """\
 [cloud]
@@ -301,6 +311,48 @@ def test_bad_initial_field_is_config_error_naming_its_key(tmp_path, capsys, text
     assert main(["run", "--scenario", scen, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stability"])
+def test_an_overflowing_initial_field_names_its_key(tmp_path, capsys, command):
+    # The bumps sum to inf at node 4; this once warned and then failed as
+    # "initial k is not finite" (run) or "no star yields a positive step
+    # bound" (stability), and under -W error as a RuntimeWarning.
+    bumps = "k0_kind = gaussians\nk0_bumps = 1e308, 0.5, 0.1; 1e308, 0.5, 0.1"
+    scen = write_scenario(tmp_path, QUICK.replace(QUICK_K0, bumps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == ("error: initial.k0_bumps: the field is not finite "
+                                       "at node 4: inf\n")
+
+
+FILE_CLOUD = QUICK.replace("kind = jittered", "kind = file\npath = {cloud}").replace(
+    "nodes_per_axis = 9\njitter = 0.2\nseed = 5\n", "")
+FILE_FIELDS = "k0_kind = file\nk0_path = {k0}\nA0_kind = file\nA0_path = {A0}"
+
+
+@pytest.mark.parametrize("key", ["cloud.path", "initial.k0_path", "initial.A0_path"])
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+def test_a_file_input_that_fails_names_its_key(tmp_path, capsys, key, fault):
+    # k0 and A0 both come from files, so only the key tells them apart.
+    good = {"cloud": tmp_path / "cloud.csv", "k0": tmp_path / "k0.csv", "A0": tmp_path / "A0.csv"}
+    save_cloud(generate_regular(9, 1.0, dim=1), good["cloud"])
+    for name in ("k0", "A0"):
+        good[name].write_text("node,value\n" + "".join(f"{i},1\n" for i in range(9)))
+    bad = tmp_path / "bad.csv"
+    if fault == "malformed":
+        bad.write_text("x,boundary\n0,1\n1\n" if key == "cloud.path" else "node,value\n0,1,99\n")
+    name = {"cloud.path": "cloud", "initial.k0_path": "k0", "initial.A0_path": "A0"}[key]
+    paths = {**good, name: bad}
+    scen = write_scenario(tmp_path, FILE_CLOUD.replace(QUICK_K0, FILE_FIELDS).format(**paths))
+    assert main(["run", "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and str(bad) in err
+    if fault == "malformed":
+        line = "3: expected 2 columns, got 1" if key == "cloud.path" else "2: expected node,value"
+        assert err == f"error: {key}: {bad}:{line}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_preset_stability_smoke(tmp_path, capsys):

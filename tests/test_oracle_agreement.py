@@ -161,6 +161,35 @@ def test_select_star_matches_the_oracle_on_random_clouds(monkeypatch):
     assert redone
 
 
+def test_faces_inside_the_tolerance_send_no_more_rows_to_the_all_nodes_search(monkeypatch):
+    # The grid spans [0, L]^dim and reads a node's face from cloud.normals,
+    # so face nodes 5e-13 inside the face are proven like those on it: the
+    # same two edge rows beside a corner are redone, and every star equals
+    # the node-by-node ranking.
+    redone = []
+    choose = cloud_module._choose
+
+    def spy(cloud_, centers, cand, s, crit):
+        if cand.shape[1] == cloud_.n_nodes:
+            redone.extend(centers.tolist())
+        return choose(cloud_, centers, cand, s, crit)
+
+    monkeypatch.setattr(cloud_module, "_choose", spy)
+    snapped = generate_jittered(12, 1.0, dim=2, jitter=0.1, seed=11)
+    nudged = oracles.nudge_faces(snapped)
+    assert np.array_equal(nudged.normals, snapped.normals)
+    assert not np.array_equal(nudged.positions, snapped.positions)
+    rows = {}
+    for name, cloud in (("snapped", snapped), ("nudged", nudged)):
+        redone.clear()
+        stars = select_star(cloud, 8, "quadrant")
+        rows[name] = sorted(redone)
+        for node in range(cloud.n_nodes):
+            assert stars[node].tolist() == oracles.select_star(cloud, node, 8, "quadrant").tolist()
+    assert len(rows["snapped"]) == 2
+    assert rows["nudged"] == rows["snapped"]
+
+
 def test_spacing_estimate_equals_dense_nearest_neighbor_median():
     for cloud in (generate_jittered(24, 1.0, dim=2, jitter=0.3, seed=5), uneven_cloud(),
                   generate_jittered(40, 2.0, dim=1, jitter=0.3, seed=1)):

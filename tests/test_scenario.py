@@ -304,6 +304,15 @@ def test_field_file_rejects_a_repeated_node_or_a_non_finite_value(tmp_path, rows
         sc.initial_state(sc.cloud.build())
 
 
+@pytest.mark.parametrize("row", ["0,1,99", "0,1,", "0"], ids=["three", "empty-third", "one"])
+def test_field_file_row_needs_exactly_two_columns(tmp_path, row):
+    # A third column was dropped: "0,1,99" read node 0 as 1.
+    path = tmp_path / "k0.csv"
+    path.write_text(f"node,value\n{row}\n1,2\n2,3\n")
+    with pytest.raises(ScenarioError, match=f"^path: {re.escape(str(path))}:2: expected node,value$"):
+        FieldSpec(kind="file", path=str(path)).evaluate(generate_regular(3, 1.0, dim=1))
+
+
 def test_parse_scenario_from_file(tmp_path):
     path = tmp_path / "myrun.ini"
     path.write_text(MINIMAL)

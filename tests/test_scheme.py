@@ -507,7 +507,8 @@ def test_scheme_config_validation():
 
 @pytest.mark.parametrize("times, name", [((1e-7, 4e-7), "snap_t0.000000.csv"),
                                          ((0.5, 0.5), "snap_t0.500000.csv"),
-                                         ((0.0, 0.1234561, 0.1234564), "snap_t0.123456.csv")])
+                                         ((0.0, 0.1234561, 0.1234564), "snap_t0.123456.csv"),
+                                         ((0.0, -0.0), "snap_t0.000000.csv")])
 def test_snapshot_times_that_would_share_a_file_are_rejected(times, name):
     # The later snapshot would overwrite the earlier, and plot.gp plot that file twice.
     with pytest.raises(ValueError, match=rf"^snapshot_times: .* would both write {re.escape(name)}$"):
@@ -515,6 +516,13 @@ def test_snapshot_times_that_would_share_a_file_are_rejected(times, name):
     with pytest.raises(ValueError, match=r"^scheme\.snapshot_times: "):
         get_preset("growth-1d-chi1", {"scheme.snapshot_times": ", ".join(map(repr, times))})
     assert len({snapshot_filename(t) for t in (0.0, 1e-6, 0.5, 0.500001)}) == 4
+
+
+def test_a_snapshot_time_of_minus_zero_is_the_time_zero():
+    # -0 once wrote snap_t-0.000000.csv, beside snap_t0.000000.csv for 0.
+    (time,) = SchemeConfig(dt=0.1, t_final=1.0, snapshot_times=(-0.0,)).snapshot_times
+    assert math.copysign(1.0, time) == 1.0
+    assert snapshot_filename(time) == "snap_t0.000000.csv"
 
 
 def test_state_shape_validation():
