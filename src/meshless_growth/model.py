@@ -46,6 +46,9 @@ class GrowthSpec:
             raise ValueError(f"kind: must be one of ['constant', 'gaussian'], got {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:
             raise ValueError("sigma: must be positive for the gaussian kind")
+        # The width tech_rate_field divides by; sigma < 1 first, since a float's ** overflows
+        if self.kind == "gaussian" and self.sigma < 1 and 2.0 * self.sigma ** 2 == 0:
+            raise ValueError(f"sigma: {self.sigma!r} is too small: 2 sigma^2 underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,14 @@ class ModelParams:
 def production(k, params: ModelParams):
     """f(k) = a1 k^p / (1 + a2 k^q), elementwise; requires k >= 0."""
     k = np.asarray(k, dtype=float)
-    if (k < 0).any():
+    # (k < 0).any() in one reduction: fmin skips NaN, and -0.0 is not below 0.
+    if np.fmin.reduce(k, axis=None, initial=0.0) < 0:
         raise ValueError("production requires nonnegative capital")
-    # Built in place in the order of a1 k^p / (1 + a2 k^q), so each rounding is the expression's.
-    out = k ** params.p
-    out *= params.alpha1
-    den = k ** params.q
+    # Built in the order of a1 k^p / (1 + a2 k^q), so each rounding is the
+    # expression's; k^p serves as k^q when q == p.
+    kp = k ** params.p
+    out = kp * params.alpha1
+    den = kp if params.q == params.p else k ** params.q
     den *= params.alpha2
     den += 1.0
     out /= den
@@ -92,7 +97,7 @@ def production_derivative(k, params: ModelParams):
     Singular at k = 0 when p < 1.
     """
     k = np.asarray(k, dtype=float)
-    if (k < 0).any():
+    if np.fmin.reduce(k, axis=None, initial=0.0) < 0:
         raise ValueError("production_derivative requires nonnegative capital")
     if params.p < 1 and (k == 0).any():
         raise ValueError("f'(0) is singular for p < 1")
@@ -111,4 +116,5 @@ def tech_rate_field(cloud: NodeCloud, spec: GrowthSpec) -> np.ndarray:
     if center.size != cloud.dim:
         raise ValueError(f"growth center has {center.size} coordinates for a {cloud.dim}D cloud")
     r2 = ((cloud.positions - center) ** 2).sum(axis=1)
-    return spec.level * np.exp(-r2 / (2.0 * spec.sigma ** 2))
+    with np.errstate(over="ignore"):  # a tiny sigma sends r2 / (2 sigma^2) to inf: g is 0 there
+        return spec.level * np.exp(-r2 / (2.0 * spec.sigma ** 2))

@@ -6,24 +6,32 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import os
 
 import numpy as np
 
-from .scheme import Trajectory, snapshot_filename
+from .scheme import LogRecord, Trajectory, snapshot_filename
 from .stability import StabilityReport
 from .stencil import DERIV_NAMES, StencilTable
 
 
 def write_csv(path, header, rows) -> str:
-    """Write a header and rows of ints, Python floats, strings or None
-    (an empty field)."""
+    """Write a header and rows of ints, Python floats, strings or None (an
+    empty field), streamed one line at a time in the bytes csv.writer writes
+    for them: str of each field, joined by commas, each line ended by \r\n.
+    A str field is written as it is, so it may hold several columns joined
+    already; a line that does not come out with the header's number of
+    columns, or that holds a quote or a line break, would need csv's quoting,
+    and raises ValueError before it is written."""
+    commas = len(header) - 1
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            line = ",".join(["" if v is None else str(v) for v in row])
+            if line.count(",") != commas or '"' in line or "\r" in line or "\n" in line or not line:
+                raise ValueError(f"csv row {row!r} needs quoting or has the wrong column count")
+            fh.write(line + "\r\n")
     return str(path)
 
 
@@ -32,19 +40,16 @@ def write_snapshots(trajectory: Trajectory, output_dir) -> list[str]:
     os.makedirs(output_dir, exist_ok=True)
     cloud = trajectory.cloud
     header = ["node", "x", "k", "A"] if cloud.dim == 1 else ["node", "x", "y", "k", "A"]
-    coords = cloud.positions.T.tolist()
+    # node,x[,y] of every row, formatted once for all snapshots
+    coords = [f"{i},{','.join(map(str, x))}" for i, x in enumerate(cloud.positions.tolist())]
     return [write_csv(os.path.join(output_dir, snapshot_filename(snap.requested_time)), header,
-                      zip(range(cloud.n_nodes), *coords, snap.k.tolist(), snap.A.tolist()))
+                      zip(coords, snap.k.tolist(), snap.A.tolist()))
             for snap in trajectory.snapshots]
 
 
 def write_run_log(trajectory: Trajectory, output_dir) -> str:
     os.makedirs(output_dir, exist_ok=True)
-    return write_csv(
-        os.path.join(output_dir, "run_log.csv"),
-        ["step", "time", "max_k", "min_k", "clamp_count", "dt_bound"],
-        ([rec.step, float(rec.time), rec.max_k, rec.min_k, rec.clamp_count, rec.dt_bound]
-         for rec in trajectory.log))
+    return write_csv(os.path.join(output_dir, "run_log.csv"), LogRecord._fields, trajectory.log)
 
 
 def write_plot_script(trajectory: Trajectory, output_dir) -> str:

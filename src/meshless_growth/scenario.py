@@ -138,6 +138,9 @@ class FieldSpec:
     def __post_init__(self):
         if not all(bump[-1] > 0 for bump in self.bumps):
             raise ValueError("bumps: sigma must be positive")
+        for *_, sigma in self.bumps:  # the width evaluate divides by, as in GrowthSpec
+            if sigma < 1 and 2.0 * sigma ** 2 == 0:
+                raise ValueError(f"bumps: sigma {sigma!r} is too small: 2 sigma^2 underflows to 0")
         if any(a[0] > b[0] for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points: breakpoints must be sorted")
 
@@ -160,7 +163,9 @@ class FieldSpec:
                     raise ScenarioError(f"bumps: bump center has {len(center)} coordinates "
                                         f"on a {cloud.dim}D cloud")
                 r2 = ((cloud.positions - np.asarray(center)) ** 2).sum(axis=1)
-                with np.errstate(over="ignore"):  # an overflow is rejected below
+                # An overflowing sum is rejected below; an overflowing r2 / (2 sigma^2)
+                # makes the bump 0 at that node.
+                with np.errstate(over="ignore"):
                     out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:

@@ -143,10 +143,11 @@ def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=()) -> None:
     """Raise DivergenceError at the first node where k or A is not finite or
     |k| exceeds DIVERGENCE_LIMIT.  before may hold the (k, A) that the update
     made ahead of the boundary projection, whose nodes are named first."""
-    # Fast path: the max of |k| is NaN if k holds a NaN, which fails the
-    # comparison, so any bad value falls through to the mask naming the node.
-    if (np.maximum.reduce(np.abs(k)) <= DIVERGENCE_LIMIT
-            and np.logical_and.reduce(np.isfinite(A))):
+    # Fast path: k.k < L^2 / 2 bounds every |k| below L, and a NaN or an
+    # infinity fails both tests, so any bad node falls through to the mask
+    # naming it.  np.vdot reports no floating-point error: a sum of squares
+    # that overflows on finite values takes the mask too, without a warning.
+    if np.vdot(k, k) < 0.5 * DIVERGENCE_LIMIT ** 2 and np.vdot(A, A) < np.inf:
         return
     for k_, a_ in (*before, (k, A)):
         bad = ~np.isfinite(k_) | ~np.isfinite(a_) | (np.abs(k_) > DIVERGENCE_LIMIT)

@@ -8,7 +8,9 @@ stability CSVs written row by row.  The others are the plainer dense forms
 of the per-step kernels: derivatives on node-major arrays, the boundary
 closure as a dense (n_b, N) gather times the inverse of the boundary
 matrix, whatever the stars, the closed Laplacian that it gives, and the
-right-hand sides and the forward-Euler step written as plain expressions.  Tests
+right-hand sides and the forward-Euler step written as plain expressions;
+production from two powers; and the CSV writer as the csv module writes
+it.  Tests
 require the package to match them.  `save_cloud` writes the cloud
 files that `load_cloud` reads, and `nudge_faces` moves face nodes inside
 the boundary tolerance, as a cloud file may hold them.  Last, `ode_oracle`
@@ -35,6 +37,21 @@ from meshless_growth import (
 from meshless_growth.stencil import DERIV_ORDERS, RCOND_FLOOR
 
 log = logging.getLogger("meshless_growth.stability")
+
+
+def production_two_powers(k, params):
+    """f(k) = a1 k^p / (1 + a2 k^q) built in place from two powers, each
+    rounding the expression's; requires k >= 0."""
+    k = np.asarray(k, dtype=float)
+    if (k < 0).any():
+        raise ValueError("production requires nonnegative capital")
+    out = k ** params.p
+    out *= params.alpha1
+    den = k ** params.q
+    den *= params.alpha2
+    den += 1.0
+    out /= den
+    return out if out.ndim else float(out)
 
 
 def tech_rate(position, spec) -> float:
@@ -343,6 +360,14 @@ def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> st
     return buf.getvalue()
 
 
+def write_csv(path, header, rows) -> str:
+    """The package's CSV writer as the csv module writes it: the bytes that
+    output.write_csv streams, and the quoting that it rejects."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_text(header, rows))
+    return str(path)
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
@@ -382,9 +407,8 @@ def save_cloud(cloud, path) -> None:
     """Write a cloud as the CSV load_cloud reads: header x[,y],boundary, at
     full precision."""
     header = ["x", "boundary"] if cloud.dim == 1 else ["x", "y", "boundary"]
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(header, ([repr(float(v)) for v in p] + [int(b)]
-                                    for p, b in zip(cloud.positions, cloud.boundary))))
+    write_csv(path, header, ([repr(float(v)) for v in p] + [int(b)]
+                             for p, b in zip(cloud.positions, cloud.boundary)))
 
 
 def nudge_faces(cloud):

@@ -2,6 +2,7 @@
 
 import configparser
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ def test_gaussian_bump_field_evaluation():
     wrong_dim = FieldSpec(kind="gaussians", bumps=((1.0, 0.3, 0.1),))
     with pytest.raises(ScenarioError, match="center"):
         wrong_dim.evaluate(cloud)
+
+
+def test_gaussian_bumps_reject_a_sigma_whose_width_underflows():
+    # 2 sigma^2 is 0 for sigma = 1e-200: r2 / 0 would be NaN at the bump's center
+    bumps = MINIMAL.replace("k0_kind = constant\nk0_value = 1.0",
+                            "k0_kind = gaussians\nk0_bumps = 1, 0.5, 0.1; 1, 0.5, {}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=r"^initial\.k0_bumps: sigma 1e-200 is too small: "
+                                                r"2 sigma\^2 underflows to 0$"):
+            parse_scenario_text(bumps.format("1e-200"))
+        with pytest.raises(ValueError, match=r"^bumps: sigma 1e-200 is too small"):
+            FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 1e-200),))
+        # the smallest sigmas kept: r2 / (2 sigma^2) overflows off the center, where the bump is 0
+        cloud = generate_regular(11, 1.0, dim=1)
+        for sigma in ("1e-160", repr(2.0 ** -537)):
+            k0 = parse_scenario_text(bumps.format(sigma)).k0.evaluate(cloud)
+            single = FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1),)).evaluate(cloud)
+            assert np.array_equal(k0, single + np.eye(11)[5])
 
 
 def test_file_field_round_trip(tmp_path):

@@ -594,6 +594,33 @@ def test_check_finite_names_the_first_bad_node(name, value, other_bad):
     assert err.value.node == 11 and err.value.time == 1.5
 
 
+@pytest.mark.parametrize("node", [0, 17, 29])
+def test_check_finite_at_the_edges_of_its_fast_path(node):
+    # Fast path: k.k < L^2 / 2 and a finite A.A; anything else takes the mask.
+    def fields(k, A, k_node=None, a_node=None):
+        k, A = np.full(30, k), np.full(30, A)
+        if k_node is not None:
+            k[node] = k_node
+        if a_node is not None:
+            A[node] = a_node
+        return k, A
+
+    above = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_finite(*fields(1.0, 1.0, k_node=DIVERGENCE_LIMIT), 0.0)
+        _check_finite(*fields(1.0, 1.0, k_node=-DIVERGENCE_LIMIT), 0.0)
+        _check_finite(*fields(0.8 * DIVERGENCE_LIMIT, 1.0), 0.0)  # k.k is past L^2 / 2
+        _check_finite(*fields(1.0, 1e200), 0.0)  # A.A overflows
+        for k, A in [fields(1.0, 1.0, k_node=above), fields(1.0, 1.0, k_node=-above),
+                     fields(1.0, 1.0, a_node=np.nan),
+                     fields(0.8 * DIVERGENCE_LIMIT, 1.0, k_node=np.nan),
+                     fields(1.0, 1e200, a_node=np.inf)]:
+            with pytest.raises(DivergenceError) as err:
+                _check_finite(k, A, 2.5)
+            assert err.value.node == node and err.value.time == 2.5
+
+
 def test_check_finite_passes_finite_fields_at_the_limits():
     k = np.full(30, DIVERGENCE_LIMIT)
     k[3] = -DIVERGENCE_LIMIT
