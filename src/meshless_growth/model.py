@@ -32,6 +32,29 @@ class State:
             raise ValueError("k and A must have matching shapes")
 
 
+def gaussian(positions: np.ndarray, center, sigma: float) -> np.ndarray:
+    """exp(-r2 / (2 sigma^2)) at each row of positions, r2 its squared
+    distance from center, for a sigma that check_width accepts."""
+    # A far center or a tiny sigma sends r2 / (2 sigma^2) to inf: 0 there.
+    with np.errstate(over="ignore"):
+        r2 = ((positions - np.asarray(center, dtype=float)) ** 2).sum(axis=1)
+        return np.exp(-r2 / (2.0 * sigma ** 2))
+
+
+def check_width(sigma: float, lead: str, positive: str = "must be positive") -> None:
+    """The width rule of every Gaussian: sigma > 0, and 2 sigma^2, which
+    gaussian divides by, neither 0 nor inf.  Each message starts with lead;
+    positive follows it for a sigma that is not > 0, NaN included."""
+    if not sigma > 0:
+        raise ValueError(f"{lead} {positive}")
+    # 2 sigma^2 is inf from sigma = 1e154 on, where a float's ** may raise OverflowError
+    width = 2.0 * float(sigma) ** 2 if sigma < 1e154 else np.inf
+    if width == 0:
+        raise ValueError(f"{lead} {sigma!r} is too small: 2 sigma^2 underflows to 0")
+    if width == np.inf:
+        raise ValueError(f"{lead} {sigma!r} is too large: 2 sigma^2 overflows")
+
+
 @dataclass(frozen=True)
 class GrowthSpec:
     """Relative technology growth rate g as a function of position."""
@@ -44,11 +67,8 @@ class GrowthSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian"):
             raise ValueError(f"kind: must be one of ['constant', 'gaussian'], got {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise ValueError("sigma: must be positive for the gaussian kind")
-        # The width tech_rate_field divides by; sigma < 1 first, since a float's ** overflows
-        if self.kind == "gaussian" and self.sigma < 1 and 2.0 * self.sigma ** 2 == 0:
-            raise ValueError(f"sigma: {self.sigma!r} is too small: 2 sigma^2 underflows to 0")
+        if self.kind == "gaussian":
+            check_width(self.sigma, "sigma:", "must be positive for the gaussian kind")
 
 
 @dataclass(frozen=True)
@@ -115,6 +135,4 @@ def tech_rate_field(cloud: NodeCloud, spec: GrowthSpec) -> np.ndarray:
               else np.asarray(spec.center, dtype=float).ravel())
     if center.size != cloud.dim:
         raise ValueError(f"growth center has {center.size} coordinates for a {cloud.dim}D cloud")
-    r2 = ((cloud.positions - center) ** 2).sum(axis=1)
-    with np.errstate(over="ignore"):  # a tiny sigma sends r2 / (2 sigma^2) to inf: g is 0 there
-        return spec.level * np.exp(-r2 / (2.0 * spec.sigma ** 2))
+    return spec.level * gaussian(cloud.positions, center, spec.sigma)

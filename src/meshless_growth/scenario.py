@@ -18,7 +18,7 @@ import numpy as np
 
 from .cloud import NodeCloud, generate_jittered, generate_regular, load_cloud
 from .errors import ScenarioError
-from .model import GrowthSpec, ModelParams
+from .model import GrowthSpec, ModelParams, check_width, gaussian
 from .scheme import SchemeConfig, State
 from .stencil import STAR_RULE, StencilTable, build_all_stencils
 
@@ -136,11 +136,8 @@ class FieldSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if not all(bump[-1] > 0 for bump in self.bumps):
-            raise ValueError("bumps: sigma must be positive")
-        for *_, sigma in self.bumps:  # the width evaluate divides by, as in GrowthSpec
-            if sigma < 1 and 2.0 * sigma ** 2 == 0:
-                raise ValueError(f"bumps: sigma {sigma!r} is too small: 2 sigma^2 underflows to 0")
+        for *_, sigma in self.bumps:
+            check_width(sigma, "bumps: sigma")
         if any(a[0] > b[0] for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points: breakpoints must be sorted")
 
@@ -157,16 +154,12 @@ class FieldSpec:
             return np.interp(cloud.positions[:, 0], xs, vs)
         if self.kind == "gaussians":
             out = np.full(cloud.n_nodes, float(self.base))
-            for bump in self.bumps:
-                amp, *center, sigma = bump
+            for amp, *center, sigma in self.bumps:
                 if len(center) != cloud.dim:
                     raise ScenarioError(f"bumps: bump center has {len(center)} coordinates "
                                         f"on a {cloud.dim}D cloud")
-                r2 = ((cloud.positions - np.asarray(center)) ** 2).sum(axis=1)
-                # An overflowing sum is rejected below; an overflowing r2 / (2 sigma^2)
-                # makes the bump 0 at that node.
-                with np.errstate(over="ignore"):
-                    out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
+                with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+                    out = out + amp * gaussian(cloud.positions, center, sigma)
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
                 raise ScenarioError(f"bumps: the field is not finite at node {bad[0]}: "

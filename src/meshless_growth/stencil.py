@@ -112,19 +112,11 @@ class StencilTable:
 
     @property
     def neighbor_coeffs(self) -> np.ndarray:
-        """(N, s, nd) transposed view of the first s slots, read by the
-        per-star oracles of the tests and written by perfbench's check (a):
-        an in-place edit through it changes derivatives."""
+        """(N, s, nd) transposed view of the first s slots, so an in-place
+        edit through it changes derivatives.  Its one reader outside the
+        tests of the view itself is perfbench/test_perfbench.py's check (a),
+        which writes through it."""
         return self.coeffs[:, :-1].T
-
-    @property
-    def center_coeffs(self) -> np.ndarray:
-        """(N, nd) m_0 of each node, the last slot negated, read by the
-        per-star oracles of the tests and acceptance check 3: a read-only
-        copy whose transpose is C-contiguous."""
-        out = np.negative(self.coeffs[:, -1], order="C").T
-        out.flags.writeable = False
-        return out
 
     def derivatives(self, field: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
         """The derivative components parts, all of them by default, at every

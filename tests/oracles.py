@@ -9,8 +9,9 @@ of the per-step kernels: derivatives on node-major arrays, the boundary
 closure as a dense (n_b, N) gather times the inverse of the boundary
 matrix, whatever the stars, the closed Laplacian that it gives, and the
 right-hand sides and the forward-Euler step written as plain expressions;
-production from two powers; and the CSV writer as the csv module writes
-it.  Tests
+production from two powers; the growth rate and the Gaussian bumps each
+with its own copy of the Gaussian; the per-node stencil views of a
+table's slots; and the CSV writer as the csv module writes it.  Tests
 require the package to match them.  `save_cloud` writes the cloud
 files that `load_cloud` reads, and `nudge_faces` moves face nodes inside
 the boundary tolerance, as a cloud file may hold them.  Last, `ode_oracle`
@@ -37,6 +38,10 @@ from meshless_growth import (
 from meshless_growth.stencil import DERIV_ORDERS, RCOND_FLOOR
 
 log = logging.getLogger("meshless_growth.stability")
+
+# The narrowest and the widest sigma whose 2 sigma^2 is positive and finite.
+SIGMA_MIN = 1.5717277847026288e-162
+SIGMA_MAX = 9.480751908109176e+153
 
 
 def production_two_powers(k, params):
@@ -67,6 +72,29 @@ def tech_rate(position, spec) -> float:
         raise ValueError(f"position has {pos.size} coordinates, center has {center.size}")
     r2 = float(((pos - center) ** 2).sum())
     return spec.level * float(np.exp(-r2 / (2.0 * spec.sigma ** 2)))
+
+
+def tech_rate_field(cloud, spec) -> np.ndarray:
+    """Growth rate g at every node, with the Gaussian written out."""
+    if spec.kind == "constant":
+        return np.full(cloud.n_nodes, spec.level)
+    center = (np.full(cloud.dim, 0.5) if spec.center is None
+              else np.asarray(spec.center, dtype=float).ravel())
+    r2 = ((cloud.positions - center) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return spec.level * np.exp(-r2 / (2.0 * spec.sigma ** 2))
+
+
+def bump_field(cloud, base: float, bumps) -> np.ndarray:
+    """base plus each Gaussian bump (amplitude, center..., sigma) in turn,
+    with the Gaussian written out."""
+    out = np.full(cloud.n_nodes, float(base))
+    for bump in bumps:
+        amp, *center, sigma = bump
+        r2 = ((cloud.positions - np.asarray(center)) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):
+            out = out + amp * np.exp(-r2 / (2.0 * sigma ** 2))
+    return out
 
 
 def select_star(cloud, center: int, s: int, criterion: str = "distance") -> np.ndarray:
@@ -157,19 +185,28 @@ def build_table_arrays(cloud, s: int, criterion: str):
     return np.vstack(nbrs), np.vstack(centers), np.stack(coeffs)
 
 
-def apply_stencil(center_coeffs, neighbor_coeffs, center_value, neighbor_values):
+def center_coeffs(table) -> np.ndarray:
+    """(N, nd) m_0 of each node: the last slot of table.coeffs, negated."""
+    return -table.coeffs[:, -1].T
+
+
+def neighbor_coeffs(table) -> np.ndarray:
+    """(N, s, nd) m_i of each node's neighbors: the first s slots of table.coeffs."""
+    return table.coeffs[:, :-1].T
+
+
+def apply_stencil(m0, mi, center_value, neighbor_values):
     """All derivative components at one star: -m_0j U0 + sum_i m_ij Ui."""
-    return np.asarray(neighbor_values, dtype=float) @ neighbor_coeffs \
-        - center_value * center_coeffs
+    return np.asarray(neighbor_values, dtype=float) @ mi - center_value * m0
 
 
 def laplacian_center(table, node: int) -> float:
-    cc = table.center_coeffs[node]
+    cc = center_coeffs(table)[node]
     return float(cc[1]) if table.cloud.dim == 1 else float(cc[2] + cc[3])
 
 
 def laplacian_neighbors(table, node: int) -> np.ndarray:
-    nc = table.neighbor_coeffs[node]
+    nc = neighbor_coeffs(table)[node]
     return nc[:, 1] if table.cloud.dim == 1 else nc[:, 2] + nc[:, 3]
 
 
@@ -202,8 +239,8 @@ def phi_terms(table, node: int, k_field, A_field, params):
     phi1 = params.delta - a0 * fp - chi * lap_a
     phi2 = float(np.abs(mi0).sum())
     for j in range(table.cloud.dim):
-        m0j = float(table.center_coeffs[node, j])
-        mij = table.neighbor_coeffs[node, :, j]
+        m0j = float(center_coeffs(table)[node, j])
+        mij = neighbor_coeffs(table)[node, :, j]
         moment = float(mij @ ai)
         phi1 += chi * m0j ** 2 * a0 + chi * m0j * moment
         phi2 += abs(chi * m0j * a0) * float(np.abs(mij).sum())
@@ -239,7 +276,7 @@ def dt_bound(table, state, params):
 def flux_term(table, node: int, k_field, A_field, chi: float) -> float:
     """Taxis flux -chi grad(k).grad(A) - chi k0 lap(A) at one star."""
     nbrs = table.stars[:-1, node]
-    cc, nc = table.center_coeffs[node], table.neighbor_coeffs[node]
+    cc, nc = center_coeffs(table)[node], neighbor_coeffs(table)[node]
     dk = apply_stencil(cc, nc, k_field[node], k_field[nbrs])
     da = apply_stencil(cc, nc, A_field[node], A_field[nbrs])
     if table.cloud.dim == 1:
@@ -250,10 +287,10 @@ def flux_term(table, node: int, k_field, A_field, chi: float) -> float:
 def derivatives(table, field: np.ndarray) -> np.ndarray:
     """All derivative components at every node from node-major copies of
     the table's arrays, shape (N, nd)."""
-    coeffs = np.ascontiguousarray(table.neighbor_coeffs)
+    coeffs = np.ascontiguousarray(neighbor_coeffs(table))
     gathered = field[np.ascontiguousarray(table.stars[:-1].T)]
     return np.einsum("nsd,ns->nd", coeffs, gathered) \
-        - np.ascontiguousarray(table.center_coeffs) * field[:, None]
+        - np.ascontiguousarray(center_coeffs(table)) * field[:, None]
 
 
 def plain_rhs(state, march):
@@ -310,9 +347,9 @@ def dense_projection(cloud, table) -> np.ndarray:
     gather = np.zeros((n_b, cloud.n_nodes))
     for row, b in enumerate(b_idx):
         normal = cloud.normals[b]
-        mat[row, row] = float(normal @ table.center_coeffs[b, :cloud.dim])
+        mat[row, row] = float(normal @ center_coeffs(table)[b, :cloud.dim])
         for i, nbr in enumerate(table.stars[:-1, b]):
-            coeff = float(normal @ table.neighbor_coeffs[b, i, :cloud.dim])
+            coeff = float(normal @ neighbor_coeffs(table)[b, i, :cloud.dim])
             if int(nbr) in col:
                 mat[row, col[int(nbr)]] = -coeff
             else:
@@ -339,8 +376,9 @@ def closed_laplacian(cloud, table) -> np.ndarray:
     return (lap @ dense_projection(cloud, table))[:, interior]
 
 
-def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> str:
-    """The stencil dump CSV of node-major arrays, written row by row."""
+def stencil_dump_text(neighbors, m0, mi, dim: int) -> str:
+    """The stencil dump CSV of node-major arrays (neighbors, m_0 and m_i
+    of each node), written row by row."""
     names = ("x", "xx", "lap") if dim == 1 else ("x", "y", "xx", "yy", "xy", "lap")
 
     def lap(parts):
@@ -351,7 +389,7 @@ def stencil_dump_text(neighbors, center_coeffs, neighbor_coeffs, dim: int) -> st
     s = neighbors.shape[1]
     writer.writerow(["node", "deriv", "coeff_center"] + [f"coeff_{i + 1}" for i in range(s)])
     for node in range(neighbors.shape[0]):
-        cc, nc = center_coeffs[node], neighbor_coeffs[node]
+        cc, nc = m0[node], mi[node]
         centers = [float(c) for c in cc] + [float(lap(cc))]
         rows = [[float(v) for v in nc[:, j]] for j in range(nc.shape[1])]
         rows.append([float(lap(nc[i])) for i in range(s)])

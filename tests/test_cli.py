@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import csv
+import math
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from meshless_growth import (
 )
 from meshless_growth.cli import main
 from meshless_growth.output import write_stability_report
-from oracles import save_cloud
+from oracles import SIGMA_MAX, save_cloud
 
 QUICK = """\
 [cloud]
@@ -325,6 +326,26 @@ def test_an_overflowing_initial_field_names_its_key(tmp_path, capsys, command):
         assert main([command, "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == ("error: initial.k0_bumps: the field is not finite "
                                        "at node 4: inf\n")
+
+
+@pytest.mark.parametrize("command", ["run", "stability"])
+@pytest.mark.parametrize("sigma", [1e200, math.nextafter(SIGMA_MAX, math.inf)],
+                         ids=["1e200", "first-inf"])
+@pytest.mark.parametrize("key, old, new, message", [
+    ("initial.k0_bumps", QUICK_K0, "k0_kind = gaussians\nk0_bumps = 1, 0.5, {!r}", "sigma {!r}"),
+    ("model.g_sigma", "[model]\n", "[model]\ng_kind = gaussian\ng_sigma = {!r}\n", "{!r}"),
+], ids=["bump", "g"])
+def test_a_sigma_whose_width_overflows_names_its_key(tmp_path, capsys, command, sigma, key,
+                                                     old, new, message):
+    # 2 sigma^2 is inf, and past about 1.34e154 a float's sigma ** 2 raises
+    # OverflowError: the parse rejects both, so no command reaches a traceback
+    scen = write_scenario(tmp_path, QUICK.replace(old, new.format(sigma)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key}: {message.format(sigma)} is too large: 2 sigma^2 overflows\n"
+    assert "Traceback" not in err
 
 
 FILE_CLOUD = QUICK.replace("kind = jittered", "kind = file\npath = {cloud}").replace(

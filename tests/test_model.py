@@ -1,5 +1,7 @@
 """Production function, its derivative, and technology growth rates."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from meshless_growth import (
     tech_rate_field,
 )
 from meshless_growth.errors import ScenarioError
-from oracles import production_two_powers, tech_rate
+from oracles import SIGMA_MAX, production_two_powers, tech_rate
 
 
 def test_production_frozen_values():
@@ -200,3 +202,32 @@ def test_gaussian_growth_rejects_a_sigma_whose_width_underflows():
             g = tech_rate_field(cloud, GrowthSpec(kind="gaussian", level=0.1, sigma=sigma))
             assert g[60] == 0.1 and np.count_nonzero(g) == 1
         assert GrowthSpec(kind="constant", sigma=1e-200).sigma == 1e-200  # not read
+
+
+@pytest.mark.parametrize("sigma", [1e200, math.nextafter(SIGMA_MAX, math.inf)],
+                         ids=["1e200", "first-inf"])
+def test_gaussian_growth_rejects_a_sigma_whose_width_overflows(sigma):
+    # 2 sigma^2 is inf: g would be its level at every node, and past about
+    # 1.34e154 a float's sigma ** 2 raises OverflowError
+    assert 2.0 * SIGMA_MAX ** 2 < math.inf
+    tail = rf"{re.escape(repr(sigma))} is too large: 2 sigma\^2 overflows$"
+    text = ("[cloud]\nkind = regular\ndim = 2\nnodes_per_axis = 11\n\n"
+            f"[model]\ng_kind = gaussian\ng_level = 0.1\ng_sigma = {sigma!r}\n\n"
+            "[initial]\nk0_kind = constant\nk0_value = 1\n\n"
+            "[scheme]\ndt = 0.001\nt_final = 0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^sigma: {tail}"):
+            GrowthSpec(kind="gaussian", level=0.1, sigma=sigma)
+        with pytest.raises(ScenarioError, match=rf"^model\.g_sigma: {tail}"):
+            parse_scenario_text(text)
+
+
+def test_a_growth_bump_centered_far_away_is_zero_without_a_warning():
+    # r2 overflows to inf for a center at 1e300: g is 0 there, with no
+    # overflow warning to end a run under -W error
+    cloud = generate_regular(11, 1.0, dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = tech_rate_field(cloud, GrowthSpec("gaussian", 0.1, center=(1e300, 0.5), sigma=0.2))
+    assert np.array_equal(g, np.zeros(121))

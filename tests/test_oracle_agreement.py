@@ -20,6 +20,8 @@ import oracles
 from meshless_growth import (
     PRESET_NAMES,
     DegenerateStarError,
+    FieldSpec,
+    GrowthSpec,
     ModelParams,
     NeumannOperator,
     NodeCloud,
@@ -33,6 +35,7 @@ from meshless_growth import (
     polynomial_exactness,
     run,
     select_star,
+    tech_rate_field,
 )
 from meshless_growth import cloud as cloud_module
 from meshless_growth.output import (
@@ -51,8 +54,8 @@ def assert_matches_oracle(cloud, s, criterion):
     table = build_all_stencils(cloud, s, criterion)
     neighbors, center, coeffs = oracles.build_table_arrays(cloud, s, criterion)
     assert np.array_equal(table.stars[:-1].T, neighbors)
-    assert same_bits(table.center_coeffs, center)
-    assert same_bits(table.neighbor_coeffs, coeffs)
+    assert same_bits(oracles.center_coeffs(table), center)
+    assert same_bits(oracles.neighbor_coeffs(table), coeffs)
 
 
 def _cases():
@@ -231,8 +234,8 @@ def test_large_build_is_exact():
         assert table.stars[:-1, node].tolist() == star.tolist()
         center, coeffs = oracles.compute_stencil(
             cloud.positions[star] - cloud.positions[node], node)
-        assert same_bits(table.center_coeffs[node], center)
-        assert same_bits(table.neighbor_coeffs[node], coeffs)
+        assert same_bits(oracles.center_coeffs(table)[node], center)
+        assert same_bits(oracles.neighbor_coeffs(table)[node], coeffs)
 
 
 def _bound_cases():
@@ -315,6 +318,39 @@ def test_derivatives_equal_node_major_einsum(name, cloud, table):
     for field in fields:
         assert same_bits(np.ascontiguousarray(table.derivatives(field)),
                          oracles.derivatives(table, field))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_gaussians_equal_their_written_out_forms(preset):
+    scenario = get_preset(preset)
+    cloud = scenario.cloud.build()
+    spec = scenario.model.g_spec
+    assert same_bits(tech_rate_field(cloud, spec), oracles.tech_rate_field(cloud, spec))
+    for field in (scenario.k0, scenario.A0):
+        if field.kind == "gaussians":
+            assert same_bits(field.evaluate(cloud),
+                             oracles.bump_field(cloud, field.base, field.bumps))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaussians_equal_their_written_out_forms_on_every_width(dim):
+    # every sigma whose 2 sigma^2 is positive and finite, both ends included
+    sigmas = np.geomspace(oracles.SIGMA_MIN, oracles.SIGMA_MAX, 97).tolist()
+    assert sigmas[0] == oracles.SIGMA_MIN and sigmas[-1] == oracles.SIGMA_MAX
+    for outside in (math.nextafter(sigmas[0], 0), math.nextafter(sigmas[-1], math.inf)):
+        with pytest.raises(ValueError, match=r"^sigma: .* 2 sigma\^2 (underflows|overflows)"):
+            GrowthSpec("gaussian", 0.1, sigma=outside)
+    clouds = [generate_regular(11, 1.0, dim=dim),
+              generate_jittered(12, 1.0, dim=dim, jitter=0.2, seed=4)]
+    for cloud in clouds:
+        for sigma in sigmas:
+            for center in (None, (0.3, 0.7)[:dim]):
+                spec = GrowthSpec("gaussian", 0.1, center=center, sigma=sigma)
+                assert same_bits(tech_rate_field(cloud, spec),
+                                 oracles.tech_rate_field(cloud, spec))
+            bumps = ((1.2, *(0.3, 0.7)[:dim], sigma), (0.9, *(0.7, 0.6)[:dim], 0.1))
+            field = FieldSpec(kind="gaussians", bumps=bumps, base=0.05)
+            assert same_bits(field.evaluate(cloud), oracles.bump_field(cloud, 0.05, bumps))
 
 
 def _read(path):

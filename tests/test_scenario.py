@@ -1,6 +1,7 @@
 """Scenario parsing: presets, defaults, overrides, and rejection paths."""
 
 import configparser
+import math
 import re
 import warnings
 
@@ -24,7 +25,7 @@ from meshless_growth import (
 )
 from meshless_growth.scenario import _CLOUD_KINDS, _FIELD_KINDS, _GROWTH_KINDS
 from meshless_growth.stencil import STAR_RULE
-from oracles import save_cloud
+from oracles import SIGMA_MAX, save_cloud
 
 MINIMAL = """\
 [cloud]
@@ -290,6 +291,32 @@ def test_gaussian_bumps_reject_a_sigma_whose_width_underflows():
             k0 = parse_scenario_text(bumps.format(sigma)).k0.evaluate(cloud)
             single = FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1),)).evaluate(cloud)
             assert np.array_equal(k0, single + np.eye(11)[5])
+
+
+@pytest.mark.parametrize("sigma", [1e200, math.nextafter(SIGMA_MAX, math.inf)],
+                         ids=["1e200", "first-inf"])
+def test_gaussian_bumps_reject_a_sigma_whose_width_overflows(sigma):
+    # 2 sigma^2 is inf: the bump would add its amplitude at every node, and
+    # past about 1.34e154 a float's sigma ** 2 raises OverflowError
+    bumps = MINIMAL.replace("k0_kind = constant\nk0_value = 1.0",
+                            f"k0_kind = gaussians\nk0_bumps = 1, 0.5, 0.1; 1, 0.5, {sigma!r}")
+    tail = rf"sigma {re.escape(repr(sigma))} is too large: 2 sigma\^2 overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=rf"^initial\.k0_bumps: {tail}"):
+            parse_scenario_text(bumps)
+        with pytest.raises(ValueError, match=f"^bumps: {tail}"):
+            FieldSpec(kind="gaussians", bumps=((1.0, 0.5, 0.1), (1.0, 0.5, sigma)))
+
+
+def test_a_bump_centered_far_away_is_zero_without_a_warning():
+    # r2 overflows to inf for a center at -1e300: the bump is 0 there, with
+    # no overflow warning to end a run under -W error
+    cloud = generate_regular(11, 1.0, dim=2)
+    k0 = FieldSpec(kind="gaussians", bumps=((1.0, 0.5, -1e300, 0.2),), base=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(k0.evaluate(cloud), np.full(121, 0.05))
 
 
 def test_file_field_round_trip(tmp_path):

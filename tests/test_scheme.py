@@ -31,7 +31,14 @@ from meshless_growth import (
 )
 from meshless_growth.output import snapshot_filename
 from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
-from oracles import apply_stencil, euler_step, flux_term, plain_rhs
+from oracles import (
+    apply_stencil,
+    center_coeffs,
+    euler_step,
+    flux_term,
+    neighbor_coeffs,
+    plain_rhs,
+)
 
 
 def star_values(field, table, i):
@@ -70,7 +77,7 @@ def scalar_reference_step(state, march, dt):
     k_new = np.empty(n)
     a_new = np.empty(n)
     for i in np.random.default_rng(0).permutation(n):
-        cc, nc = table.center_coeffs[i], table.neighbor_coeffs[i]
+        cc, nc = center_coeffs(table)[i], neighbor_coeffs(table)[i]
         ks = star_values(state.k, table, i)
         As = star_values(state.A, table, i)
         dk = apply_stencil(cc, nc, ks[0], ks[1:])

