@@ -2,10 +2,12 @@
 
 Each step advances interior nodes with forward Euler on the stencil
 derivatives and then overwrites boundary nodes so the discrete normal
-derivative of both fields vanishes.  Edge stars hold interior nodes only
-and corner stars interior and edge nodes, so each boundary value is an
-explicit weighted sum of interior values: no system is solved, the
-residual stays at rounding level and the operation is idempotent.
+derivative vanishes of k, and of A if a step differentiates it; every
+state run records or bounds has both fields projected.  Edge stars hold
+interior nodes only and corner stars interior and edge nodes, so each
+boundary value is an explicit weighted sum of interior values: no system
+is solved, the residual stays at rounding level and the operation is
+idempotent.
 """
 
 from __future__ import annotations
@@ -161,17 +163,21 @@ class March:
     parameters and an optional forcing: g_field is tech_rate_field(cloud,
     params.g_spec) and neumann the cloud's NeumannOperator.  forcing, if
     given, is called as forcing(positions, time) and added to the capital
-    equation (manufactured solutions)."""
+    equation (manufactured solutions).  differentiates_a: rhs reads A's
+    derivatives (taxis or technology diffusion), so a step projects A."""
 
     table: StencilTable
     params: ModelParams
     forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
     g_field: np.ndarray = field(init=False)
     neumann: NeumannOperator = field(init=False)
+    differentiates_a: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g_field", tech_rate_field(self.table.cloud, self.params.g_spec))
         object.__setattr__(self, "neumann", NeumannOperator(self.table.cloud, self.table))
+        object.__setattr__(self, "differentiates_a",
+                           self.params.chi != 0.0 or self.params.tech_diffusion != 0.0)
 
     def project(self, k: np.ndarray, A: np.ndarray, time: float) -> State:
         """The State of k and A at time, both projected to zero flux."""
@@ -194,7 +200,7 @@ def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     dk = table.derivatives(k, parts)
     # The Laplacian: a fresh array, or a column of the derivatives in 1D.
     rhs_k = dk[:, -1] if dim == 1 else dk[:, -2] + dk[:, -1]
-    if chi != 0.0 or params.tech_diffusion != 0.0:
+    if march.differentiates_a:
         da = table.derivatives(A, parts)
         rhs_a = da[:, -1] if dim == 1 else da[:, -2] + da[:, -1]
         if chi != 0.0:
@@ -218,8 +224,9 @@ def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step(state: State, march: March, dt: float) -> State:
-    """One forward Euler step on rhs, the boundary projection of both
-    fields, and one divergence check after it.
+    """One forward Euler step on rhs, the boundary projection of each field
+    the next step differentiates (k, and A if march.differentiates_a), and
+    one divergence check after it.
 
     Reads only level-n values, so the node update order is immaterial.  A
     step that overflows is reported by DivergenceError, and run silences
@@ -231,7 +238,8 @@ def step(state: State, march: March, dt: float) -> State:
     new_k += state.k
     new_a *= dt
     new_a += state.A
-    new = march.project(new_k, new_a, state.time + dt)
+    new = State(k=march.neumann.project(new_k), time=state.time + dt,
+                A=march.neumann.project(new_a) if march.differentiates_a else new_a)
     # Nodes are named as the update left them; a bad value the projection replaced is dropped.
     _check_finite(new.k, new.A, new.time, before=[(new_k, new_a)])
     return new
@@ -288,12 +296,14 @@ def run(
             while pending and (remaining <= tol or state.time >= pending[0] - 1e-9 * step_dt):
                 t_s = pending.pop(0)
                 pick = prev if abs(prev.time - t_s) <= abs(state.time - t_s) else state
+                pick = march.project(pick.k, pick.A, pick.time)
                 traj.snapshots.append(Snapshot(t_s, pick.time, pick.k, pick.A))
             if remaining <= tol:
                 break
 
             if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
-                report = stability.dt_bound(table, state, params)
+                bounded = march.project(state.k, state.A, state.time)
+                report = stability.dt_bound(table, bounded, params)
                 last_bound = report.global_dt
                 if dt > last_bound * (1 + 1e-12):
                     action = "adapt" if config.stability_mode == "adapt" else "violation"
@@ -314,5 +324,5 @@ def run(
                 break
             step_idx += 1
 
-    traj.final = state
+    traj.final = march.project(state.k, state.A, state.time)
     return traj

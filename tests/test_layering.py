@@ -68,8 +68,10 @@ def named(path: Path) -> set[str]:
 
 
 def test_only_scheme_names_the_neumann_operator():
-    # March.project is the one place zero flux is imposed on a state; a
-    # module that builds its own NeumannOperator projects a second way.
+    # scheme alone imposes zero flux: step on the fields the next step
+    # reads, and March.project on both fields of every state that leaves
+    # the march; a module that builds its own NeumannOperator projects a
+    # second way.
     users = {p.stem for p in PACKAGE.glob("*.py") if "NeumannOperator" in named(p)}
     assert "scheme" in users  # the parse sees the class's own module
     assert users <= {"scheme", "__init__"}, sorted(users - {"scheme", "__init__"})

@@ -157,13 +157,23 @@ def _step_case(name, changes, forced):
 
 @pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
 def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
+    # euler_step projects both fields; step projects A only where rhs
+    # differentiates it.  Elsewhere each node's A, boundary ones included,
+    # is its own forward Euler product, and its projection is euler_step's A.
     march, got = _step_case(name, changes, forced)
-    ref = got
+    ref, own = got, got.A
     for _ in range(50):  # 5e-4 is under every case's step bound
         got = step(got, march, 5e-4)
         ref = euler_step(ref, march, 5e-4)
+        own = own + 5e-4 * (own * march.g_field)
     assert got.k.tobytes() == ref.k.tobytes()
-    assert got.A.tobytes() == ref.A.tobytes()
+    if march.differentiates_a:
+        assert got.A.tobytes() == ref.A.tobytes()
+    else:
+        inner = march.table.cloud.interior_indices
+        assert got.A[inner].tobytes() == ref.A[inner].tobytes()
+        assert got.A.tobytes() == own.tobytes()
+        assert march.neumann.project(got.A).tobytes() == ref.A.tobytes()
     assert got.time == ref.time
 
 
@@ -188,10 +198,10 @@ PARTS_CASES = [
     ("growth-2d-delta03-chi1", {}, (2, 2)),
     ("growth-1d-chi1", {}, (2, 2)),
 ]
+PARTS_IDS = [f"{n}{'-D' if c else ''}" for n, c, _ in PARTS_CASES]
 
 
-@pytest.mark.parametrize("name,changes,widths", PARTS_CASES,
-                         ids=[f"{n}{'-D' if c else ''}" for n, c, _ in PARTS_CASES])
+@pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
 def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths, monkeypatch):
     march, state = _step_case(name, changes, False)
     shapes = []
@@ -206,6 +216,23 @@ def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths,
     rhs(state, march)
     dim = march.table.cloud.dim
     assert shapes == [(march.table.cloud.n_nodes, w * dim) for w in widths]
+
+
+@pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
+def test_step_projects_only_the_fields_rhs_differentiates(name, changes, widths, monkeypatch):
+    # One projection per field the next step reads the boundary values of:
+    # k alone without taxis or technology diffusion, k and A with either.
+    march, state = _step_case(name, changes, False)
+    calls = []
+    full = NeumannOperator.project
+
+    def recorder(op, field):
+        calls.append(field)
+        return full(op, field)
+
+    monkeypatch.setattr(NeumannOperator, "project", recorder)
+    step(state, march, 5e-4)
+    assert len(calls) == len(widths)
 
 
 def _bad_node_setup():
@@ -349,6 +376,47 @@ def test_run_initial_state_is_projected():
         assert abs(cloud.normals[b] @ dk[b, :1]) < 1e-10
 
 
+def _is_projected(march, state):
+    return all(march.neumann.project(f).tobytes() == f.tobytes() for f in (state.k, state.A))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_recorded_state_is_projected(name):
+    # Steps leave boundary A unprojected where no operator reads it; run
+    # projects each state it records, and hands the step bound that state.
+    scenario = get_preset(name, {"scheme.t_final": 1.0, "scheme.snapshot_times": "0, 0.5, 1"})
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    march = March(table, scenario.model)
+    traj = run(cloud, table, scenario.model, scenario.initial_state(cloud), scenario.scheme)
+    assert traj.diverged is None and len(traj.snapshots) == 3
+    assert _is_projected(march, traj.final)
+    steps = {rec.time: rec.step for rec in traj.log}
+    bounded = 0
+    for snap in traj.snapshots:
+        assert _is_projected(march, snap)
+        j = steps[snap.time]  # the bound taken at step j is logged with step j + 1
+        if j % scenario.scheme.stability_interval == 0 and j < len(traj.log) - 1:
+            bound = dt_bound(table, State(k=snap.k, A=snap.A, time=snap.time), scenario.model)
+            assert traj.log[j + 1].dt_bound == bound.global_dt
+            bounded += 1
+    assert bounded >= 1 + (cloud.dim == 2)  # t = 0, and t = 0.5 at step 500 in 2D
+
+
+def test_the_final_state_of_a_diverged_march_is_projected():
+    # chi = 0 and D = 0, so the steps leave boundary A unprojected.
+    scenario = get_preset("growth-2d-delta005")
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    march = March(table, scenario.model)
+    given = scenario.initial_state(cloud)
+    initial = march.project(given.k, given.A, given.time)
+    dt = 20.0 * dt_bound(table, initial, scenario.model).global_dt
+    traj = run(cloud, table, scenario.model, initial, SchemeConfig(dt=dt, t_final=1000 * dt))
+    assert traj.diverged is not None and traj.diverged.step > 1
+    assert not march.differentiates_a and _is_projected(march, traj.final)
+
+
 def test_step_count_and_truncation():
     cloud = generate_regular(5, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
@@ -408,7 +476,8 @@ def test_a_snapshot_time_past_the_final_state_takes_it():
     assert traj.log[-1].step == 2000 and late - traj.final.time > 0.5e-9
     taken = {s.requested_time: s for s in traj.snapshots}
     assert taken[999.7].time == 999.5
-    assert taken[late].time == traj.final.time and taken[late].k is traj.final.k
+    assert taken[late].time == traj.final.time
+    assert taken[late].k.tobytes() == traj.final.k.tobytes()
 
 
 def test_divergence_reports_partial_trajectory():
