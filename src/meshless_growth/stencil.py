@@ -11,6 +11,7 @@ center vector m_0 = sum_i m_i, so any derivative is evaluated as
 -m_0j U0 + sum_i m_ij Ui.  Offsets, and so the distances in w, are normalized
 by the star radius before assembly so the moment matrix stays well
 conditioned on tight clusters; the coefficients are scaled back afterwards.
+Traces certify most moment matrices, and only the rest get eigenvalues.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     as DERIV_NAMES.  Raises DegenerateStarError for the first row whose
     moment matrix is not positive definite to reciprocal condition
     RCOND_FLOOR; errors name rows as nodes, which they are when
-    build_all_stencils stacks one star per node.
+    build_all_stencils stacks one star per node.  A row passes if the
+    traces of M and of the solve's M^-1 certify it, or else the eigenvalue
+    test of M, so verdicts and messages are those of that test alone.
     """
     n_stars, s, dim = offsets.shape
     r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
@@ -62,15 +65,27 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     c = _taylor_rows(scaled)                        # (M, s, nd)
     m = np.swapaxes(c * w2[..., None], 1, 2) @ c    # (M, nd, nd)
 
-    eig = np.linalg.eigvalsh(m)
-    bad = np.flatnonzero((eig[:, 0] <= 0) | (eig[:, 0] < RCOND_FLOOR * eig[:, -1]))
-    if bad.size:
-        row = int(bad[0])
-        raise DegenerateStarError(row, f"moment matrix rcond {eig[row, 0] / eig[row, -1]:.2e}")
+    # M is SPD, so lambda_max <= tr M and lambda_min >= 1 / tr M^-1: tr M tr M^-1 <= 1e9 certifies
+    # rcond >= 1e-9.  The 1e3 margin over the floor covers M^-1's rounding: a Cholesky that succeeds
+    # factors M + E, |E| ~ n eps |M| (Higham 2002, ch. 10), so a row below the floor reads >~ 1e12.
+    try:
+        with np.errstate(all="ignore"):  # a near-singular row may overflow before it is rejected
+            chol = np.linalg.cholesky(m)
+            q = np.swapaxes(np.linalg.inv(chol), 1, 2)  # M^{-1} = Q Q^T
+            minv = q @ np.swapaxes(q, 1, 2)
+            traces = np.trace(m, axis1=1, axis2=2) * np.trace(minv, axis1=1, axis2=2)
+            failed, unsure = None, np.flatnonzero(~(traces * RCOND_FLOOR <= 1e-3))  # NaN: unsure
+    except np.linalg.LinAlgError as err:
+        failed, unsure = err, np.arange(n_stars)
+    if unsure.size:  # the eigenvalue test, on the rows the traces leave open
+        eig = np.linalg.eigvalsh(m[unsure])
+        bad = np.flatnonzero((eig[:, 0] <= 0) | (eig[:, 0] < RCOND_FLOOR * eig[:, -1]))
+        if bad.size:
+            row, node = int(bad[0]), int(unsure[bad[0]])
+            raise DegenerateStarError(node, f"moment matrix rcond {eig[row, 0] / eig[row, -1]:.2e}")
+    if failed is not None:
+        raise failed
     # Every row is now positive definite with condition <= 1 / RCOND_FLOOR.
-    chol = np.linalg.cholesky(m)
-    q = np.swapaxes(np.linalg.inv(chol), 1, 2)  # M^{-1} = Q Q^T
-    minv = q @ np.swapaxes(q, 1, 2)
 
     slots = np.empty((c.shape[2], s + 1, n_stars))
     coeffs = slots[:, :-1].T  # (M, s, nd) view of the neighbor slots

@@ -11,11 +11,13 @@ matrix, whatever the stars, the closed Laplacian that it gives, and the
 right-hand sides and the forward-Euler step written as plain expressions;
 production from two powers; the growth rate and the Gaussian bumps each
 with its own copy of the Gaussian; the per-node stencil views of a
-table's slots; and the CSV writer as the csv module writes it.  Tests
-require the package to match them.  `save_cloud` writes the cloud
-files that `load_cloud` reads, and `nudge_faces` moves face nodes inside
-the boundary tolerance, as a cloud file may hold them.  Last, `ode_oracle`
-integrates the spatially uniform reduction of the system with Runge-Kutta 4.
+table's slots; the batched moment solve with the eigenvalue test on every
+row before the Cholesky factor; and the CSV writer as the csv module
+writes it.  Tests require the package to match them.  `save_cloud` writes
+the cloud files that `load_cloud` reads, and `nudge_faces` moves face nodes
+inside the boundary tolerance, as a cloud file may hold them.  Last,
+`ode_oracle` integrates the spatially uniform reduction of the system with
+Runge-Kutta 4.
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ def select_star(cloud, center: int, s: int, criterion: str = "distance") -> np.n
 
 
 def taylor_rows(offsets: np.ndarray) -> np.ndarray:
-    if offsets.shape[1] == 1:
-        h = offsets[:, 0]
-        return np.column_stack([h, 0.5 * h ** 2])
-    h, k = offsets[:, 0], offsets[:, 1]
-    return np.column_stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k])
+    """Taylor rows of offsets (..., dim): shape (..., nd)."""
+    if offsets.shape[-1] == 1:
+        h = offsets[..., 0]
+        return np.stack([h, 0.5 * h ** 2], axis=-1)
+    h, k = offsets[..., 0], offsets[..., 1]
+    return np.stack([h, k, 0.5 * h ** 2, 0.5 * k ** 2, h * k], axis=-1)
 
 
 def assemble_moment_matrix(offsets: np.ndarray) -> np.ndarray:
@@ -171,6 +174,37 @@ def compute_stencil(offsets: np.ndarray, node: int = 0):
     coeffs = (w ** 2)[:, None] * (c @ minv)
     coeffs = coeffs / r ** np.asarray(DERIV_ORDERS[dim], dtype=float)
     return coeffs.sum(axis=0), coeffs
+
+
+def batched_stencil(offsets: np.ndarray) -> np.ndarray:
+    """The packed slots (nd, s+1, M) of a stack of stars with offsets
+    (M, s, dim), solved with the eigenvalue test first: eigvalsh on every
+    moment matrix, the lowest failing row named, then one batched Cholesky
+    and inverse.  Raises what that solve raises, in the same order."""
+    n_stars, s, dim = offsets.shape
+    r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)
+    scaled = offsets / r[:, None, None]
+    dist = np.sqrt((scaled ** 2).sum(axis=2))
+    zero = np.flatnonzero((dist == 0).any(axis=1))
+    if zero.size:
+        raise ValueError(f"star at node {zero[0]} contains a zero offset")
+    w2 = (dist ** -3.0) ** 2
+    c = taylor_rows(scaled)
+    m = np.swapaxes(c * w2[..., None], 1, 2) @ c
+    eig = np.linalg.eigvalsh(m)
+    bad = np.flatnonzero((eig[:, 0] <= 0) | (eig[:, 0] < RCOND_FLOOR * eig[:, -1]))
+    if bad.size:
+        row = int(bad[0])
+        raise DegenerateStarError(row, f"moment matrix rcond {eig[row, 0] / eig[row, -1]:.2e}")
+    chol = np.linalg.cholesky(m)
+    q = np.swapaxes(np.linalg.inv(chol), 1, 2)
+    minv = q @ np.swapaxes(q, 1, 2)
+    slots = np.empty((c.shape[2], s + 1, n_stars))
+    coeffs = slots[:, :-1].T
+    np.multiply(w2[..., None], c @ minv, out=coeffs)
+    np.divide(coeffs, r[:, None, None] ** np.asarray(DERIV_ORDERS[dim], dtype=float), out=coeffs)
+    slots[:, -1] = -coeffs.sum(axis=1).T
+    return slots
 
 
 def build_table_arrays(cloud, s: int, criterion: str):

@@ -9,7 +9,11 @@ instead of inverting, agrees with the dense inverse to rounding.
 """
 
 import math
+import runpy
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from meshless_growth import (
     generate_jittered,
     generate_regular,
     get_preset,
+    parse_scenario_text,
     polynomial_exactness,
     run,
     select_star,
@@ -44,6 +49,9 @@ from meshless_growth.output import (
     write_stability_report,
     write_stencil_dump,
 )
+from meshless_growth.stencil import STAR_RULE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def same_bits(a, b):
@@ -202,14 +210,76 @@ def test_spacing_estimate_equals_dense_nearest_neighbor_median():
         assert cloud.spacing_estimate() == float(np.median(dist.min(axis=1)))
 
 
-def test_degenerate_star_names_the_lowest_bad_node():
+def star_offsets(cloud, s, criterion):
+    """(N, s, dim) offsets of every node's star, as build_all_stencils stacks them."""
+    return cloud.positions[select_star(cloud, s, criterion)] - cloud.positions[:, None, :]
+
+
+def assert_same_solve(offsets):
+    """compute_stencil raises what the eigenvalue-first solve raises, with
+    its type, node and message, or else returns its bits."""
+    try:
+        want = oracles.batched_stencil(offsets)
+    except Exception as err:
+        with pytest.raises(Exception) as got:
+            compute_stencil(offsets)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        assert getattr(got.value, "node", None) == getattr(err, "node", None)
+        return
+    assert same_bits(compute_stencil(offsets), want)
+
+
+@pytest.fixture
+def eig_rows(monkeypatch):
+    """The row count of every stack np.linalg.eigvalsh is called on."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return rows
+
+
+def test_degenerate_star_names_the_lowest_bad_node(eig_rows):
     rng = np.random.default_rng(1)
     offsets = rng.uniform(-1, 1, size=(10, 6, 2))
-    offsets[7, :, 1] = 0.0  # collinear stars
-    offsets[3, :, 1] = 0.0
-    with pytest.raises(DegenerateStarError) as err:
-        compute_stencil(offsets)
-    assert err.value.node == 3
+
+    def batch(scales):  # the y offsets of each row scaled by scales[row]
+        out = offsets.copy()
+        for row, scale in scales.items():
+            out[row, :, 1] *= scale
+        return out
+
+    # y scaled by 1e-3: rcond 2.4e-15, yet the Cholesky factor exists, so the
+    # eigenvalue test sees that row alone (by 1e-80 too, whose M^-1 overflows);
+    # y scaled by 0: collinear, so the batched Cholesky fails and the test
+    # sees every row
+    batches = {"collinear at 3 and 7": (batch({3: 0.0, 7: 0.0}), [10]),
+               "thin at 3": (batch({3: 1e-3}), [1]),
+               "overflowing at 3": (batch({3: 1e-80}), [1]),
+               "thin at 3, collinear at 7": (batch({3: 1e-3, 7: 0.0}), [10]),
+               "collinear at 3, thin at 7": (batch({3: 0.0, 7: 1e-3}), [10])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (stack, rows) in batches.items():
+            with pytest.raises(DegenerateStarError) as want:
+                oracles.batched_stencil(stack)
+            eig_rows.clear()
+            with pytest.raises(DegenerateStarError) as err:
+                compute_stencil(stack)
+            assert err.value.node == want.value.node == 3, name
+            assert str(err.value) == str(want.value), name
+            assert eig_rows == rows, name
+        # rcond 2.6e-11, above the floor but not certified: accepted after its eigenvalues
+        near = batch({3: 1e-2})
+        want = oracles.batched_stencil(near)
+        eig_rows.clear()
+        assert same_bits(compute_stencil(near), want)
+        assert eig_rows == [1]
     # the distance stars on this lattice fail first at node 1, as node by node
     lattice = generate_regular(8, 1.0, dim=2)
     with pytest.raises(DegenerateStarError) as err:
@@ -218,6 +288,97 @@ def test_degenerate_star_names_the_lowest_bad_node():
     with pytest.raises(DegenerateStarError) as err:
         oracles.build_table_arrays(lattice, 5, "distance")
     assert err.value.node == 1
+    assert_same_solve(star_offsets(lattice, 5, "distance"))
+
+
+def _solve_clouds(dim, jitter):
+    if jitter == 0.0:
+        for n in (5, 9, 11, 20, 30) if dim == 1 else (5, 7, 11, 20):
+            yield generate_regular(n, 1.0, dim=dim)
+    for seed in range(20):
+        for n in (5, 8, 12, 24, 48) if seed < 5 else (5, 8, 12, 24):
+            yield generate_jittered(n, 1.0, dim=dim, jitter=jitter, seed=seed)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.15, 0.3, 0.45])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_equals_the_eigenvalue_first_solve_on_clouds(dim, jitter):
+    # regular clouds, and jittered ones at 5 to 48 nodes per axis and seeds
+    # 0 to 19: the same stencils, bit for bit
+    for cloud in _solve_clouds(dim, jitter):
+        assert_same_solve(star_offsets(cloud, *STAR_RULE[dim]))
+
+
+@pytest.mark.parametrize("case", ["presets", "jittered-96"])
+def test_solve_equals_the_eigenvalue_first_solve_on_named_clouds(case):
+    if case == "presets":
+        for name in PRESET_NAMES:
+            scenario = get_preset(name)
+            assert_same_solve(star_offsets(scenario.cloud.build(), scenario.star.s,
+                                           scenario.star.criterion))
+    else:
+        cloud = generate_jittered(96, 1.0, dim=2, jitter=0.25, seed=11)
+        assert_same_solve(star_offsets(cloud, 8, "quadrant"))
+
+
+@st.composite
+def moment_stacks(draw):
+    """Random stars of nd = 2 (1D) or 5 (2D), some squeezed toward a point
+    (1D) or a line through the center (2D) by 10^-e, or onto it exactly;
+    e from 0 to 4 puts many rows near the floor, between it and the
+    certified bound."""
+    dim = draw(st.sampled_from([1, 2]))
+    s = draw(st.integers(2, 4) if dim == 1 else st.integers(5, 10))
+    squeeze = draw(st.lists(st.one_of(st.none(), st.floats(0, 4), st.integers(0, 17)),
+                            min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offsets = rng.uniform(-1, 1, size=(len(squeeze), s, dim))
+    for row, e in enumerate(squeeze):
+        if e is None:
+            continue
+        scale = 0.0 if e == 17 else 10.0 ** -e
+        if dim == 1:  # every neighbor near the first
+            offsets[row, :, 0] = offsets[row, 0, 0] * (1.0 + scale * rng.uniform(-1, 1, s))
+        else:  # every neighbor near a line at a random angle
+            offsets[row, :, 1] *= scale
+            turn = rng.uniform(0, 2 * np.pi)
+            offsets[row] = offsets[row] @ np.array([[np.cos(turn), np.sin(turn)],
+                                                    [-np.sin(turn), np.cos(turn)]])
+    return offsets
+
+
+def near_floor_stack():
+    """Four random 2D stars, row 2 with its y offsets scaled by 1e-2: rcond
+    1.9e-12, above the floor but past what the traces certify."""
+    offsets = np.random.default_rng(1).uniform(-1, 1, size=(4, 6, 2))
+    offsets[2, :, 1] *= 1e-2
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_stacks())
+@example(near_floor_stack())
+@example(np.array([[[0.1], [0.100002]], [[0.2], [-0.3]]]))  # row 0: rcond 1.6e-11
+def test_solve_equals_the_eigenvalue_first_solve_on_random_stacks(offsets):
+    # the same verdict, node and message, or the same bits
+    assert_same_solve(offsets)
+
+
+def test_no_preset_or_benchmark_star_needs_eigenvalues(eig_rows, monkeypatch, tmp_path):
+    # every moment matrix of these clouds is certified by its traces
+    scenarios = {name: get_preset(name) for name in PRESET_NAMES}
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workloads.py prepends src
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    for w in workloads["WORKLOADS"].values():
+        config = w.config(1, workloads["PRESET_CLOUD_SEED"], str(tmp_path))
+        scenarios[w.name] = parse_scenario_text(workloads["scenario_text"](config))
+    assert len(scenarios) == len(PRESET_NAMES) + 3
+    for name, scenario in scenarios.items():
+        build_all_stencils(scenario.cloud.build(), scenario.star.s, scenario.star.criterion)
+        assert eig_rows == [], name
+    # the spy sees the rows the traces leave open
+    compute_stencil(near_floor_stack())
+    assert eig_rows == [1]
 
 
 def test_large_build_is_exact():
