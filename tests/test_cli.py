@@ -329,22 +329,26 @@ def test_an_overflowing_initial_field_names_its_key(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "stability"])
-@pytest.mark.parametrize("sigma", [1e200, math.nextafter(SIGMA_MAX, math.inf)],
-                         ids=["1e200", "first-inf"])
+@pytest.mark.parametrize("sigma, verdict", [
+    (1e-200, "is too small: 2 sigma^2 underflows to 0"),
+    (1e200, "is too large: 2 sigma^2 overflows"),
+    (math.nextafter(SIGMA_MAX, math.inf), "is too large: 2 sigma^2 overflows"),
+], ids=["1e-200", "1e200", "first-inf"])
 @pytest.mark.parametrize("key, old, new, message", [
     ("initial.k0_bumps", QUICK_K0, "k0_kind = gaussians\nk0_bumps = 1, 0.5, {!r}", "sigma {!r}"),
     ("model.g_sigma", "[model]\n", "[model]\ng_kind = gaussian\ng_sigma = {!r}\n", "{!r}"),
 ], ids=["bump", "g"])
-def test_a_sigma_whose_width_overflows_names_its_key(tmp_path, capsys, command, sigma, key,
-                                                     old, new, message):
-    # 2 sigma^2 is inf, and past about 1.34e154 a float's sigma ** 2 raises
-    # OverflowError: the parse rejects both, so no command reaches a traceback
+def test_a_sigma_whose_width_is_0_or_inf_names_its_key(tmp_path, capsys, command, sigma, verdict,
+                                                       key, old, new, message):
+    # 2 sigma^2 underflows to 0 and divides, or is inf, and past about
+    # 1.34e154 a float's sigma ** 2 raises OverflowError: the parse rejects
+    # all three, so no command reaches a warning or a traceback
     scen = write_scenario(tmp_path, QUICK.replace(old, new.format(sigma)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {key}: {message.format(sigma)} is too large: 2 sigma^2 overflows\n"
+    assert err == f"error: {key}: {message.format(sigma)} {verdict}\n"
     assert "Traceback" not in err
 
 
@@ -366,37 +370,45 @@ def test_a_degenerate_star_in_a_cloud_file_names_its_node(tmp_path, capsys, comm
 FILE_CLOUD = QUICK.replace("kind = jittered", "kind = file\npath = {cloud}").replace(
     "nodes_per_axis = 9\njitter = 0.2\nseed = 5\n", "")
 FILE_FIELDS = "k0_kind = file\nk0_path = {k0}\nA0_kind = file\nA0_path = {A0}"
+FILE_FAULTS = [(key, fault) for fault in ("missing", "malformed", "repeated")
+               for key in ("cloud.path", "initial.k0_path", "initial.A0_path")]
 
 
-@pytest.mark.parametrize("key", ["cloud.path", "initial.k0_path", "initial.A0_path"])
-@pytest.mark.parametrize("fault", ["missing", "malformed"])
+@pytest.mark.parametrize("key, fault", [(None, None)] + FILE_FAULTS,
+                         ids=["valid"] + [f"{fault}-{key}" for key, fault in FILE_FAULTS])
 def test_a_file_input_that_fails_names_its_key(tmp_path, capsys, key, fault):
     # k0 and A0 both come from files, so only the key tells them apart.
-    good = {"cloud": tmp_path / "cloud.csv", "k0": tmp_path / "k0.csv", "A0": tmp_path / "A0.csv"}
-    save_cloud(generate_regular(9, 1.0, dim=1), good["cloud"])
+    paths = {"cloud": tmp_path / "cloud.csv", "k0": tmp_path / "k0.csv", "A0": tmp_path / "A0.csv"}
+    save_cloud(generate_regular(9, 1.0, dim=1), paths["cloud"])
     for name in ("k0", "A0"):
-        good[name].write_text("node,value\n" + "".join(f"{i},1\n" for i in range(9)))
-    bad = tmp_path / "bad.csv"
-    if fault == "malformed":
-        bad.write_text("x,boundary\n0,1\n1\n" if key == "cloud.path" else "node,value\n0,1,99\n")
-    name = {"cloud.path": "cloud", "initial.k0_path": "k0", "initial.A0_path": "A0"}[key]
-    paths = {**good, name: bad}
+        paths[name].write_text("node,value\n" + "".join(f"{i},1\n" for i in range(9)))
+    if key is not None:
+        name = {"cloud.path": "cloud", "initial.k0_path": "k0", "initial.A0_path": "A0"}[key]
+        bad = tmp_path / "bad.csv"
+        if fault == "malformed":
+            bad.write_text("x,boundary\n0,1\n1\n" if key == "cloud.path" else "node,value\n0,1,99\n")
+        elif fault == "repeated":  # node 3's row, on line 5, again on line 11
+            rows = paths[name].read_text().splitlines(keepends=True)
+            bad.write_text("".join(rows) + rows[4])
+        paths[name] = bad
     scen = write_scenario(tmp_path, FILE_CLOUD.replace(QUICK_K0, FILE_FIELDS).format(**paths))
-    assert main(["run", "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
+    out = tmp_path / "x"
+    code = main(["run", "--scenario", scen, "--out", str(out)])
+    if key is None:
+        assert code == 0
+        assert {p.name for p in out.iterdir()} == {"run_log.csv", "plot.gp", "snap_t0.000000.csv",
+                                                   "snap_t0.050000.csv", "snap_t0.100000.csv"}
+        return
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and str(bad) in err
-    if fault == "malformed":
-        line = "3: expected 2 columns, got 1" if key == "cloud.path" else "2: expected node,value"
+    line = {("malformed", True): "3: expected 2 columns, got 1",
+            ("malformed", False): "2: expected node,value",
+            ("repeated", True): "11: node coincides with the node on line 5",
+            ("repeated", False): "11: node 3 repeats line 5"}.get((fault, key == "cloud.path"))
+    if line is not None:
         assert err == f"error: {key}: {bad}:{line}\n"
-    assert not (tmp_path / "x").exists()
-
-
-def test_preset_stability_smoke(tmp_path, capsys):
-    out = tmp_path / "preset"
-    assert main(["stability", "--preset", "growth-1d-delta005",
-                 "--out", str(out)]) == 0
-    assert (out / "stability.csv").exists()
-    assert "global dt bound" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_console_script_installed():
