@@ -14,10 +14,14 @@ every preset, `run` on a scenario that reads those two files, `verify
 workload of BENCHMARK.json.  Every file those commands write is compared byte
 for byte, and so is each exit code; standard output is not, since it prints
 paths, and neither is perfbench's results file, which holds timings.  Prints
-one line per difference and exits 1 if there is any.
+one line per difference and exits 1 if there is any.  A differing CSV file
+with the same header and row count on both sides is followed by the largest
+|a - b| / max |a| of each numeric column, a at REF, and the names of its
+other columns whose text differs.
 """
 
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -144,6 +148,56 @@ def files(top: Path) -> set[Path]:
     return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
 
 
+def column_differences(ref_file: Path, work_file: Path) -> str:
+    """"name size, ..." over the columns of two CSV files with one header and
+    row count, size the largest |a - b| / max |a| of a numeric column, a from
+    ref_file and empty cells left out, and "name text" for another column
+    whose text differs; "" for other files."""
+    if ref_file.suffix != ".csv":
+        return ""
+    ref_rows, work_rows = (list(csv.reader(f.read_text().splitlines()))
+                           for f in (ref_file, work_file))
+    if not ref_rows or ref_rows[0] != work_rows[0] or len(ref_rows) != len(work_rows) \
+            or any(len(row) != len(ref_rows[0]) for row in ref_rows + work_rows):
+        return ""
+    sizes = []
+    for j, name in enumerate(ref_rows[0]):
+        a_text, b_text = (np.array([row[j] for row in rows[1:]]) for rows in (ref_rows, work_rows))
+        try:  # an empty cell, such as a step with no bound, reads as NaN
+            a, b = (np.where(t == "", "nan", t).astype(float) for t in (a_text, b_text))
+        except ValueError:
+            if (a_text != b_text).any():
+                sizes.append(f"{name} text")
+            continue
+        diff = np.where(a_text == b_text, 0.0, np.abs(a - b))  # equal text: no difference
+        scale = np.abs(a[np.isfinite(a)]).max(initial=0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sizes.append(f"{name} {diff.max(initial=0.0) / scale if diff.any() else 0.0:.1e}")
+    return ", ".join(sizes)
+
+
+def report(ref: str, ref_out: Path, work_out: Path, ref_codes: dict[str, int],
+           work_codes: dict[str, int]) -> int:
+    """Print one line per difference between the outputs and exit codes at
+    ref and in the working tree, then a summary; 1 if there is any."""
+    diffs = [f"exit code of {name}: {ref_codes[name]} at {ref}, "
+             f"{work_codes[name]} in the working tree"
+             for name in ref_codes if ref_codes[name] != work_codes[name]]
+    ref_files, work_files = files(ref_out), files(work_out)
+    diffs += [f"only at {ref}: {p}" for p in sorted(ref_files - work_files)]
+    diffs += [f"only in the working tree: {p}" for p in sorted(work_files - ref_files)]
+    for p in sorted(ref_files & work_files):
+        if not filecmp.cmp(ref_out / p, work_out / p, shallow=False):
+            sizes = column_differences(ref_out / p, work_out / p)
+            diffs.append(f"differs: {p}" + (f" (largest |a - b| / max |a|: {sizes})"
+                                              if sizes else ""))
+    for line in diffs:
+        print(line)
+    print(f"{len(ref_codes)} commands, {len(ref_files | work_files)} files: "
+          f"{len(diffs)} difference{'' if len(diffs) == 1 else 's'}")
+    return 1 if diffs else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="git revision to compare against, such as HEAD or a commit")
@@ -153,21 +207,7 @@ def main(argv=None) -> int:
         ref_tree, work_tree = make_trees(args.ref, Path(tmp))
         cmds = commands()
         ref_codes, work_codes = run_all(ref_tree, cmds), run_all(work_tree, cmds)
-
-        diffs = [f"exit code of {name}: {ref_codes[name]} at {args.ref}, "
-                 f"{work_codes[name]} in the working tree"
-                 for name in cmds if ref_codes[name] != work_codes[name]]
-        ref_out, work_out = ref_tree / "out", work_tree / "out"
-        ref_files, work_files = files(ref_out), files(work_out)
-        diffs += [f"only at {args.ref}: {p}" for p in sorted(ref_files - work_files)]
-        diffs += [f"only in the working tree: {p}" for p in sorted(work_files - ref_files)]
-        diffs += [f"differs: {p}" for p in sorted(ref_files & work_files)
-                  if not filecmp.cmp(ref_out / p, work_out / p, shallow=False)]
-        for line in diffs:
-            print(line)
-        print(f"{len(cmds)} commands, {len(ref_files | work_files)} files: "
-              f"{len(diffs)} difference{'' if len(diffs) == 1 else 's'}")
-    return 1 if diffs else 0
+        return report(args.ref, ref_tree / "out", work_tree / "out", ref_codes, work_codes)
 
 
 if __name__ == "__main__":

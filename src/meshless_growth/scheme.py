@@ -163,7 +163,9 @@ class March:
     parameters and an optional forcing: g_field is tech_rate_field(cloud,
     params.g_spec) and neumann the cloud's NeumannOperator.  forcing, if
     given, is called as forcing(positions, time) and added to the capital
-    equation (manufactured solutions).  differentiates_a: rhs reads A's
+    equation (manufactured solutions).  rows is the C-contiguous block of
+    coefficient rows rhs contracts: table.lap[None], or with taxis the
+    gradient rows coeffs[:dim] before it.  differentiates_a: rhs reads A's
     derivatives (taxis or technology diffusion), so a step projects A."""
 
     table: StencilTable
@@ -171,11 +173,16 @@ class March:
     forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
     g_field: np.ndarray = field(init=False)
     neumann: NeumannOperator = field(init=False)
+    rows: np.ndarray = field(init=False)
     differentiates_a: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "g_field", tech_rate_field(self.table.cloud, self.params.g_spec))
-        object.__setattr__(self, "neumann", NeumannOperator(self.table.cloud, self.table))
+        table = self.table
+        object.__setattr__(self, "g_field", tech_rate_field(table.cloud, self.params.g_spec))
+        object.__setattr__(self, "neumann", NeumannOperator(table.cloud, table))
+        lap = table.lap[None]
+        object.__setattr__(self, "rows", lap if self.params.chi == 0.0 else
+                           np.concatenate([table.coeffs[:table.cloud.dim], lap]))
         object.__setattr__(self, "differentiates_a",
                            self.params.chi != 0.0 or self.params.tech_diffusion != 0.0)
 
@@ -187,25 +194,24 @@ class March:
 def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
 
-    Only the components the terms read are differentiated: the Laplacian
-    parts, which come last, and for taxis the gradient before them; A only
-    for taxis or technology diffusion.  The sums are built in place, as
-    fresh arrays, in the order of lap + flux + A f(k) - delta k + forcing
-    and D lap_A + A g, so each rounding is the plain expression's.
+    Each field is contracted once with march.rows, so the Laplacian is its
+    last column and, for taxis, the gradient its first dim columns; A is
+    differentiated only for taxis or technology diffusion.  The sums are
+    built in place, as fresh arrays, in the order of lap + flux + A f(k) -
+    delta k + forcing and D lap_A + A g, so each rounding is the plain
+    expression's.
     """
     table, params = march.table, march.params
     k, A = state.k, state.A
-    chi, dim = params.chi, table.cloud.dim
-    parts = slice(0 if chi != 0.0 else dim, 2 * dim)
-    dk = table.derivatives(k, parts)
-    # The Laplacian: a fresh array, or a column of the derivatives in 1D.
-    rhs_k = dk[:, -1] if dim == 1 else dk[:, -2] + dk[:, -1]
+    chi = params.chi
+    dk = table.derivatives(k, march.rows)
+    rhs_k = dk[:, -1]
     if march.differentiates_a:
-        da = table.derivatives(A, parts)
-        rhs_a = da[:, -1] if dim == 1 else da[:, -2] + da[:, -1]
+        da = table.derivatives(A, march.rows)
+        rhs_a = da[:, -1]
         if chi != 0.0:
             flux = dk[:, 0] * da[:, 0]
-            if dim == 2:
+            if table.cloud.dim == 2:
                 flux += dk[:, 1] * da[:, 1]
             flux *= -chi
             flux -= chi * k * rhs_a

@@ -133,16 +133,18 @@ class StencilTable:
         which writes through it."""
         return self.coeffs[:, :-1].T
 
-    def derivatives(self, field: np.ndarray, parts: slice = slice(None)) -> np.ndarray:
-        """The derivative components parts, all of them by default, at every
-        node: shape (N, len(parts)), columns ordered as DERIV_NAMES[parts].
+    def derivatives(self, field: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The contraction of a (d, s+1, N) block of coefficient rows, coeffs
+        by default, with field over the table's stars: shape (N, d), column j
+        the derivative that rows[j] weighs, so all of DERIV_NAMES by default.
 
-        Only coeffs[parts] is contracted; unoptimized np.einsum sums the
-        slots in order per component, so a column keeps the full result's
-        bits (tested).  The result is the transpose of a C-contiguous
-        (len(parts), N) array, so each column is contiguous.
+        Unoptimized np.einsum sums the slots in order per row, so a column
+        has the bits of that row's contraction alone (tested).  The result
+        is the transpose of a C-contiguous (d, N) array, so each column is
+        contiguous.
         """
-        return np.einsum("dsn,sn->dn", self.coeffs[parts], field[self.stars]).T
+        return np.einsum("dsn,sn->dn", self.coeffs if rows is None else rows,
+                         field[self.stars]).T
 
     @property
     def lap(self) -> np.ndarray:

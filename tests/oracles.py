@@ -328,21 +328,36 @@ def derivatives(table, field: np.ndarray) -> np.ndarray:
 
 
 def plain_rhs(state, march):
-    """The right-hand sides (dk/dt, dA/dt) as plain array expressions.
+    """The right-hand sides (dk/dt, dA/dt) as plain array expressions, each
+    Laplacian one contraction of table.lap with the field over the stars.
     scheme.rhs builds the same sums in place and must match this bit for bit."""
+    table = march.table
+    return _expression_rhs(state, march,
+                           lambda field, d: np.einsum("sn,sn->n", table.lap, field[table.stars]))
+
+
+def two_column_rhs(state, march):
+    """plain_rhs with each Laplacian the sum of the xx and yy columns of a
+    full derivatives result (the xx column in 1D): the form rhs had before
+    it contracted one precombined Laplacian row."""
+    dim = march.table.cloud.dim
+    return _expression_rhs(state, march, lambda field, d: d[:, dim] if dim == 1
+                           else d[:, dim] + d[:, dim + 1])
+
+
+def _expression_rhs(state, march, laplacian):
+    """The right-hand sides as plain expressions, with laplacian(field, d)
+    the Laplacian of a field whose full derivatives are d."""
     table, params = march.table, march.params
     k, A = state.k, state.A
     dim = table.cloud.dim
 
-    def laplacian(d):  # the columns xx, or xx + yy, of a full derivatives result
-        return d[:, dim] if dim == 1 else d[:, dim] + d[:, dim + 1]
-
     with np.errstate(over="ignore", invalid="ignore"):
         dk = table.derivatives(k)
-        lap_k = laplacian(dk)
+        lap_k = laplacian(k, dk)
         if params.chi != 0.0 or params.tech_diffusion != 0.0:
             da = table.derivatives(A)
-            lap_a = laplacian(da)
+            lap_a = laplacian(A, da)
         else:
             lap_a = 0.0
         if params.chi != 0.0:
@@ -360,9 +375,10 @@ def plain_rhs(state, march):
     return rhs_k, rhs_a
 
 
-def euler_step(state, march, dt):
-    """The forward-Euler step on plain_rhs, without the divergence check."""
-    rhs_k, rhs_a = plain_rhs(state, march)
+def euler_step(state, march, dt, rhs=plain_rhs):
+    """The forward-Euler step on rhs, plain_rhs by default, without the
+    divergence check."""
+    rhs_k, rhs_a = rhs(state, march)
     with np.errstate(over="ignore", invalid="ignore"):
         k_new = state.k + dt * rhs_k
         a_new = state.A + dt * rhs_a

@@ -38,6 +38,7 @@ from oracles import (
     flux_term,
     neighbor_coeffs,
     plain_rhs,
+    two_column_rhs,
 )
 
 
@@ -187,15 +188,16 @@ def test_rhs_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
         state = step(state, march, 5e-4)
 
 
-# (preset, model changes, the widths rhs asks of derivatives as multiples of
-# dim): the Laplacian parts of k alone without taxis or technology diffusion,
-# those of A too with diffusion, and the gradients before them with taxis.
+# (preset, model changes, the width of the derivatives rhs asks for each
+# field it differentiates): the Laplacian row alone, for k without taxis or
+# technology diffusion and for A too with diffusion, and with taxis the
+# gradient rows before it.
 PARTS_CASES = [
     ("growth-2d-delta005", {}, (1,)),
     ("growth-1d-delta005", {}, (1,)),
     ("growth-2d-delta005", {"tech_diffusion": 3.0}, (1, 1)),
     ("growth-1d-delta005", {"tech_diffusion": 3.0}, (1, 1)),
-    ("growth-2d-delta03-chi1", {}, (2, 2)),
+    ("growth-2d-delta03-chi1", {}, (3, 3)),
     ("growth-1d-chi1", {}, (2, 2)),
 ]
 PARTS_IDS = [f"{n}{'-D' if c else ''}" for n, c, _ in PARTS_CASES]
@@ -207,15 +209,64 @@ def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths,
     shapes = []
     full = StencilTable.derivatives
 
-    def recorder(table, field, *parts):
-        out = full(table, field, *parts)
+    def recorder(table, field, *rows):
+        out = full(table, field, *rows)
         shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(StencilTable, "derivatives", recorder)
     rhs(state, march)
-    dim = march.table.cloud.dim
-    assert shapes == [(march.table.cloud.n_nodes, w * dim) for w in widths]
+    assert shapes == [(march.table.cloud.n_nodes, w) for w in widths]
+
+
+EQUALITY_IDS = [*STEP_CASE_IDS, "jittered-48x48"]
+
+
+def _equality_case(case_id):
+    """(march, projected initial state, dt) of a step case, or of
+    growth-2d-delta005's model on a jittered 48x48 cloud at the
+    large-cloud-2d workload's dt."""
+    if case_id in STEP_CASE_IDS:
+        return (*_step_case(*STEP_CASES[STEP_CASE_IDS.index(case_id)]), 5e-4)
+    scenario = get_preset("growth-2d-delta005")
+    cloud = generate_jittered(48, 1.0, dim=2, jitter=0.1, seed=11)
+    march = March(scenario.star.build_table(cloud), scenario.model)
+    init = scenario.initial_state(cloud)
+    return march, march.project(init.k, init.A, 0.0), 1e-4
+
+
+@pytest.mark.parametrize("case", EQUALITY_IDS)
+def test_march_rows_are_the_laplacian_and_gradient_rows_bit_for_bit(case):
+    march = _equality_case(case)[0]
+    table, dim = march.table, march.table.cloud.dim
+    expected = [table.lap] if march.params.chi == 0.0 else [*table.coeffs[:dim], table.lap]
+    assert march.rows.flags.c_contiguous
+    assert march.rows.shape == (len(expected), *table.stars.shape)
+    for got, want in zip(march.rows, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", EQUALITY_IDS)
+def test_one_row_laplacian_march_agrees_with_the_two_column_form(case):
+    # 500 steps against two_column_rhs, whose Laplacian sums the xx and yy
+    # columns: 1D's Laplacian row is the xx row, so every bit agrees; in 2D
+    # the sum is reordered, and A keeps its bits where k cannot reach it (D = 0).
+    march, got, dt = _equality_case(case)
+    ref = got
+    for _ in range(500):
+        got = step(got, march, dt)
+        ref = euler_step(ref, march, dt, rhs=two_column_rhs)
+    got_a = march.neumann.project(got.A)  # idempotent: boundary values read interior ones
+    assert got.time == ref.time
+    if march.table.cloud.dim == 1:
+        assert got.k.tobytes() == ref.k.tobytes()
+        assert got_a.tobytes() == ref.A.tobytes()
+        return
+    assert np.abs(got.k - ref.k).max() <= 1e-12 * np.abs(ref.k).max()
+    if march.params.tech_diffusion == 0.0:
+        assert got_a.tobytes() == ref.A.tobytes()
+    else:
+        assert np.abs(got_a - ref.A).max() <= 1e-12 * np.abs(ref.A).max()
 
 
 @pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)

@@ -1,5 +1,6 @@
 """Every runnable script imports and parses its arguments; the taxis sweep
-runs on its preset, and the paired benchmark runs one pair."""
+runs on its preset, the paired benchmark runs one pair, and the output
+comparison reports the size of a difference."""
 
 import json
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
@@ -80,3 +82,23 @@ def test_both_trees_have_paths_of_one_length(tmp_path, monkeypatch):
 
     parent, change = make_trees("HEAD", tmp_path)
     assert len(str(parent)) == len(str(change))
+
+
+def test_same_outputs_reports_the_size_of_a_difference(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its tree's paths
+    report = runpy.run_path(str(SCRIPT_DIR / "same_outputs.py"))["report"]
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    one_ulp = repr(float(np.nextafter(1.0, 2.0)))
+    files = {"ulp.csv": ("node,deriv,k,bound\n0,x,1.0,\n1,xx,0.5,2.0\n",
+                         f"node,deriv,k,bound\n0,x,{one_ulp},\n1,xx,0.5,2.0\n"),
+             "header.csv": ("node,k\n0,1.0\n", "node,A\n0,1.0\n")}
+    for name, (before, after) in files.items():
+        for top, text in ((parent, before), (change, after)):
+            (top / "run").mkdir(parents=True, exist_ok=True)
+            (top / "run" / name).write_text(text)
+
+    assert report("HEAD", parent, change, {"run": 0}, {"run": 0}) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: run/header.csv",
+        "differs: run/ulp.csv (largest |a - b| / max |a|: node 0.0e+00, k 2.2e-16, bound 0.0e+00)",
+        "1 commands, 2 files: 2 differences"]

@@ -146,8 +146,8 @@ def _preset_table(name):
     return scenario.star.build_table(scenario.cloud.build())
 
 
-# (table, the slices of the components the march reads): the Laplacian parts,
-# and with taxis the gradient before them, as scheme.rhs asks for them.
+# (table, the slices of coeffs contracted as blocks): the Laplacian parts,
+# alone and after the gradient.
 PART_CASES = {
     "growth-1d-chi1": (lambda: _preset_table("growth-1d-chi1"), (slice(1, 2), slice(0, 2))),
     "growth-2d-delta005": (lambda: _preset_table("growth-2d-delta005"),
@@ -167,7 +167,7 @@ def test_derivative_parts_have_the_bits_of_the_full_columns(case):
     dim = table.cloud.dim
     full_lap = full[:, dim] if dim == 1 else full[:, dim] + full[:, dim + 1]
     for parts in slices:
-        got = table.derivatives(field, parts)
+        got = table.derivatives(field, table.coeffs[parts])
         assert got.shape == (table.cloud.n_nodes, parts.stop - parts.start)
         assert got.T.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(full[:, parts]).tobytes()
