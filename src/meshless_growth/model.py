@@ -95,18 +95,22 @@ class ModelParams:
 
 
 def production(k, params: ModelParams):
-    """f(k) = a1 k^p / (1 + a2 k^q), elementwise; requires k >= 0."""
+    """f(k) = a1 k^p / (1 + a2 k^q), elementwise; requires k >= 0.
+
+    Each rounding is the plain expression's: a factor a1 or a2 of exactly
+    1.0 is left out, since x * 1.0 is x bit for bit, and k^p serves as k^q
+    when q == p.
+    """
     k = np.asarray(k, dtype=float)
     # (k < 0).any() in one reduction: fmin skips NaN, and -0.0 is not below 0.
     if np.fmin.reduce(k, axis=None, initial=0.0) < 0:
         raise ValueError("production requires nonnegative capital")
-    # Built in the order of a1 k^p / (1 + a2 k^q), so each rounding is the
-    # expression's; k^p serves as k^q when q == p.
     kp = k ** params.p
-    out = kp * params.alpha1
     den = kp if params.q == params.p else k ** params.q
-    den *= params.alpha2
-    den += 1.0
+    if params.alpha2 != 1.0:
+        den = den * params.alpha2
+    den = den + 1.0  # a fresh array: out below may be kp
+    out = kp if params.alpha1 == 1.0 else kp * params.alpha1
     out /= den
     return out if out.ndim else float(out)
 

@@ -135,23 +135,30 @@ class NeumannOperator:
         b, i = np.nonzero(on_boundary)
         np.add.at(self.closure, b, weights[b, i, None] * self.closure[col[stars[b, i]]])
 
-    def project(self, field: np.ndarray) -> np.ndarray:
-        out = field.copy()
+    def project(self, field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """field with its boundary values replaced by the closure's, in a
+        copy, or in place with out=field (step projects its update so): cols
+        holds interior nodes only, and the product reads them all before
+        the write.  An out that is not field receives the boundary values
+        alone."""
+        if out is None:
+            out = field.copy()
         out[self.boundary_idx] = self.closure @ field[self.cols]
         return out
 
 
-def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=()) -> None:
+def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=None) -> None:
     """Raise DivergenceError at the first node where k or A is not finite or
-    |k| exceeds DIVERGENCE_LIMIT.  before may hold the (k, A) that the update
-    made ahead of the boundary projection, whose nodes are named first."""
+    |k| exceeds DIVERGENCE_LIMIT.  before, if given, is called only when the
+    fast check below fails, and returns the (k, A) that the update made
+    ahead of the boundary projection, whose nodes are named first."""
     # Fast path: k.k < L^2 / 2 bounds every |k| below L, and a NaN or an
     # infinity fails both tests, so any bad node falls through to the mask
     # naming it.  np.vdot reports no floating-point error: a sum of squares
     # that overflows on finite values takes the mask too, without a warning.
     if np.vdot(k, k) < 0.5 * DIVERGENCE_LIMIT ** 2 and np.vdot(A, A) < np.inf:
         return
-    for k_, a_ in (*before, (k, A)):
+    for k_, a_ in ((before(), (k, A)) if before else ((k, A),)):
         bad = ~np.isfinite(k_) | ~np.isfinite(a_) | (np.abs(k_) > DIVERGENCE_LIMIT)
         if bad.any():
             raise DivergenceError(node=int(np.argmax(bad)), time=time)
@@ -229,25 +236,38 @@ def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     return rhs_k, rhs_a
 
 
-def step(state: State, march: March, dt: float) -> State:
-    """One forward Euler step on rhs, the boundary projection of each field
-    the next step differentiates (k, and A if march.differentiates_a), and
-    one divergence check after it.
-
-    Reads only level-n values, so the node update order is immaterial.  A
-    step that overflows is reported by DivergenceError, and run silences
-    the overflow and invalid-value warnings of its march; a direct caller
-    of step owns them.
-    """
+def _update(state: State, march: March, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The forward Euler update (k, A) of state on rhs, as fresh arrays,
+    before any boundary projection."""
     new_k, new_a = rhs(state, march)
     new_k *= dt
     new_k += state.k
     new_a *= dt
     new_a += state.A
-    new = State(k=march.neumann.project(new_k), time=state.time + dt,
-                A=march.neumann.project(new_a) if march.differentiates_a else new_a)
-    # Nodes are named as the update left them; a bad value the projection replaced is dropped.
-    _check_finite(new.k, new.A, new.time, before=[(new_k, new_a)])
+    return new_k, new_a
+
+
+def step(state: State, march: March, dt: float) -> State:
+    """One forward Euler step on rhs, the boundary projection of each field
+    the next step differentiates (k, and A if march.differentiates_a), and
+    one divergence check after it.
+
+    Reads only level-n values, so the node update order is immaterial, and
+    writes none of them: the update owns its arrays and is projected in
+    place.  A DivergenceError names its node as the update left it, before
+    the projection, so a step that fails the check computes the update a
+    second time, calling forcing again (a function of positions and time
+    alone).  run silences the overflow and invalid-value warnings of its
+    march; a direct caller of step owns them.
+    """
+    new_k, new_a = _update(state, march, dt)
+    project = march.neumann.project
+    project(new_k, out=new_k)
+    if march.differentiates_a:
+        project(new_a, out=new_a)
+    new = State(k=new_k, A=new_a, time=state.time + dt)
+    # A bad boundary value the projection replaced is dropped.
+    _check_finite(new_k, new_a, new.time, before=lambda: _update(state, march, dt))
     return new
 
 
@@ -287,7 +307,9 @@ def run(
     step_idx, clamp_count, last_bound = 0, 0, None
     # Tolerance absorbs summation drift over long runs so the step count
     # stays at ceil(t_final / dt) and the end time is hit exactly.
-    base_tol = 1e-9 * max(1.0, config.t_final)
+    t_final, mode, interval = config.t_final, config.stability_mode, config.stability_interval
+    base_tol = 1e-9 * max(1.0, t_final)
+    log, k_max, k_min = traj.log.append, np.maximum.reduce, np.minimum.reduce  # read once per run
     # One errstate for the march: blow-up is reported by DivergenceError, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -295,9 +317,10 @@ def run(
             # record, then each requested time it reaches, which takes the
             # nearer of prev and state.  At the horizon a time still pending
             # lies past the final state, so it takes that state.
-            traj.log.append(LogRecord(step_idx, state.time, float(np.maximum.reduce(state.k)),
-                                      float(np.minimum.reduce(state.k)), clamp_count, last_bound))
-            remaining = config.t_final - state.time
+            min_k = float(k_min(state.k))
+            log(LogRecord(step_idx, state.time, float(k_max(state.k)), min_k, clamp_count,
+                          last_bound))
+            remaining = t_final - state.time
             tol = min(base_tol, 0.5 * dt)
             while pending and (remaining <= tol or state.time >= pending[0] - 1e-9 * step_dt):
                 t_s = pending.pop(0)
@@ -307,22 +330,22 @@ def run(
             if remaining <= tol:
                 break
 
-            if config.stability_mode != "off" and step_idx % config.stability_interval == 0:
+            if mode != "off" and step_idx % interval == 0:
                 bounded = march.project(state.k, state.A, state.time)
                 report = stability.dt_bound(table, bounded, params)
                 last_bound = report.global_dt
                 if dt > last_bound * (1 + 1e-12):
-                    action = "adapt" if config.stability_mode == "adapt" else "violation"
+                    action = "adapt" if mode == "adapt" else "violation"
                     traj.stability_events.append(
                         StabilityEvent(step_idx, state.time, dt, last_bound, action)
                     )
-                    if config.stability_mode == "adapt":
+                    if mode == "adapt":
                         dt = 0.9 * last_bound
 
             step_dt = dt if remaining > dt + tol else remaining
             prev = state
             # The log holds this state's min k, so most steps need no count.
-            clamp_count = int(np.count_nonzero(state.k < 0)) if traj.log[-1].min_k < 0 else 0
+            clamp_count = int(np.count_nonzero(state.k < 0)) if min_k < 0 else 0
             try:
                 state = step(state, march, step_dt)
             except DivergenceError as exc:

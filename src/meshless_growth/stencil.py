@@ -18,6 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .cloud import NodeCloud, select_star
 from .errors import DegenerateStarError
 
@@ -138,13 +143,15 @@ class StencilTable:
         by default, with field over the table's stars: shape (N, d), column j
         the derivative that rows[j] weighs, so all of DERIV_NAMES by default.
 
-        Unoptimized np.einsum sums the slots in order per row, so a column
-        has the bits of that row's contraction alone (tested).  The result
-        is the transpose of a C-contiguous (d, N) array, so each column is
-        contiguous.
+        The contraction is c_einsum, the C function that
+        np.einsum(..., optimize=False) hands its operands to, called without
+        np.einsum's Python dispatch, so its result has the same bits.  It
+        sums the slots in order per row, so a column has the bits of that
+        row's contraction alone (tested).  The result is the transpose of a
+        C-contiguous (d, N) array, so each column is contiguous.
         """
-        return np.einsum("dsn,sn->dn", self.coeffs if rows is None else rows,
-                         field[self.stars]).T
+        return c_einsum("dsn,sn->dn", self.coeffs if rows is None else rows,
+                        field[self.stars]).T
 
     @property
     def lap(self) -> np.ndarray:

@@ -188,6 +188,15 @@ def test_rhs_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
         state = step(state, march, 5e-4)
 
 
+@pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
+def test_step_leaves_the_state_arrays_as_they_were(name, changes, forced):
+    # step projects its own update in place, never the arrays it reads.
+    march, state = _step_case(name, changes, forced)
+    k, A = state.k.tobytes(), state.A.tobytes()
+    step(state, march, 5e-4)
+    assert state.k.tobytes() == k and state.A.tobytes() == A
+
+
 # (preset, model changes, the width of the derivatives rhs asks for each
 # field it differentiates): the Laplacian row alone, for k without taxis or
 # technology diffusion and for A too with diffusion, and with taxis the
@@ -269,6 +278,26 @@ def test_one_row_laplacian_march_agrees_with_the_two_column_form(case):
         assert np.abs(got_a - ref.A).max() <= 1e-12 * np.abs(ref.A).max()
 
 
+PROJECTION_IDS = [*PRESET_NAMES, "jittered-48x48"]
+
+
+@pytest.mark.parametrize("case", PROJECTION_IDS)
+def test_projection_in_place_has_the_bits_of_the_copy(case):
+    # step projects its update in place.
+    march = _equality_case(case)[0]
+    field = np.random.default_rng(9).uniform(0.5, 2.0, march.table.cloud.n_nodes)
+    want = march.neumann.project(field)
+    assert march.neumann.project(field, out=field) is field
+    assert field.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", PROJECTION_IDS)
+def test_the_closure_reads_interior_nodes_only(case):
+    # So an in-place projection reads no value it writes.
+    op = _equality_case(case)[0].neumann
+    assert np.intersect1d(op.cols, op.boundary_idx).size == 0
+
+
 @pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
 def test_step_projects_only_the_fields_rhs_differentiates(name, changes, widths, monkeypatch):
     # One projection per field the next step reads the boundary values of:
@@ -277,9 +306,9 @@ def test_step_projects_only_the_fields_rhs_differentiates(name, changes, widths,
     calls = []
     full = NeumannOperator.project
 
-    def recorder(op, field):
+    def recorder(op, field, out=None):
         calls.append(field)
-        return full(op, field)
+        return full(op, field, out)
 
     monkeypatch.setattr(NeumannOperator, "project", recorder)
     step(state, march, 5e-4)

@@ -1,5 +1,7 @@
 """Stencil solves checked against frozen values and an independent fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from meshless_growth import (
     PRESET_NAMES,
     DegenerateStarError,
+    March,
     StencilTable,
     build_all_stencils,
     compute_stencil,
@@ -173,6 +176,19 @@ def test_derivative_parts_have_the_bits_of_the_full_columns(case):
         assert got.tobytes() == np.ascontiguousarray(full[:, parts]).tobytes()
         lap = got[:, -1] if dim == 1 else got[:, -2] + got[:, -1]
         assert lap.tobytes() == full_lap.tobytes()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_derivatives_have_the_bits_of_unoptimized_einsum(name):
+    # coeffs, and the march's row blocks without and with taxis.
+    scenario = get_preset(name)
+    table = scenario.star.build_table(scenario.cloud.build())
+    field = np.random.default_rng(13).uniform(0.5, 2.0, table.cloud.n_nodes)
+    blocks = [March(table, replace(scenario.model, chi=chi)).rows for chi in (0.0, 1.0)]
+    for rows in (table.coeffs, *blocks):
+        got = table.derivatives(field, rows)
+        want = np.einsum("dsn,sn->dn", rows, field[table.stars]).T
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_table_rejects_mixed_star_sizes():
