@@ -8,8 +8,9 @@ untracked, not ignored, files) into a temporary directory each, and writes
 the same file inputs into both: a 2D cloud file whose face nodes alternate
 between the face and 5e-13 inside it, and an initial-capital field file.  In
 both trees it runs `meshless-growth run` and `stability --dump-stencils` on
-every preset, `run` on a scenario that reads those two files, `verify
---out`, `convergence --dim 1 --out` and `--dim 2 --out`, and
+every preset, `run` on a scenario that reads those two files, `run` on
+a 1D scenario whose 13-node cloud at jitter 0.45, seed 0, has two interior
+nodes with both nearest nodes on one side, `verify --out`, `convergence --dim 1 --out` and `--dim 2 --out`, and
 `perfbench/run.py --workload W --seed 1 --seconds 0 --trace 0` for every
 workload of BENCHMARK.json.  Every file those commands write is compared byte
 for byte, and so is each exit code; standard output is not, since it prints
@@ -63,13 +64,45 @@ snapshot_times = 0, 0.1, 0.2
 stability_mode = check
 stability_interval = 20
 """
+# The 1D presets' physics on a rough cloud, where the star rule matters.
+ROUGH_1D_SCENARIO = """\
+[cloud]
+kind = jittered
+dim = 1
+nodes_per_axis = 13
+jitter = 0.45
+seed = 0
+
+[model]
+p = 2.0
+q = 2.0
+delta = 0.02
+g_kind = gaussian
+g_level = 0.1
+g_center = 0.5
+g_sigma = 0.2
+
+[initial]
+k0_kind = piecewise
+k0_points = 0:5, 0.25:5, 0.75:25, 1:25
+A0_kind = constant
+A0_value = 1.0
+
+[scheme]
+dt = 0.001
+t_final = 5.0
+snapshot_times = 0, 2.5, 5
+stability_mode = check
+stability_interval = 200
+"""
 
 
 def write_file_inputs(dest: Path) -> None:
     """The scenario of the file-inputs command and the files it reads: the
     12x12 cloud of the 2D presets with every other face node moved inside
     its face, so that the faces are not the extreme coordinates of the
-    point set, and a capital bump, both written with repr."""
+    point set, and a capital bump, both written with repr; and the scenario
+    of the rough-1D command."""
     dest.mkdir()
     cloud = nudge_faces(generate_jittered(12, 1.0, dim=2, jitter=0.1, seed=11))
     save_cloud(cloud, dest / "cloud.csv")
@@ -77,6 +110,7 @@ def write_file_inputs(dest: Path) -> None:
     (dest / "k0.csv").write_text("node,value\n" + "".join(
         f"{i},{float(v)!r}\n" for i, v in enumerate(k0)))
     (dest / "scenario.ini").write_text(FILE_SCENARIO)
+    (dest / "rough-1d.ini").write_text(ROUGH_1D_SCENARIO)
 
 
 def commands() -> dict[str, tuple[list[str], str]]:
@@ -88,6 +122,7 @@ def commands() -> dict[str, tuple[list[str], str]]:
         cmds[f"run-{preset}"] = [*cli, "run", "--preset", preset]
         cmds[f"stability-{preset}"] = [*cli, "stability", "--preset", preset, "--dump-stencils"]
     cmds["run-file-inputs"] = [*cli, "run", "--scenario", f"{INPUTS}/scenario.ini"]
+    cmds["run-rough-1d"] = [*cli, "run", "--scenario", f"{INPUTS}/rough-1d.ini"]
     cmds["verify"] = [*cli, "verify"]
     for dim in (1, 2):
         cmds[f"convergence-{dim}d"] = [*cli, "convergence", "--dim", str(dim)]

@@ -113,10 +113,10 @@ def _cmd_verify(args) -> int:
 
     cloud1 = generate_jittered(100, 1.0, dim=1, jitter=0.3, seed=1)
     checks.append(("polynomial exactness 1D jittered N=100 s=2",
-                   polynomial_exactness(cloud1, *STAR_RULE[1]).max_error, 1e-9))
+                   polynomial_exactness(cloud1, STAR_RULE[1]).max_error, 1e-9))
     cloud2 = generate_jittered(20, 1.0, dim=2, jitter=0.25, seed=2)
     checks.append(("polynomial exactness 2D jittered N=400 s=8 quadrant",
-                   polynomial_exactness(cloud2, *STAR_RULE[2]).max_error, 1e-9))
+                   polynomial_exactness(cloud2, STAR_RULE[2]).max_error, 1e-9))
     checks.append(("classical difference recovery 1D",
                    fd_equivalence(generate_regular(11, 1.0, dim=1)), 1e-12))
     checks.append(("classical difference recovery 2D",

@@ -74,7 +74,7 @@ class NodeCloud:
 
     def spacing_estimate(self) -> float:
         """Median nearest-neighbor distance; the h used by refinement studies."""
-        nearest = select_star(self, 1)[:, 0]
+        nearest = _grid_search(self, 1, nearest=True)[:, 0]
         offsets = self.positions[nearest] - self.positions
         return float(np.median(np.sqrt((offsets ** 2).sum(axis=1))))
 
@@ -205,33 +205,33 @@ BLOCK_CENTERS = 256
 BLOCK_SLOTS = 1 << 18
 
 
-def _quadrants(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # Half-open, rotationally symmetric partition: each positive half-axis
+def _quadrants(h: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    # Orthants: in 1D the half-lines h > 0 (0) and h < 0 (1).  In 2D a
+    # half-open, rotationally symmetric partition: each positive half-axis
     # belongs to the quadrant counterclockwise from it.  On a lattice this
     # assigns one axis neighbor and one diagonal neighbor to every quadrant.
     # The upper half (quadrants 0 and 1) holds k > 0 and the half-axis h > 0.
+    if k is None:
+        return np.where(h > 0, 0, 1)
     upper = (k > 0) | ((k == 0) & (h > 0))
     return np.where(upper, h <= 0, 2 + (h >= 0))
 
 
-def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, criterion: str):
-    """Pick each center's star among its row of candidates.
+def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, nearest: bool):
+    """Pick each center's star among its row of candidates by select_star's
+    rule, or with nearest as the s nearest: every candidate, one orthant.
 
     cand is (B, K) node indices, -1 marking an empty slot.  Candidates are
-    ranked by distance, ties broken by ascending index.  Under the quadrant
-    criterion an edge center ranks interior candidates only and a corner
-    every candidate but the corners, taking the nearest.  Returns per row:
+    ranked by distance, ties broken by ascending index.  Returns per row:
     the chosen (B, s) neighbors, the largest chosen distance (inf where the
-    row held fewer than s candidates), and for the quadrant criterion
-    whether each quadrant held ceil(s/4) of them, (B, 4), corners counting
-    as full (None for distance).
+    row held fewer than s candidates), and whether each orthant held
+    ceil(s/orthants) of them, (B, orthants), corners counting as full.
     """
     rows, width = cand.shape
     invalid = (cand < 0) | (cand == centers[:, None])
-    if criterion == "quadrant":
-        faces = np.count_nonzero(cloud.normals, axis=1)  # 0 interior, 1 edge, 2 corner
-        own = faces[centers][:, None]
-        invalid |= (own > 0) & (faces[cand] >= own)
+    faces = np.count_nonzero(cloud.normals, axis=1)  # 0 interior, 1 edge or end, 2 corner
+    orthants, own = (1, 0) if nearest else (2 ** cloud.dim, faces[centers][:, None])
+    invalid |= (own > 0) & (faces[cand] >= own)
     # Offsets one axis at a time; an empty slot reads node -1 and is masked.
     offsets = [x[cand] - x[centers, None] for x in cloud.positions.T]
     dist = offsets[0] ** 2
@@ -243,29 +243,28 @@ def _choose(cloud: NodeCloud, centers: np.ndarray, cand: np.ndarray, s: int, cri
     # Row offsets turn per-row slot numbers into indices of the flat arrays.
     base = np.arange(0, rows * width, width)[:, None]
 
-    if criterion == "distance":
-        first = order[:, :s] + base
-        return cand.ravel()[first], dist.ravel()[first[:, -1]], None
-
     corner = own == 2
-    # A corner's candidates all sit in quadrant 4, so its key is its ranking.
-    quad = _quadrants(*offsets)
-    quad[invalid | corner] = 4
+    # A corner's candidates all sit past the last orthant, so its key is its ranking.
+    quad = _quadrants(*offsets) if orthants > 1 else np.zeros_like(cand)
+    quad[invalid | corner] = orthants
     quad = quad.ravel()[order + base]  # in ranked order
-    rounds = math.ceil(s / 4)
-    # Per quadrant, how many of the row's first j ranked candidates it holds,
+    rounds = math.ceil(s / orthants)
+    # Per orthant, how many of the row's first j ranked candidates it holds,
     # counted along the contiguous axis; int32 holds any row, the all-nodes
     # rows included.
-    member = quad[:, None, :] == np.arange(4)[:, None]  # (B, 4, K)
+    member = quad[:, None, :] == np.arange(orthants)[:, None]  # (B, orthants, K)
     running = np.cumsum(member, axis=2, dtype=np.int32)
-    rank = running.ravel()[4 * base + width * np.minimum(quad, 3) + np.arange(width)] - 1
+    position = np.arange(width)
+    rank = running.ravel()[orthants * base + width * np.minimum(quad, orthants - 1) + position] - 1
     counts = running[:, :, -1]
-    # Round robin over quadrants takes the rank-r member of each quadrant in
+    # Round robin over orthants takes the rank-r member of each orthant in
     # turn for r < rounds; what it leaves short is topped up with the
     # nearest remaining candidates in ranked order.
-    position = np.arange(width)
-    key = np.where((quad < 4) & (rank < rounds), 4 * rank + quad, 4 * rounds + position)
+    key = np.where((quad < orthants) & (rank < rounds), orthants * rank + quad,
+                   orthants * rounds + position)
     pick = np.argsort(key, axis=1, kind="stable")[:, :s]
+    if cloud.dim == 1:
+        pick.sort(axis=1)  # back to ranked order
     slot = order.ravel()[pick + base] + base
     return cand.ravel()[slot], dist.ravel()[slot].max(axis=1), (counts >= rounds) | corner
 
@@ -319,10 +318,13 @@ class _CellGrid:
         return rho, lo_cov, hi_cov
 
     def complete_quadrants(self, centers: np.ndarray, lo_cov: np.ndarray, hi_cov: np.ndarray):
-        """(B, 4): quadrant q of the center holds no candidate outside its
-        window.  On a face, the quadrants that reach only the face hold no
-        candidate at all: an edge center ranks interior nodes only."""
+        """(B, 2^dim): orthant q of the center holds no candidate outside
+        its window.  On a face, the orthants that reach only the face hold
+        no candidate at all: an edge center ranks interior nodes only, and
+        no node lies beyond a 1D end."""
         normals = self.normals[centers]
+        if normals.shape[1] == 1:  # h > 0, h < 0
+            return np.column_stack([(normals > 0) | hi_cov, (normals < 0) | lo_cov])
         (x_lo, y_lo), (x_hi, y_hi) = (normals < 0).T, (normals > 0).T
         (lx, ly), (hx, hy) = lo_cov.T, hi_cov.T
         return np.column_stack([
@@ -333,33 +335,35 @@ class _CellGrid:
         ])
 
 
-def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.ndarray:
+def select_star(cloud: NodeCloud, s: int) -> np.ndarray:
     """Pick s neighbors for every node of the cloud; returns (N, s).
 
-    distance: the s nearest nodes, distance ties broken by node index.
-    quadrant (2D only): nearest ceil(s/4) per sign quadrant of the offset,
-    cycling quadrants and falling back to global nearest when quadrants
-    run short.  An edge node ranks interior nodes only, and a corner takes
-    its s nearest nodes off the corners, so no boundary value of the
-    zero-flux closure reads another through more than one corner-on-edge
-    step.
+    Each node takes its nearest ceil(s/2^dim) nodes in each orthant of the
+    offset (half-lines in 1D, quadrants in 2D), orthants in turn, and where
+    they run short the nearest remaining nodes; distance ties are broken
+    by node index, and 1D slots are in ranked order.  A boundary node ranks
+    only nodes on fewer faces than itself: an edge node, or a 1D end, the
+    interior nodes, and a corner its s nearest nodes off the corners, so no
+    boundary value of the zero-flux closure reads another through more
+    than one corner-on-edge step.
+    """
+    return _grid_search(cloud, s, nearest=False)
+
+
+def _grid_search(cloud: NodeCloud, s: int, nearest: bool) -> np.ndarray:
+    """select_star, or with nearest the s nearest nodes of every node.
 
     Candidates come from the 3^dim window of grid cells around each center.
     A row is kept only when the window provably holds its whole answer: every
     chosen node lies strictly inside the radius the window covers, and each
-    quadrant either has ceil(s/4) members there or none outside it.  Other
+    orthant either has ceil(s/2^dim) members there or none outside it.  Other
     rows are recomputed against all nodes.
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
-    if criterion not in ("distance", "quadrant"):
-        raise ValueError(f"unknown star criterion {criterion!r}")
-    if criterion == "quadrant" and cloud.dim != 2:
-        raise ValueError("quadrant criterion requires a 2D cloud")
     n = cloud.n_nodes
-    # Under the quadrant criterion an edge node, the node with the fewest
-    # candidates, ranks the interior nodes.
-    pool = n - 1 if criterion == "distance" else cloud.interior_indices.size
+    # An edge node or a 1D end, the node with the fewest candidates, ranks the interior.
+    pool = n - 1 if nearest else cloud.interior_indices.size
     if s > pool:
         raise InsufficientNodesError(f"star of size {s} requested but only {pool} candidates exist")
     out = np.empty((n, s), dtype=np.intp)
@@ -370,10 +374,10 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
         c = np.arange(b0, min(b0 + block, n))
         p = cloud.positions[c]
         cells = grid.cell_of(p)
-        chosen, farthest, full = _choose(cloud, c, grid.candidates(cells), s, criterion)
+        chosen, farthest, full = _choose(cloud, c, grid.candidates(cells), s, nearest)
         rho, lo_cov, hi_cov = grid.reach(p, cells)
         ok = farthest < rho
-        if full is not None:
+        if not nearest:
             ok &= (full | grid.complete_quadrants(c, lo_cov, hi_cov)).all(axis=1)
         out[c] = chosen
         redo.append(c[~ok])
@@ -382,5 +386,5 @@ def select_star(cloud: NodeCloud, s: int, criterion: str = "distance") -> np.nda
     for b0 in range(0, redo.size, block):
         rows = redo[b0:b0 + block]
         cand = np.broadcast_to(np.arange(n), (rows.size, n))
-        out[rows] = _choose(cloud, rows, cand, s, criterion)[0]
+        out[rows] = _choose(cloud, rows, cand, s, nearest)[0]
     return out

@@ -50,13 +50,13 @@ def _monomials(dim: int):
     }
 
 
-def polynomial_exactness(cloud: NodeCloud, s: int, criterion: str = "distance") -> ExactnessResult:
-    """Apply every stencil to all monomials of degree <= 2.
+def polynomial_exactness(cloud: NodeCloud, s: int) -> ExactnessResult:
+    """Apply every stencil of size-s stars to all monomials of degree <= 2.
 
     A second-order fit must reproduce their derivatives exactly, so any
     error beyond rounding exposes a broken solve.
     """
-    table = build_all_stencils(cloud, s, criterion)
+    table = build_all_stencils(cloud, s)
     interior = cloud.interior_indices
     worst = 0.0
     for func, dfunc in _monomials(cloud.dim).values():
@@ -181,7 +181,7 @@ def convergence_study(clouds: list[NodeCloud]) -> ConvergenceResult:
     levels: list[tuple[float, float]] = []
     for cloud in clouds:
         h = cloud.spacing_estimate()
-        table = build_all_stencils(cloud, *STAR_RULE[cloud.dim])
+        table = build_all_stencils(cloud, STAR_RULE[cloud.dim])
         final = _march(cloud, table, DT_FACTOR * h ** 2)
         exact = manufactured_solution(cloud.positions, final.time, cloud.length)
         levels.append((h, float(np.abs(final.k - exact).max())))
@@ -196,7 +196,7 @@ def temporal_convergence_study(cloud: NodeCloud, *,
     error, isolating the first-order time error of the forward Euler update.
     A run that diverges, the reference included, raises its DivergenceError.
     """
-    table = build_all_stencils(cloud, *STAR_RULE[cloud.dim])
+    table = build_all_stencils(cloud, STAR_RULE[cloud.dim])
     ref = _march(cloud, table, min(dts) / 16.0)
     levels = [(dt, float(np.abs(_march(cloud, table, dt).k - ref.k).max()))
               for dt in dts]

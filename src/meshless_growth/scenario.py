@@ -117,11 +117,10 @@ class CloudSpec:
 
 @dataclass(frozen=True)
 class StarSpec:
-    s: int
-    criterion: str = "distance"
+    s: int  # the star size; select_star's rule picks the nodes
 
     def build_table(self, cloud: NodeCloud) -> StencilTable:
-        return build_all_stencils(cloud, self.s, self.criterion)
+        return build_all_stencils(cloud, self.s)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ class Scenario:
     @property
     def star(self) -> StarSpec:
         """The star of the cloud's dimension, by stencil.STAR_RULE."""
-        return StarSpec(*STAR_RULE[self.cloud.dim])
+        return StarSpec(STAR_RULE[self.cloud.dim])
 
     def initial_state(self, cloud: NodeCloud) -> State:
         return State(k=_build("initial.k0_", self.k0.evaluate, cloud),

@@ -29,9 +29,9 @@ from .errors import DegenerateStarError
 # Reciprocal-condition floor below which a moment matrix is rejected.
 RCOND_FLOOR = 1e-12
 
-# The star of every scenario, (s, criterion) by dimension: the central pair in
-# 1D, the quadrant star of Benito, Ureña & Gavete (Appl. Math. Model. 25, 2001).
-STAR_RULE = {1: (2, "distance"), 2: (8, "quadrant")}
+# Every scenario's star size by dimension, under select_star's one rule: a node on
+# each side in 1D, the quadrant star of Benito, Ureña & Gavete (Appl. Math. Model. 25, 2001).
+STAR_RULE = {1: 2, 2: 8}
 
 DERIV_NAMES = {1: ("x", "xx"), 2: ("x", "y", "xx", "yy", "xy")}
 # Differentiation order of each component; coefficients unscale by r^-order.
@@ -159,16 +159,12 @@ class StencilTable:
         return self.coeffs[self.cloud.dim:2 * self.cloud.dim].sum(axis=0)
 
 
-def build_all_stencils(
-    cloud: NodeCloud,
-    s: int,
-    criterion: str = "distance",
-) -> StencilTable:
+def build_all_stencils(cloud: NodeCloud, s: int) -> StencilTable:
     """Select a star and solve its stencil for every node (boundary included)."""
     nd = len(DERIV_NAMES[cloud.dim])  # a fit of nd derivatives needs s >= nd neighbors
     if s < nd:
         raise ValueError(f"s must be at least {nd} in {cloud.dim}D, got {s}")
-    neighbors = select_star(cloud, s, criterion)
+    neighbors = select_star(cloud, s)
     coeffs = compute_stencil(cloud.positions[neighbors] - cloud.positions[:, None, :])
     stars = np.empty((s + 1, cloud.n_nodes), dtype=np.intp)
     stars[:s], stars[s] = neighbors.T, np.arange(cloud.n_nodes)

@@ -99,41 +99,44 @@ def bump_field(cloud, base: float, bumps) -> np.ndarray:
     return out
 
 
-def select_star(cloud, center: int, s: int, criterion: str = "distance") -> np.ndarray:
-    """Neighbors of one center, ranked against every other node.  Under the
-    quadrant criterion an edge node ranks the interior nodes only, and a
-    corner takes the nearest of the nodes that lie on at most one face."""
+def select_star(cloud, center: int, s: int) -> np.ndarray:
+    """Neighbors of one center, ranked against every other node: the nearest
+    ceil(s / 2^dim) per orthant in turn, topped up with the nearest
+    remaining nodes, and in 1D put back in ranked order.  A boundary node
+    ranks the nodes on fewer faces than itself only, and a corner takes the
+    nearest of them."""
     offsets = cloud.positions - cloud.positions[center]
     dist = np.sqrt((offsets ** 2).sum(axis=1))
     idx = np.arange(cloud.n_nodes)
-    keep = idx != center
-    corners = (cloud.normals != 0.0).all(axis=1)
-    corner = criterion == "quadrant" and corners[center]
-    if corner:
-        keep &= ~corners
-    elif criterion == "quadrant" and cloud.boundary[center]:
-        keep &= ~cloud.boundary
+    faces = (cloud.normals != 0.0).sum(axis=1)
+    keep = (idx != center) & ((faces < faces[center]) | (faces[center] == 0))
     idx, dist = idx[keep], dist[keep]
     ranked = idx[np.lexsort((idx, dist))]
-    if criterion == "distance" or corner:
+    if faces[center] == 2:
         return ranked[:s]
-    h, k = offsets[ranked, 0], offsets[ranked, 1]
-    # each positive half-axis belongs to the quadrant counterclockwise from it
-    in_quadrant = [(h > 0) & (k >= 0), (h <= 0) & (k > 0), (h < 0) & (k <= 0),
-                   (h >= 0) & (k < 0)]
-    buckets = [ranked[mask].tolist() for mask in in_quadrant]
+    if cloud.dim == 1:
+        h = offsets[ranked, 0]
+        in_orthant = [h > 0, h < 0]
+    else:
+        h, k = offsets[ranked, 0], offsets[ranked, 1]
+        # each positive half-axis belongs to the quadrant counterclockwise from it
+        in_orthant = [(h > 0) & (k >= 0), (h <= 0) & (k > 0), (h < 0) & (k <= 0),
+                      (h >= 0) & (k < 0)]
+    buckets = [ranked[mask].tolist() for mask in in_orthant]
     chosen: list[int] = []
-    for r in range(math.ceil(s / 4)):
+    for r in range(math.ceil(s / len(buckets))):
         for bucket in buckets:
             if len(chosen) < s and r < len(bucket):
                 chosen.append(bucket[r])
-    if len(chosen) < s:  # short quadrants: top up with global nearest
+    if len(chosen) < s:  # short orthants: top up with global nearest
         taken = set(chosen)
         for i in ranked.tolist():
             if i not in taken:
                 chosen.append(i)
                 if len(chosen) == s:
                     break
+    if cloud.dim == 1:
+        chosen = [i for i in ranked.tolist() if i in chosen]
     return np.asarray(chosen, dtype=int)
 
 
@@ -207,11 +210,11 @@ def batched_stencil(offsets: np.ndarray) -> np.ndarray:
     return slots
 
 
-def build_table_arrays(cloud, s: int, criterion: str):
+def build_table_arrays(cloud, s: int):
     """(neighbors, center_coeffs, neighbor_coeffs) built node by node."""
     nbrs, centers, coeffs = [], [], []
     for i in range(cloud.n_nodes):
-        chosen = select_star(cloud, i, s, criterion)
+        chosen = select_star(cloud, i, s)
         cc, nc = compute_stencil(cloud.positions[chosen] - cloud.positions[i], i)
         nbrs.append(chosen)
         centers.append(cc)

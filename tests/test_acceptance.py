@@ -49,9 +49,9 @@ def preset_runs():
 def test_acceptance_1_quadratic_exactness():
     tol = 1e-9
     e1 = polynomial_exactness(generate_jittered(100, 1.0, dim=1, jitter=0.3, seed=1),
-                              2, "distance").max_error
+                              2).max_error
     e2 = polynomial_exactness(generate_jittered(20, 1.0, dim=2, jitter=0.25, seed=2),
-                              8, "quadrant").max_error
+                              8).max_error
     worst = max(e1, e2)
     report(1, "quadratic exactness", worst <= tol,
            f"1D N=100: {e1:.3e}, 2D N=400 s=8: {e2:.3e} (tol {tol:.0e})")
@@ -69,14 +69,14 @@ def test_acceptance_3_consistency_condition():
     # a stencil applied to the constant field 1 evaluates m0 - sum(mi)
     # through the production path, independent of how m0 was assembled
     worst = 0.0
-    for cloud, s, crit in [
-        (generate_regular(21, 1.0, dim=1), 2, "distance"),
-        (generate_jittered(40, 1.0, dim=1, jitter=0.3, seed=3), 4, "distance"),
-        (generate_regular(9, 1.0, dim=2), 8, "quadrant"),
-        (generate_jittered(14, 2.0, dim=2, jitter=0.25, seed=4), 8, "quadrant"),
-        (generate_jittered(12, 1.0, dim=2, jitter=0.2, seed=5), 9, "distance"),
+    for cloud, s in [
+        (generate_regular(21, 1.0, dim=1), 2),
+        (generate_jittered(40, 1.0, dim=1, jitter=0.3, seed=3), 4),
+        (generate_regular(9, 1.0, dim=2), 8),
+        (generate_jittered(14, 2.0, dim=2, jitter=0.25, seed=4), 8),
+        (generate_jittered(12, 1.0, dim=2, jitter=0.2, seed=5), 9),
     ]:
-        table = build_all_stencils(cloud, s, crit)
+        table = build_all_stencils(cloud, s)
         resid = np.abs(table.derivatives(np.ones(cloud.n_nodes)))
         scale = np.linalg.norm(center_coeffs(table), axis=1)
         worst = max(worst, float((resid.max(axis=1) / scale).max()))
@@ -88,9 +88,9 @@ def test_acceptance_4_ode_reduction():
     tol = 1e-3
     worst = 0.0
     details = []
-    for dim, n, s, crit in [(1, 11, 2, "distance"), (2, 6, 8, "quadrant")]:
+    for dim, n, s in [(1, 11, 2), (2, 6, 8)]:
         cloud = generate_regular(n, 1.0, dim=dim)
-        table = build_all_stencils(cloud, s, crit)
+        table = build_all_stencils(cloud, s)
         params = ModelParams(alpha1=1.0, alpha2=1.0, p=2.0, q=3.0, delta=0.05,
                              chi=0.0, tech_diffusion=0.0,
                              g_spec=GrowthSpec("constant", 0.1))

@@ -354,17 +354,18 @@ def test_a_sigma_whose_width_is_0_or_inf_names_its_key(tmp_path, capsys, command
 
 @pytest.mark.parametrize("command", ["run", "stability"])
 def test_a_degenerate_star_in_a_cloud_file_names_its_node(tmp_path, capsys, command):
-    # node 2's star is the nodes at 0.5 and 0.5000001: its moment matrix
-    # factors, but the traces cannot certify it and its eigenvalues reject it
+    # node 2's star is the nodes at 0.4002 and 0.2, one on each side, 2e-4
+    # and 0.2 away: its moment matrix factors, but the traces cannot certify
+    # it and its eigenvalues reject it
     cloud = tmp_path / "cloud.csv"
-    cloud.write_text("x,boundary\n0.0,1\n0.2,0\n0.4,0\n0.5,0\n0.5000001,0\n0.7,0\n1.0,1\n")
+    cloud.write_text("x,boundary\n0.0,1\n0.2,0\n0.4,0\n0.4002,0\n0.6,0\n0.8,0\n1.0,1\n")
     scen = write_scenario(tmp_path, QUICK_2D.replace("kind = regular", "kind = file").replace(
         "dim = 2\nnodes_per_axis = 5", f"dim = 1\npath = {cloud}"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--scenario", scen, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == (
-        "error: degenerate star at node 2: moment matrix rcond 4.00e-14\n")
+        "error: degenerate star at node 2: moment matrix rcond 2.51e-13\n")
 
 
 FILE_CLOUD = QUICK.replace("kind = jittered", "kind = file\npath = {cloud}").replace(

@@ -14,6 +14,7 @@ import oracles
 from meshless_growth import (
     DegenerateBoundaryStarError,
     NeumannOperator,
+    StencilTable,
     build_all_stencils,
     generate_jittered,
     generate_regular,
@@ -30,7 +31,7 @@ def test_closed_laplacian_has_no_growing_mode(n, jitter):
     growing = []
     for seed in range(20):
         cloud = generate_jittered(n, 1.0, dim=2, jitter=jitter, seed=seed)
-        table = build_all_stencils(cloud, 8, "quadrant")
+        table = build_all_stencils(cloud, 8)
         eig = np.linalg.eigvals(oracles.closed_laplacian(cloud, table))
         if eig.real.max() > 1e-8 * np.abs(eig).max():
             growing.append(seed)
@@ -65,18 +66,22 @@ def test_run_that_diverged_under_the_solved_closure_completes(preset, overrides)
 
 
 def test_closure_rejects_a_star_that_reads_a_dependent_boundary_node():
-    # 2D distance stars chain edge nodes along their edge
+    # select_star never chains boundary stars, but a table can hold any
+    # stars: here edge node 1, which corner 0's star reads, reads edge node 2
     cloud = generate_regular(6, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "distance")
+    table = build_all_stencils(cloud, 8)
+    assert 1 in table.stars[:-1, 0] and 2 not in table.stars[:, 1]
+    stars = table.stars.copy()
+    stars[0, 1] = 2
     with pytest.raises(DegenerateBoundaryStarError, match="node 0: its star reads a boundary node"):
-        NeumannOperator(cloud, table)
+        NeumannOperator(cloud, StencilTable(cloud, stars, table.coeffs))
 
 
 def test_closure_rows_read_their_stars_and_their_edge_neighbors_stars():
     # an edge row reads its own star, all interior; a corner row also reads
     # the stars of the edge nodes in its star, and nothing else
     cloud = generate_jittered(9, 1.0, dim=2, jitter=0.2, seed=3)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     op = NeumannOperator(cloud, table)
     for row, node in enumerate(cloud.boundary_indices):
         star = table.stars[:-1, node]

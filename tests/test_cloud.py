@@ -53,17 +53,17 @@ def test_cloud_rejects_out_of_domain():
         NodeCloud(pos, math.inf)
 
 
-@pytest.mark.parametrize("dim,s,criterion", [(1, 2, "distance"), (2, 8, "quadrant")])
-def test_cloud_stores_its_positions_as_a_float_array(dim, s, criterion):
+@pytest.mark.parametrize("dim,s", [(1, 2), (2, 8)])
+def test_cloud_stores_its_positions_as_a_float_array(dim, s):
     # integer nodes on [0, 4]^dim, given as a list of rows and as an int array
     grid = np.stack(np.meshgrid(*[np.arange(5)] * dim, indexing="xy"), axis=-1).reshape(-1, dim)
     floats = NodeCloud(grid.astype(float), 4.0)
     assert NodeCloud(floats.positions, 4.0).positions is floats.positions
-    expect = build_all_stencils(floats, s, criterion)
+    expect = build_all_stencils(floats, s)
     for given in (grid.tolist(), grid):
         cloud = NodeCloud(given, 4.0)
         assert cloud.positions.dtype == float and cloud.n_nodes == grid.shape[0]
-        table = build_all_stencils(cloud, s, criterion)
+        table = build_all_stencils(cloud, s)
         assert np.array_equal(table.stars, expect.stars)
         assert table.coeffs.tobytes() == expect.coeffs.tobytes()
 
@@ -243,25 +243,12 @@ def test_load_cloud_names_the_file_or_line_of_a_malformed_file(tmp_path, text, w
 def test_star_validation():
     # rows hold distinct neighbors and never the center itself
     cloud = generate_jittered(9, 1.0, dim=2, jitter=0.3, seed=4)
-    for crit in ("distance", "quadrant"):
-        rows = select_star(cloud, 8, crit)
-        assert rows.shape == (cloud.n_nodes, 8)
-        for center, row in enumerate(rows):
-            assert np.unique(row).size == 8 and center not in row
+    rows = select_star(cloud, 8)
+    assert rows.shape == (cloud.n_nodes, 8)
+    for center, row in enumerate(rows):
+        assert np.unique(row).size == 8 and center not in row
     with pytest.raises(ValueError, match="zero offset"):
         compute_stencil(np.array([[[0.1], [0.0]]]))
-
-
-def test_select_star_distance_matches_brute_force():
-    rng = np.random.default_rng(7)
-    cloud = generate_jittered(6, 1.0, dim=2, jitter=0.3, seed=3)
-    stars = select_star(cloud, 8, "distance")
-    for center in rng.choice(cloud.n_nodes, size=8, replace=False):
-        star = stars[center]
-        d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
-        order = sorted(i for i in range(cloud.n_nodes) if i != center)
-        order.sort(key=lambda i: (d[i], i))
-        assert star.tolist() == order[:8]
 
 
 def _quadrant_oracle(h, k):
@@ -277,7 +264,7 @@ def _quadrant_oracle(h, k):
 def test_select_star_quadrant_matches_brute_force():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.35, seed=11)
     s = 8
-    stars = select_star(cloud, s, "quadrant")
+    stars = select_star(cloud, s)
     for center in cloud.interior_indices[:10]:
         star = stars[center]
         d = np.sqrt(((cloud.positions - cloud.positions[center]) ** 2).sum(axis=1))
@@ -303,7 +290,7 @@ def test_select_star_quadrant_matches_brute_force():
 def test_quadrant_star_on_lattice_is_eight_ring():
     cloud = generate_regular(5, 1.0, dim=2)
     center = 12  # middle of the 5x5 lattice
-    star = select_star(cloud, 8, "quadrant")[center]
+    star = select_star(cloud, 8)[center]
     offsets = cloud.positions[star] - cloud.positions[center]
     ring = sorted(map(tuple, np.round(offsets / 0.25).astype(int).tolist()))
     assert ring == [(-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -313,18 +300,16 @@ def test_quadrant_star_on_lattice_is_eight_ring():
 def test_select_star_errors():
     cloud = generate_regular(3, 1.0, dim=1)
     with pytest.raises(InsufficientNodesError):
-        select_star(cloud, 3, "distance")
+        select_star(cloud, 3)
     with pytest.raises(ValueError):
-        select_star(cloud, 0, "distance")
+        select_star(cloud, 0)
     with pytest.raises(ValueError):
         build_all_stencils(cloud, 1)  # the 1D fit needs two neighbors
     with pytest.raises(ValueError):
         build_all_stencils(generate_regular(4, 1.0, dim=2), 4)  # the 2D fit needs five
-    with pytest.raises(ValueError):
-        select_star(cloud, 2, "quadrant")  # 2D only
-    with pytest.raises(ValueError):
-        select_star(generate_regular(4, 1.0, dim=2), 5, "voronoi")
-    # a quadrant star of an edge node is drawn from the interior nodes alone
+    # the star of an edge node, or of a 1D end, is drawn from the interior nodes alone
+    with pytest.raises(InsufficientNodesError, match="only 1 candidates exist"):
+        select_star(cloud, 2)
     with pytest.raises(InsufficientNodesError, match="only 4 candidates exist"):
-        select_star(generate_regular(4, 1.0, dim=2), 8, "quadrant")
-    assert select_star(generate_regular(5, 1.0, dim=2), 8, "quadrant").shape == (25, 8)
+        select_star(generate_regular(4, 1.0, dim=2), 8)
+    assert select_star(generate_regular(5, 1.0, dim=2), 8).shape == (25, 8)

@@ -83,7 +83,7 @@ def test_reports_and_dump_have_the_csv_module_bytes(written, tmp_path):
                              _cycle(n, 2), 1e-5, np.array([], dtype=int))
     output.write_stability_report(report, tmp_path / "stability.csv")
     cloud = generate_regular(5, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     coeffs = table.coeffs.copy()
     coeffs.ravel()[::7] = _cycle(coeffs.ravel()[::7].size)
     with np.errstate(invalid="ignore"):  # the Laplacian row of inf and -inf

@@ -173,7 +173,7 @@ def test_default_growth_center_runs_on_a_2d_cloud():
     from meshless_growth import SchemeConfig, State, build_all_stencils, run
 
     cloud = generate_regular(6, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     params = ModelParams(g_spec=GrowthSpec(kind="gaussian", level=0.1))
     init = State(k=np.ones(cloud.n_nodes), A=np.ones(cloud.n_nodes), time=0.0)
     traj = run(cloud, table, params, init, SchemeConfig(dt=1e-3, t_final=0.01))

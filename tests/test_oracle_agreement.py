@@ -58,44 +58,50 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_matches_oracle(cloud, s, criterion):
-    table = build_all_stencils(cloud, s, criterion)
-    neighbors, center, coeffs = oracles.build_table_arrays(cloud, s, criterion)
+def assert_matches_oracle(cloud, s):
+    table = build_all_stencils(cloud, s)
+    neighbors, center, coeffs = oracles.build_table_arrays(cloud, s)
     assert np.array_equal(table.stars[:-1].T, neighbors)
     assert same_bits(oracles.center_coeffs(table), center)
     assert same_bits(oracles.neighbor_coeffs(table), coeffs)
 
 
 def _cases():
-    yield "regular-1d-9", generate_regular(9, 1.0, dim=1), 2, "distance"
-    yield "regular-1d-30", generate_regular(30, 1.0, dim=1), 4, "distance"
+    yield "regular-1d-9", generate_regular(9, 1.0, dim=1), 2
+    yield "regular-1d-30", generate_regular(30, 1.0, dim=1), 4
     for n, s in [(7, 8), (11, 8), (10, 12)]:
-        yield f"regular-2d-{n}-s{s}", generate_regular(n, 1.0, dim=2), s, "quadrant"
-    yield "regular-2d-9-distance", generate_regular(9, 1.0, dim=2), 8, "distance"
-    for crit in ("distance", "quadrant"):
-        for seed in range(20):
-            yield (f"jittered-12-seed{seed}-{crit}",
-                   generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=seed), 8, crit)
-        for seed in range(5):
-            yield (f"jittered-24-seed{seed}-{crit}",
-                   generate_jittered(24, 1.0, dim=2, jitter=0.25, seed=seed), 8, crit)
-        yield (f"jittered-48-seed11-{crit}",
-               generate_jittered(48, 1.0, dim=2, jitter=0.25, seed=11), 8, crit)
+        yield f"regular-2d-{n}-s{s}", generate_regular(n, 1.0, dim=2), s
+    # rough 1D clouds, where the two nearest nodes are often on one side
+    for jitter in (0.3, 0.45):
+        for seed in range(4):
+            for n in (13, 25, 49):
+                yield (f"jittered-1d-{n}-jitter{jitter}-seed{seed}",
+                       generate_jittered(n, 1.0, dim=1, jitter=jitter, seed=seed), 2)
+    for seed in range(3):
+        yield (f"jittered-1d-25-jitter0.45-seed{seed}-s4",
+               generate_jittered(25, 1.0, dim=1, jitter=0.45, seed=seed), 4)
+    for seed in range(20):
+        yield (f"jittered-12-seed{seed}-quadrant",
+               generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=seed), 8)
+    for seed in range(5):
+        yield (f"jittered-24-seed{seed}-quadrant",
+               generate_jittered(24, 1.0, dim=2, jitter=0.25, seed=seed), 8)
+    yield "jittered-48-seed11-quadrant", generate_jittered(48, 1.0, dim=2, jitter=0.25, seed=11), 8
 
 
 CASES = list(_cases())
 
 
-@pytest.mark.parametrize("name,cloud,s,criterion", CASES, ids=[c[0] for c in CASES])
-def test_build_matches_loop_oracle(name, cloud, s, criterion):
-    assert_matches_oracle(cloud, s, criterion)
+@pytest.mark.parametrize("name,cloud,s", CASES, ids=[c[0] for c in CASES])
+def test_build_matches_loop_oracle(name, cloud, s):
+    assert_matches_oracle(cloud, s)
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_preset_build_matches_loop_oracle(preset):
     scenario = get_preset(preset)
     cloud = scenario.cloud.build()
-    assert_matches_oracle(cloud, scenario.star.s, scenario.star.criterion)
+    assert_matches_oracle(cloud, scenario.star.s)
 
 
 def test_corner_star_is_its_nearest_nodes_off_the_corners():
@@ -104,11 +110,11 @@ def test_corner_star_is_its_nearest_nodes_off_the_corners():
     # quadrants hold none, the round robin takes two from each of the others
     # and the nearest remaining nodes fill the star
     cloud = generate_regular(5, 1.0, dim=2)
-    stars = select_star(cloud, 8, "quadrant")
+    stars = select_star(cloud, 8)
     assert stars[0].tolist() == [1, 5, 6, 2, 10, 7, 11, 12]
     assert stars[2].tolist() == [8, 7, 13, 6, 12, 11, 17, 16]
     for node in (0, 2):
-        assert stars[node].tolist() == oracles.select_star(cloud, node, 8, "quadrant").tolist()
+        assert stars[node].tolist() == oracles.select_star(cloud, node, 8).tolist()
 
 
 def uneven_cloud():
@@ -124,18 +130,27 @@ def uneven_cloud():
     return NodeCloud(pos, 1.0)
 
 
-@pytest.mark.parametrize("criterion", ["distance", "quadrant"])
-def test_rows_the_grid_cannot_prove_are_recomputed(monkeypatch, criterion):
-    cloud = uneven_cloud()
+def uneven_line():
+    """A dense 1D run beside three sparse nodes: the stars of the sparse
+    nodes, and of the last dense node, have a side whose nearest node lies
+    past the cells searched first, and are recomputed against all nodes,
+    though the searched cells hold two nodes on the other side."""
+    dense = 0.5 * generate_jittered(41, 1.0, dim=1, jitter=0.3, seed=2).positions
+    return NodeCloud(np.vstack([dense, [[0.75], [0.9], [1.0]]]), 1.0)
+
+
+@pytest.mark.parametrize("make_cloud,s", [(uneven_cloud, 8), (uneven_line, 2)], ids=["2d", "1d"])
+def test_rows_the_grid_cannot_prove_are_recomputed(monkeypatch, make_cloud, s):
+    cloud = make_cloud()
     widths = []
     choose = cloud_module._choose
 
-    def spy(cloud_, centers, cand, s, crit):
+    def spy(cloud_, centers, cand, s, nearest):
         widths.append(cand.shape[1])
-        return choose(cloud_, centers, cand, s, crit)
+        return choose(cloud_, centers, cand, s, nearest)
 
     monkeypatch.setattr(cloud_module, "_choose", spy)
-    assert_matches_oracle(cloud, 8, criterion)
+    assert_matches_oracle(cloud, s)
     assert cloud.n_nodes in widths
 
 
@@ -145,28 +160,24 @@ def test_select_star_matches_the_oracle_on_random_clouds(monkeypatch):
     redone = []
     choose = cloud_module._choose
 
-    def spy(cloud_, centers, cand, s, crit):
+    def spy(cloud_, centers, cand, s, nearest):
         if cand.shape[1] == cloud_.n_nodes:
             redone.append(centers.size)
-        return choose(cloud_, centers, cand, s, crit)
+        return choose(cloud_, centers, cand, s, nearest)
 
     monkeypatch.setattr(cloud_module, "_choose", spy)
 
     @settings(max_examples=60, deadline=None)
-    @given(dim=st.sampled_from([1, 2]), criterion=st.sampled_from(["distance", "quadrant"]),
-           s=st.integers(1, 12), extra=st.integers(0, 10), jitter=st.floats(0.0, 0.45),
-           seed=st.integers(0, 2**32 - 1))
-    @example(dim=2, criterion="quadrant", s=8, extra=7, jitter=0.1, seed=11)  # 12x12: 2 redone
-    def check(dim, criterion, s, extra, jitter, seed):
-        if dim == 1:
-            criterion, n = "distance", s + 2 + 3 * extra
-        else:
-            s = max(s, 5) if criterion == "quadrant" else s
-            n = math.isqrt(s) + 3 + extra  # at least s interior nodes
+    @given(dim=st.sampled_from([1, 2]), s=st.integers(1, 12), extra=st.integers(0, 10),
+           jitter=st.floats(0.0, 0.45), seed=st.integers(0, 2**32 - 1))
+    @example(dim=2, s=8, extra=7, jitter=0.1, seed=11)  # 12x12: 2 redone
+    def check(dim, s, extra, jitter, seed):
+        # at least s interior nodes
+        n = s + 2 + 3 * extra if dim == 1 else math.isqrt(s) + 3 + extra
         cloud = generate_jittered(n, 1.0, dim=dim, jitter=jitter, seed=seed)
-        stars = select_star(cloud, s, criterion)
+        stars = select_star(cloud, s)
         for node in range(cloud.n_nodes):
-            assert stars[node].tolist() == oracles.select_star(cloud, node, s, criterion).tolist()
+            assert stars[node].tolist() == oracles.select_star(cloud, node, s).tolist()
 
     check()
     assert redone
@@ -180,10 +191,10 @@ def test_faces_inside_the_tolerance_send_no_more_rows_to_the_all_nodes_search(mo
     redone = []
     choose = cloud_module._choose
 
-    def spy(cloud_, centers, cand, s, crit):
+    def spy(cloud_, centers, cand, s, nearest):
         if cand.shape[1] == cloud_.n_nodes:
             redone.extend(centers.tolist())
-        return choose(cloud_, centers, cand, s, crit)
+        return choose(cloud_, centers, cand, s, nearest)
 
     monkeypatch.setattr(cloud_module, "_choose", spy)
     snapped = generate_jittered(12, 1.0, dim=2, jitter=0.1, seed=11)
@@ -193,10 +204,10 @@ def test_faces_inside_the_tolerance_send_no_more_rows_to_the_all_nodes_search(mo
     rows = {}
     for name, cloud in (("snapped", snapped), ("nudged", nudged)):
         redone.clear()
-        stars = select_star(cloud, 8, "quadrant")
+        stars = select_star(cloud, 8)
         rows[name] = sorted(redone)
         for node in range(cloud.n_nodes):
-            assert stars[node].tolist() == oracles.select_star(cloud, node, 8, "quadrant").tolist()
+            assert stars[node].tolist() == oracles.select_star(cloud, node, 8).tolist()
     assert len(rows["snapped"]) == 2
     assert rows["nudged"] == rows["snapped"]
 
@@ -210,9 +221,9 @@ def test_spacing_estimate_equals_dense_nearest_neighbor_median():
         assert cloud.spacing_estimate() == float(np.median(dist.min(axis=1)))
 
 
-def star_offsets(cloud, s, criterion):
+def star_offsets(cloud, s):
     """(N, s, dim) offsets of every node's star, as build_all_stencils stacks them."""
-    return cloud.positions[select_star(cloud, s, criterion)] - cloud.positions[:, None, :]
+    return cloud.positions[select_star(cloud, s)] - cloud.positions[:, None, :]
 
 
 def assert_same_solve(offsets):
@@ -280,15 +291,16 @@ def test_degenerate_star_names_the_lowest_bad_node(eig_rows):
         eig_rows.clear()
         assert same_bits(compute_stencil(near), want)
         assert eig_rows == [1]
-    # the distance stars on this lattice fail first at node 1, as node by node
+    # the s = 5 stars on this lattice fail first at the node that the
+    # node-by-node build names
     lattice = generate_regular(8, 1.0, dim=2)
     with pytest.raises(DegenerateStarError) as err:
-        build_all_stencils(lattice, 5, "distance")
-    assert err.value.node == 1
-    with pytest.raises(DegenerateStarError) as err:
-        oracles.build_table_arrays(lattice, 5, "distance")
-    assert err.value.node == 1
-    assert_same_solve(star_offsets(lattice, 5, "distance"))
+        build_all_stencils(lattice, 5)
+    with pytest.raises(DegenerateStarError) as want:
+        oracles.build_table_arrays(lattice, 5)
+    assert err.value.node == want.value.node
+    assert str(err.value) == str(want.value)
+    assert_same_solve(star_offsets(lattice, 5))
 
 
 def _solve_clouds(dim, jitter):
@@ -306,7 +318,7 @@ def test_solve_equals_the_eigenvalue_first_solve_on_clouds(dim, jitter):
     # regular clouds, and jittered ones at 5 to 48 nodes per axis and seeds
     # 0 to 19: the same stencils, bit for bit
     for cloud in _solve_clouds(dim, jitter):
-        assert_same_solve(star_offsets(cloud, *STAR_RULE[dim]))
+        assert_same_solve(star_offsets(cloud, STAR_RULE[dim]))
 
 
 @pytest.mark.parametrize("case", ["presets", "jittered-96"])
@@ -314,11 +326,10 @@ def test_solve_equals_the_eigenvalue_first_solve_on_named_clouds(case):
     if case == "presets":
         for name in PRESET_NAMES:
             scenario = get_preset(name)
-            assert_same_solve(star_offsets(scenario.cloud.build(), scenario.star.s,
-                                           scenario.star.criterion))
+            assert_same_solve(star_offsets(scenario.cloud.build(), scenario.star.s))
     else:
         cloud = generate_jittered(96, 1.0, dim=2, jitter=0.25, seed=11)
-        assert_same_solve(star_offsets(cloud, 8, "quadrant"))
+        assert_same_solve(star_offsets(cloud, 8))
 
 
 @st.composite
@@ -374,7 +385,7 @@ def test_no_preset_or_benchmark_star_needs_eigenvalues(eig_rows, monkeypatch, tm
         scenarios[w.name] = parse_scenario_text(workloads["scenario_text"](config))
     assert len(scenarios) == len(PRESET_NAMES) + 3
     for name, scenario in scenarios.items():
-        build_all_stencils(scenario.cloud.build(), scenario.star.s, scenario.star.criterion)
+        scenario.star.build_table(scenario.cloud.build())
         assert eig_rows == [], name
     # the spy sees the rows the traces leave open
     compute_stencil(near_floor_stack())
@@ -385,13 +396,13 @@ def test_large_build_is_exact():
     # N = 9,216: quadratics differentiate exactly, and sampled stars,
     # corners and edges included, equal the loop oracle bit for bit
     cloud = generate_jittered(96, 1.0, dim=2, jitter=0.25, seed=11)
-    assert polynomial_exactness(cloud, 8, "quadrant").max_error <= 1e-9
-    table = build_all_stencils(cloud, 8, "quadrant")
+    assert polynomial_exactness(cloud, 8).max_error <= 1e-9
+    table = build_all_stencils(cloud, 8)
     rng = np.random.default_rng(0)
     sample = np.concatenate([[0, 95, 9120, 9215], rng.choice(cloud.boundary_indices, 12),
                              rng.choice(cloud.n_nodes, 48)])
     for node in sample:
-        star = oracles.select_star(cloud, node, 8, "quadrant")
+        star = oracles.select_star(cloud, node, 8)
         assert table.stars[:-1, node].tolist() == star.tolist()
         center, coeffs = oracles.compute_stencil(
             cloud.positions[star] - cloud.positions[node], node)
@@ -402,7 +413,7 @@ def test_large_build_is_exact():
 def _bound_cases():
     rng = np.random.default_rng(9)
     c2 = generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=11)
-    t2 = build_all_stencils(c2, 8, "quadrant")
+    t2 = build_all_stencils(c2, 8)
     c1 = generate_jittered(15, 1.0, dim=1, jitter=0.2, seed=3)
     t1 = build_all_stencils(c1, 4)
     for table in (t1, t2):
@@ -444,9 +455,9 @@ def _kernel_cases():
         yield preset, cloud, scenario.star.build_table(cloud)
     for seed in range(20):
         cloud = generate_jittered(12, 1.0, dim=2, jitter=0.25, seed=seed)
-        yield f"jittered-12-seed{seed}", cloud, build_all_stencils(cloud, 8, "quadrant")
+        yield f"jittered-12-seed{seed}", cloud, build_all_stencils(cloud, 8)
     cloud = generate_jittered(48, 1.0, dim=2, jitter=0.25, seed=11)
-    yield "jittered-48-seed11", cloud, build_all_stencils(cloud, 8, "quadrant")
+    yield "jittered-48-seed11", cloud, build_all_stencils(cloud, 8)
 
 
 KERNEL_CASES = list(_kernel_cases())
@@ -524,7 +535,7 @@ def test_stencil_dump_equals_row_by_row_writer(preset, tmp_path):
     scenario = get_preset(preset)
     cloud = scenario.cloud.build()
     table = scenario.star.build_table(cloud)
-    arrays = oracles.build_table_arrays(cloud, scenario.star.s, scenario.star.criterion)
+    arrays = oracles.build_table_arrays(cloud, scenario.star.s)
     path = write_stencil_dump(table, tmp_path / "dump.csv")
     assert _read(path) == oracles.stencil_dump_text(*arrays, cloud.dim).splitlines(keepends=True)
 

@@ -42,26 +42,25 @@ dt = 0.001
 t_final = 1.0
 """
 
-# name -> (dim, s, criterion, delta, chi, dt, t_final, stability_mode)
+# name -> (dim, s, delta, chi, dt, t_final, stability_mode)
 PRESET_TABLE = {
-    "growth-1d-delta005": (1, 2, "distance", 0.05, 0.0, 0.001, 20.0, "check"),
-    "growth-1d-delta002": (1, 2, "distance", 0.02, 0.0, 0.001, 20.0, "check"),
-    "growth-1d-chi1": (1, 2, "distance", 0.02, 1.0, 0.001, 20.0, "check"),
-    "growth-2d-delta005": (2, 8, "quadrant", 0.05, 0.0, 0.001, 150.0, "check"),
-    "growth-2d-delta0085": (2, 8, "quadrant", 0.085, 0.0, 0.001, 50.0, "check"),
-    "growth-2d-delta03": (2, 8, "quadrant", 0.3, 0.0, 0.001, 30.0, "check"),
-    "growth-2d-delta03-chi1": (2, 8, "quadrant", 0.3, 1.0, 0.001, 30.0, "adapt"),
+    "growth-1d-delta005": (1, 2, 0.05, 0.0, 0.001, 20.0, "check"),
+    "growth-1d-delta002": (1, 2, 0.02, 0.0, 0.001, 20.0, "check"),
+    "growth-1d-chi1": (1, 2, 0.02, 1.0, 0.001, 20.0, "check"),
+    "growth-2d-delta005": (2, 8, 0.05, 0.0, 0.001, 150.0, "check"),
+    "growth-2d-delta0085": (2, 8, 0.085, 0.0, 0.001, 50.0, "check"),
+    "growth-2d-delta03": (2, 8, 0.3, 0.0, 0.001, 30.0, "check"),
+    "growth-2d-delta03-chi1": (2, 8, 0.3, 1.0, 0.001, 30.0, "adapt"),
 }
 
 
 def test_every_preset_parses_to_the_documented_table():
     assert set(PRESET_NAMES) == set(PRESET_TABLE)
-    for name, (dim, s, crit, delta, chi, dt, t_final, mode) in PRESET_TABLE.items():
+    for name, (dim, s, delta, chi, dt, t_final, mode) in PRESET_TABLE.items():
         sc = get_preset(name)
         assert sc.name == name
         assert sc.cloud.dim == dim
         assert sc.star.s == s
-        assert sc.star.criterion == crit
         assert sc.model.delta == delta
         assert sc.model.chi == chi
         assert sc.scheme.dt == dt
@@ -165,15 +164,15 @@ def test_unknown_key_rejected_with_path():
 
 
 def test_star_follows_the_dimension_and_has_no_section():
-    assert STAR_RULE == {1: (2, "distance"), 2: (8, "quadrant")}
+    assert STAR_RULE == {1: 2, 2: 8}
     for name in PRESET_NAMES:
         sc = get_preset(name)
-        assert sc.star == StarSpec(*STAR_RULE[sc.cloud.dim])
-    for dim, (s, crit) in STAR_RULE.items():
+        assert sc.star == StarSpec(STAR_RULE[sc.cloud.dim])
+    for dim, s in STAR_RULE.items():
         text = MINIMAL.replace("dim = 1", f"dim = {dim}")
-        assert parse_scenario_text(text).star == StarSpec(s, crit)
+        assert parse_scenario_text(text).star == StarSpec(s)
         with pytest.raises(ScenarioError, match=r"^star: unknown section$"):
-            parse_scenario_text(f"{text}\n[star]\ns = {s}\ncriterion = {crit}\n")
+            parse_scenario_text(f"{text}\n[star]\ns = {s}\ncriterion = quadrant\n")
 
 
 def test_unknown_section_rejected():

@@ -61,7 +61,7 @@ def test_flux_1d_frozen_example():
 def test_flux_2d_frozen_example():
     # k = x + y, A = x^2 + y^2: flux = -chi*(2x0+2y0) - chi*(x0+y0)*4
     cloud = generate_regular(7, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]
     k, A = x + y, x**2 + y**2
     chi = 0.6
@@ -96,11 +96,11 @@ def scalar_reference_step(state, march, dt):
     return State(march.neumann.project(k_new), march.neumann.project(a_new), state.time + dt)
 
 
-@pytest.mark.parametrize("dim,s,crit", [(1, 4, "distance"), (2, 8, "quadrant")])
-def test_step_matches_scalar_reference(dim, s, crit):
+@pytest.mark.parametrize("dim,s", [(1, 4), (2, 8)])
+def test_step_matches_scalar_reference(dim, s):
     rng = np.random.default_rng(21)
     cloud = generate_jittered(6 if dim == 2 else 15, 1.0, dim=dim, jitter=0.2, seed=6)
-    table = build_all_stencils(cloud, s, crit)
+    table = build_all_stencils(cloud, s)
     params = ModelParams(alpha1=1.0, alpha2=1.0, p=2.0, q=2.0, delta=0.1,
                          chi=0.8, tech_diffusion=0.05,
                          g_spec=GrowthSpec("gaussian", 0.1, (0.5,) * dim, 0.2))
@@ -115,7 +115,7 @@ def test_step_matches_scalar_reference(dim, s, crit):
 
 def test_neumann_projection_idempotent_and_zero_flux():
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.25, seed=14)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     rng = np.random.default_rng(4)
     op = NeumannOperator(cloud, table)
     once = op.project(rng.uniform(1, 2, cloud.n_nodes))
@@ -317,7 +317,7 @@ def test_step_projects_only_the_fields_rhs_differentiates(name, changes, widths,
 
 def _bad_node_setup():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=3)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     return March(table, ModelParams(p=2.0, q=2.0, g_spec=GrowthSpec("constant", 0.02)))
 
 
@@ -420,7 +420,7 @@ def test_constant_fields_are_fixed_by_projection():
 
 def test_uniform_state_stays_uniform():
     cloud = generate_jittered(6, 1.0, dim=2, jitter=0.2, seed=8)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     params = ModelParams(p=2.0, q=2.0, delta=0.05, chi=1.0,
                          g_spec=GrowthSpec("constant", 0.02))
     init = State(k=np.full(cloud.n_nodes, 2.0), A=np.ones(cloud.n_nodes), time=0.0)
@@ -696,7 +696,7 @@ def test_run_rejects_a_table_built_on_another_cloud():
     # a twin of the same size would pair one cloud's positions with values
     # marched on another.
     c1 = generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=1)
-    table = build_all_stencils(c1, 8, "quadrant")
+    table = build_all_stencils(c1, 8)
     config = SchemeConfig(dt=1e-4, t_final=1e-3)
     for other in (generate_jittered(8, 1.0, dim=2, jitter=0.1, seed=2),
                   generate_jittered(9, 1.0, dim=2, jitter=0.1, seed=2)):

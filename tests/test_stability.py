@@ -60,7 +60,7 @@ def test_heat_bound_equals_half_h_squared():
 def test_heat_bound_2d_quarter_h_squared():
     # five-point star on a regular lattice: m00 = Phi2 = 4/h^2
     cloud = generate_regular(11, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     report = dt_bound(table, uniform_state(121), heat_params())
     # the eight-ring stencil is not the five-point row; freeze the observed
     # family member instead of the classical 4/h^2
@@ -113,7 +113,7 @@ def test_taxis_terms_enter_phi():
 
 def test_chi_zero_matches_heat_terms_in_2d():
     cloud = generate_regular(7, 1.0, dim=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     state = uniform_state(49)
     node = int(cloud.interior_indices[0])
     phi1, phi2, _ = star_terms(dt_bound(table, state, heat_params(delta=0.3)), node)

@@ -66,7 +66,7 @@ def test_symmetric_star_reproduces_central_differences():
 
 def test_consistency_center_equals_neighbor_sum():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.3, seed=2)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     m0 = center_coeffs(table)
     resid = np.abs(m0 - neighbor_coeffs(table).sum(axis=1)).max(axis=1)
     assert np.all(resid <= 1e-10 * np.linalg.norm(m0, axis=1))
@@ -76,7 +76,7 @@ def test_derivatives_match_unscaled_lstsq_fit():
     rng = np.random.default_rng(12)
     cloud = generate_jittered(7, 1.0, dim=2, jitter=0.3, seed=4)
     field = rng.normal(size=cloud.n_nodes)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     packed = table.derivatives(field)
     for node in rng.choice(cloud.n_nodes, size=10, replace=False):
         nbrs = table.stars[:-1, node]
@@ -123,7 +123,7 @@ def test_quadratics_are_differentiated_exactly(coeffs, seed):
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]
     u = a + b * x + c * y + d * x**2 + e * y**2 + f * x * y
     node = int(cloud.interior_indices[0])
-    star = select_star(cloud, 8, "quadrant")[node]
+    star = select_star(cloud, 8)[node]
     slots = solve_one(cloud.positions[star] - cloud.positions[node])
     got = slots @ u[np.append(star, node)]
     expect = np.array([b + 2 * d * x[node] + f * y[node],
@@ -132,10 +132,25 @@ def test_quadratics_are_differentiated_exactly(coeffs, seed):
     assert np.allclose(got, expect, rtol=0, atol=1e-7 * (1 + np.abs(expect).max()))
 
 
+def test_rough_1d_stars_have_a_node_on_each_side_and_positive_laplacian_weights():
+    # At these jitters the two nearest nodes of an interior node often lie
+    # on one side, where the three-point Laplacian has a negative weight.
+    # The star rule takes the nearest node on each side instead.
+    for jitter in (0.3, 0.45):
+        for n in (13, 25, 49):
+            for seed in range(20):
+                cloud = generate_jittered(n, 1.0, dim=1, jitter=jitter, seed=seed)
+                table = build_all_stencils(cloud, 2)
+                inner = cloud.interior_indices
+                offsets = cloud.positions[table.stars[:-1, inner], 0] - cloud.positions[inner, 0]
+                assert ((offsets > 0).any(axis=0) & (offsets < 0).any(axis=0)).all()
+                assert (table.lap[:-1, inner] > 0).all(), (jitter, n, seed)
+
+
 def test_table_matches_per_star_application():
     rng = np.random.default_rng(3)
     cloud = generate_jittered(9, 1.0, dim=1, jitter=0.3, seed=8)
-    table = build_all_stencils(cloud, 4, "distance")
+    table = build_all_stencils(cloud, 4)
     field = rng.normal(size=cloud.n_nodes)
     packed = table.derivatives(field)
     for i in range(cloud.n_nodes):
@@ -156,7 +171,7 @@ PART_CASES = {
     "growth-2d-delta005": (lambda: _preset_table("growth-2d-delta005"),
                            (slice(2, 4), slice(0, 4))),
     "jittered-48x48": (lambda: build_all_stencils(
-        generate_jittered(48, 1.0, dim=2, jitter=0.1, seed=11), 8, "quadrant"),
+        generate_jittered(48, 1.0, dim=2, jitter=0.1, seed=11), 8),
         (slice(2, 4), slice(0, 4))),
 }
 
@@ -208,7 +223,7 @@ def test_table_rejects_stars_whose_last_slot_is_not_their_node():
 
 def test_table_is_stored_component_major():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     s, n = table.coeffs.shape[1] - 1, cloud.n_nodes
     # each star is packed with its node as the last slot
     stars, coeffs = table.stars, table.coeffs
@@ -228,7 +243,7 @@ def test_table_is_stored_component_major():
 def test_in_place_coefficient_edit_reaches_derivatives():
     rng = np.random.default_rng(12)
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     field = rng.uniform(1.0, 2.0, cloud.n_nodes)
     before, lap_before = table.derivatives(field).copy(), table.lap
     table.neighbor_coeffs[17, 3, 2] += 0.5
@@ -244,13 +259,13 @@ def test_in_place_coefficient_edit_reaches_derivatives():
 
 def test_table_holds_only_its_cloud_and_two_arrays():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     assert set(vars(table)) == {"cloud", "stars", "coeffs"}
 
 
 def test_in_place_center_slot_edit_reaches_center_coeffs():
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     field = np.random.default_rng(2).uniform(1.0, 2.0, cloud.n_nodes)
     table.coeffs[2, -1, 5] += 1.0
     # an oracle built from the two views follows derivatives
@@ -262,7 +277,7 @@ def test_in_place_center_slot_edit_reaches_center_coeffs():
 @pytest.mark.parametrize("bad", [-1, 64])
 def test_table_rejects_star_indices_outside_the_cloud(bad):
     cloud = generate_jittered(8, 1.0, dim=2, jitter=0.25, seed=4)
-    table = build_all_stencils(cloud, 8, "quadrant")
+    table = build_all_stencils(cloud, 8)
     stars = table.stars.copy()
     stars[0, 5] = bad
     with pytest.raises(ValueError, match=r"star indices must lie in \[0, 64\)"):
