@@ -53,15 +53,16 @@ def parse_pairs(spec: str) -> dict[str, int]:
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in tree: its result line, and with --trace 0 the
     median raw set-up wall time of its rounds; or, if it fails, its exit
-    code and the end of its standard error."""
+    code and the end of its standard error.  A run that exits 0 without
+    metrics, because none of its rounds was timed, fails too."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-    if done.returncode:
+    result = {} if done.returncode else json.loads(done.stdout.strip().splitlines()[-1])
+    if not result.get("metrics"):
         sys.stderr.write(done.stderr)
         return {"exit_code": done.returncode, "stderr": done.stderr[-2000:]}
-    result = json.loads(done.stdout.strip().splitlines()[-1])
     run = {k: v["value"] for k, v in result["metrics"].items()}
     if not trace:
         results = tree / "perfbench" / "results"
@@ -91,6 +92,20 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                      "ratio_of_medians": cs["median"] / ps["median"],
                      "parent_iqr": ps["q3"] - ps["q1"]}
     return out
+
+
+def workload_report(pairs: list[dict], better: dict[str, str]) -> dict:
+    """A workload's pairs with the statistics and operation counts of those
+    in which neither run failed, and whether every run ran and was correct."""
+    ran = [p for p in pairs if not any("exit_code" in p[side] for side in SIDES)]
+    return {
+        "pairs": pairs,
+        "metrics": summarize(ran, {**better, "raw_setup_wall_s": "lower"}) if ran else {},
+        "operations": {side: {k: sum(p[side][k] for p in ran)
+                              for k in ("attempted", "failed")} for side in SIDES},
+        "all_correct": len(ran) == len(pairs) and all(
+            p[side]["correct"] for p in ran for side in SIDES),
+    }
 
 
 def main(argv=None) -> int:
@@ -140,15 +155,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} seed {i + 1}: {side}", file=sys.stderr)
                     pair[side] = bench(trees[side], workload, i + 1, args.seconds, 0)
                 pairs.append(pair)
-            ran = [p for p in pairs if not any("exit_code" in p[side] for side in SIDES)]
-            report["end_to_end"][workload] = {
-                "pairs": pairs,
-                "metrics": summarize(ran, {**better, "raw_setup_wall_s": "lower"}) if ran else {},
-                "operations": {side: {k: sum(p[side][k] for p in ran)
-                                      for k in ("attempted", "failed")} for side in SIDES},
-                "all_correct": len(ran) == len(pairs) and all(
-                    p[side]["correct"] for p in ran for side in SIDES),
-            }
+            report["end_to_end"][workload] = workload_report(pairs, better)
         for workload in workloads:
             traced = []
             for i in range(args.traced_pairs):

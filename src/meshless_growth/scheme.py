@@ -3,11 +3,15 @@
 Each step advances interior nodes with forward Euler on the stencil
 derivatives and then overwrites boundary nodes so the discrete normal
 derivative vanishes of k, and of A if a step differentiates it; every
-state run records or bounds has both fields projected.  Edge stars hold
-interior nodes only and corner stars interior and edge nodes, so each
-boundary value is an explicit weighted sum of interior values: no system
-is solved, the residual stays at rounding level and the operation is
-idempotent.
+state run records or bounds has both fields projected.  One method,
+March.impose_zero_flux, imposes zero flux in either case.  Edge stars
+hold interior nodes only and corner stars interior and edge nodes, so
+each boundary value is an explicit weighted sum of interior values: no
+system is solved, the residual stays at rounding level and the operation
+is idempotent.  So only interior values go bad on their own, and a step
+raises exactly when the state it would return holds a bad value, naming
+its first bad interior node, or its first bad boundary node if no
+interior one is bad.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ class NeumannOperator:
 
     def project(self, field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """field with its boundary values replaced by the closure's, in a
-        copy, or in place with out=field (step projects its update so): cols
+        copy, or in place with out=field (March.impose_zero_flux does so): cols
         holds interior nodes only, and the product reads them all before
         the write.  An out that is not field receives the boundary values
         alone."""
@@ -147,21 +151,20 @@ class NeumannOperator:
         return out
 
 
-def _check_finite(k: np.ndarray, A: np.ndarray, time: float, before=None) -> None:
-    """Raise DivergenceError at the first node where k or A is not finite or
-    |k| exceeds DIVERGENCE_LIMIT.  before, if given, is called only when the
-    fast check below fails, and returns the (k, A) that the update made
-    ahead of the boundary projection, whose nodes are named first."""
+def _check_finite(k: np.ndarray, A: np.ndarray, time: float, boundary: np.ndarray) -> None:
+    """Raise DivergenceError if k or A is not finite at some node or |k|
+    exceeds DIVERGENCE_LIMIT there, naming the first such node off the
+    boundary mask, or on it if there is none off it."""
     # Fast path: k.k < L^2 / 2 bounds every |k| below L, and a NaN or an
     # infinity fails both tests, so any bad node falls through to the mask
     # naming it.  np.vdot reports no floating-point error: a sum of squares
     # that overflows on finite values takes the mask too, without a warning.
     if np.vdot(k, k) < 0.5 * DIVERGENCE_LIMIT ** 2 and np.vdot(A, A) < np.inf:
         return
-    for k_, a_ in ((before(), (k, A)) if before else ((k, A),)):
-        bad = ~np.isfinite(k_) | ~np.isfinite(a_) | (np.abs(k_) > DIVERGENCE_LIMIT)
-        if bad.any():
-            raise DivergenceError(node=int(np.argmax(bad)), time=time)
+    bad = ~np.isfinite(k) | ~np.isfinite(A) | (np.abs(k) > DIVERGENCE_LIMIT)
+    for nodes in (bad & ~boundary, bad):
+        if nodes.any():
+            raise DivergenceError(node=int(np.argmax(nodes)), time=time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +196,18 @@ class March:
         object.__setattr__(self, "differentiates_a",
                            self.params.chi != 0.0 or self.params.tech_diffusion != 0.0)
 
+    def impose_zero_flux(self, k: np.ndarray, A: np.ndarray | None = None) -> None:
+        """Impose zero flux on k, and on A if given, in place: each boundary
+        value becomes the closure's weighted sum of interior values, which
+        the write leaves as they were."""
+        for values in (k,) if A is None else (k, A):
+            self.neumann.project(values, out=values)
+
     def project(self, k: np.ndarray, A: np.ndarray, time: float) -> State:
-        """The State of k and A at time, both projected to zero flux."""
-        return State(k=self.neumann.project(k), A=self.neumann.project(A), time=time)
+        """The State at time of copies of k and A, both with zero flux."""
+        k, A = k.copy(), A.copy()
+        self.impose_zero_flux(k, A)
+        return State(k=k, A=A, time=time)
 
 
 def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
@@ -236,38 +248,29 @@ def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
     return rhs_k, rhs_a
 
 
-def _update(state: State, march: March, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The forward Euler update (k, A) of state on rhs, as fresh arrays,
-    before any boundary projection."""
+def step(state: State, march: March, dt: float) -> State:
+    """One forward Euler step on rhs (so one call of forcing), zero flux on
+    each field the next step differentiates (k, and A if
+    march.differentiates_a), and one divergence check of the state it
+    returns.
+
+    Reads only level-n values, so the node update order is immaterial, and
+    writes none of them: the update owns its arrays and takes zero flux in
+    place.  That write leaves each interior value as the update made it, so
+    a DivergenceError names the first interior node that went bad, or, if
+    none did, the first boundary node whose value in the state is bad; a
+    bad boundary value the write replaced is not reported.  run silences
+    the overflow and invalid-value warnings of its march; a direct caller
+    of step owns them.
+    """
     new_k, new_a = rhs(state, march)
     new_k *= dt
     new_k += state.k
     new_a *= dt
     new_a += state.A
-    return new_k, new_a
-
-
-def step(state: State, march: March, dt: float) -> State:
-    """One forward Euler step on rhs, the boundary projection of each field
-    the next step differentiates (k, and A if march.differentiates_a), and
-    one divergence check after it.
-
-    Reads only level-n values, so the node update order is immaterial, and
-    writes none of them: the update owns its arrays and is projected in
-    place.  A DivergenceError names its node as the update left it, before
-    the projection, so a step that fails the check computes the update a
-    second time, calling forcing again (a function of positions and time
-    alone).  run silences the overflow and invalid-value warnings of its
-    march; a direct caller of step owns them.
-    """
-    new_k, new_a = _update(state, march, dt)
-    project = march.neumann.project
-    project(new_k, out=new_k)
-    if march.differentiates_a:
-        project(new_a, out=new_a)
+    march.impose_zero_flux(new_k, new_a if march.differentiates_a else None)
     new = State(k=new_k, A=new_a, time=state.time + dt)
-    # A bad boundary value the projection replaced is dropped.
-    _check_finite(new_k, new_a, new.time, before=lambda: _update(state, march, dt))
+    _check_finite(new_k, new_a, new.time, march.table.cloud.boundary)
     return new
 
 

@@ -1,5 +1,6 @@
 """The package's modules import one another without a cycle, and the
-zero-flux projection of a state is built in one module."""
+zero-flux projection of a state is built in one module and imposed by one
+function."""
 
 import ast
 from pathlib import Path
@@ -67,11 +68,30 @@ def named(path: Path) -> set[str]:
     return found
 
 
+def readers(path: Path, owner: str, attr: str) -> set[str]:
+    """The names of the innermost functions in path that read owner.attr."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == attr
+              and isinstance(node.value, ast.Attribute) and node.value.attr == owner):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
 def test_only_scheme_names_the_neumann_operator():
-    # scheme alone imposes zero flux: step on the fields the next step
-    # reads, and March.project on both fields of every state that leaves
-    # the march; a module that builds its own NeumannOperator projects a
-    # second way.
+    # scheme alone imposes zero flux, in one March method: step on the
+    # fields the next step reads, and March.project on both fields of every
+    # state that leaves the march; a module that builds its own
+    # NeumannOperator, or a second function that reads neumann.project,
+    # projects a second way.
     users = {p.stem for p in PACKAGE.glob("*.py") if "NeumannOperator" in named(p)}
     assert "scheme" in users  # the parse sees the class's own module
     assert users <= {"scheme", "__init__"}, sorted(users - {"scheme", "__init__"})
+    assert len(readers(PACKAGE / "scheme.py", "neumann", "project")) == 1

@@ -360,6 +360,39 @@ def test_step_drops_a_bad_boundary_value_the_projection_overwrites():
     assert np.isfinite(out.k).all()
 
 
+def test_step_names_the_interior_node_before_a_lower_boundary_one():
+    # The interior value is the update's own; the boundary value the update
+    # made is replaced by the zero-flux closure, which the interior NaN
+    # spreads to every boundary node.
+    march = _bad_node_setup()
+    cloud, neumann = march.table.cloud, march.neumann
+    n = cloud.n_nodes
+    node, low = int(neumann.cols[neumann.cols.size // 2]), int(cloud.boundary_indices[0])
+    assert low < node
+    state = State(k=np.ones(n), A=np.ones(n), time=0.0)
+    march = replace(march, forcing=lambda pos, t: _at(node, np.nan, len(pos))
+                    + _at(low, np.nan, len(pos)))
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        step(state, march, 1e-3)
+    assert err.value.node == node
+
+
+def test_a_step_that_diverges_calls_forcing_once():
+    march = _bad_node_setup()
+    n = march.table.cloud.n_nodes
+    node = int(march.neumann.cols[0])
+    calls = []
+
+    def forcing(pos, t):
+        calls.append(t)
+        return _at(node, np.inf, len(pos))
+
+    state = State(k=np.ones(n), A=np.ones(n), time=0.25)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        step(state, replace(march, forcing=forcing), 1e-3)
+    assert err.value.node == node and calls == [0.25]
+
+
 def test_taxis_preset_divergence_is_reported_at_node_66():
     # growth-2d-delta03-chi1 blows up at an interior node (ROADMAP item 4).
     scenario = get_preset("growth-2d-delta03-chi1")
@@ -734,6 +767,7 @@ def test_degenerate_boundary_star_detected():
         NeumannOperator(cloud, bad_table)
 
 
+NO_BOUNDARY = np.zeros(30, dtype=bool)
 BAD_VALUES = [("k", np.nan), ("k", np.inf), ("k", -np.inf), ("k", 2 * DIVERGENCE_LIMIT),
               ("k", -2 * DIVERGENCE_LIMIT), ("A", np.nan), ("A", np.inf), ("A", -np.inf)]
 
@@ -746,8 +780,23 @@ def test_check_finite_names_the_first_bad_node(name, value, other_bad):
     if other_bad:  # a later bad node in the other field
         fields["k" if name == "A" else "A"][19] = np.nan
     with pytest.raises(DivergenceError) as err:
-        _check_finite(fields["k"], fields["A"], 1.5)
+        _check_finite(fields["k"], fields["A"], 1.5, NO_BOUNDARY)
     assert err.value.node == 11 and err.value.time == 1.5
+
+
+@pytest.mark.parametrize("name,value", BAD_VALUES)
+def test_check_finite_names_an_interior_node_before_a_boundary_one(name, value):
+    fields = {"k": np.ones(30), "A": np.ones(30)}
+    fields[name][[4, 11, 25]] = value
+    boundary = np.zeros(30, dtype=bool)
+    boundary[[0, 4, 11, 29]] = True
+    with pytest.raises(DivergenceError) as err:
+        _check_finite(fields["k"], fields["A"], 1.5, boundary)
+    assert err.value.node == 25
+    fields[name][25] = 1.0  # bad on the boundary alone
+    with pytest.raises(DivergenceError) as err:
+        _check_finite(fields["k"], fields["A"], 1.5, boundary)
+    assert err.value.node == 4
 
 
 @pytest.mark.parametrize("node", [0, 17, 29])
@@ -764,16 +813,16 @@ def test_check_finite_at_the_edges_of_its_fast_path(node):
     above = np.nextafter(DIVERGENCE_LIMIT, np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _check_finite(*fields(1.0, 1.0, k_node=DIVERGENCE_LIMIT), 0.0)
-        _check_finite(*fields(1.0, 1.0, k_node=-DIVERGENCE_LIMIT), 0.0)
-        _check_finite(*fields(0.8 * DIVERGENCE_LIMIT, 1.0), 0.0)  # k.k is past L^2 / 2
-        _check_finite(*fields(1.0, 1e200), 0.0)  # A.A overflows
+        _check_finite(*fields(1.0, 1.0, k_node=DIVERGENCE_LIMIT), 0.0, NO_BOUNDARY)
+        _check_finite(*fields(1.0, 1.0, k_node=-DIVERGENCE_LIMIT), 0.0, NO_BOUNDARY)
+        _check_finite(*fields(0.8 * DIVERGENCE_LIMIT, 1.0), 0.0, NO_BOUNDARY)  # k.k is past L^2 / 2
+        _check_finite(*fields(1.0, 1e200), 0.0, NO_BOUNDARY)  # A.A overflows
         for k, A in [fields(1.0, 1.0, k_node=above), fields(1.0, 1.0, k_node=-above),
                      fields(1.0, 1.0, a_node=np.nan),
                      fields(0.8 * DIVERGENCE_LIMIT, 1.0, k_node=np.nan),
                      fields(1.0, 1e200, a_node=np.inf)]:
             with pytest.raises(DivergenceError) as err:
-                _check_finite(k, A, 2.5)
+                _check_finite(k, A, 2.5, NO_BOUNDARY)
             assert err.value.node == node and err.value.time == 2.5
 
 
@@ -784,4 +833,4 @@ def test_check_finite_passes_finite_fields_at_the_limits():
     A[7] = -1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _check_finite(k, A, 0.0)
+        _check_finite(k, A, 0.0, NO_BOUNDARY)

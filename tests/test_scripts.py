@@ -1,6 +1,7 @@
 """Every runnable script imports and parses its arguments; the taxis sweep
-runs on its preset, the paired benchmark runs one pair, and the output
-comparison reports the size of a difference."""
+runs on its preset, the paired benchmark runs one pair and records a run
+without a timed round as failed, and the output comparison reports the
+size of a difference."""
 
 import json
 import re
@@ -72,6 +73,40 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     assert march["pairs"] == 1 and march["change_wins"] in (0, 1)
     assert march["parent_stats"]["median"] == pair["parent"]["march_s"]
     assert report["traced"] == {"march-2d": []}
+
+
+# perfbench/run.py as it behaves when every round fails its checks: it
+# exits 0, its result line holds no metrics and its rounds no wall times.
+UNTIMED_RUN = """\
+import json, sys
+from pathlib import Path
+arg = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+results = Path(__file__).parent / "results"
+results.mkdir(exist_ok=True)
+rounds = [{"timings": {}, "checks": [], "failed": 5, "wall": None}]
+name = f"{arg['--workload']}-seed{arg['--seed']}-cloud11-trace{arg['--trace']}.json"
+(results / name).write_text(json.dumps({"rounds": rounds}))
+print("check failed: run: stub", file=sys.stderr)
+print(json.dumps({"correct": False, "attempted": 5, "failed": 5, "metrics": {}}))
+"""
+
+
+def test_bench_pairs_records_a_run_without_a_timed_round_as_failed(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(SCRIPT_DIR), *sys.path])  # and it prepends more
+    script = runpy.run_path(str(SCRIPT_DIR / "bench_pairs.py"))
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(UNTIMED_RUN)
+
+    untimed = script["bench"](tmp_path, "march-2d", 1, 0.0, 0)
+    assert untimed["exit_code"] == 0 and "check failed: run: stub" in untimed["stderr"]
+    better = {"march_s": "lower"}
+    timed = {"march_s": 1.0, "raw_setup_wall_s": 0.5, "correct": True,
+             "attempted": 5, "failed": 0}
+    report = script["workload_report"]([{"parent": timed, "change": untimed},
+                                        {"parent": timed, "change": timed}], better)
+    assert report["metrics"]["march_s"]["pairs"] == 1
+    assert report["operations"]["parent"]["attempted"] == 5
+    assert not report["all_correct"]
 
 
 def test_both_trees_have_paths_of_one_length(tmp_path, monkeypatch):
