@@ -59,7 +59,6 @@ from .scheme import (
     StabilityEvent,
     State,
     Trajectory,
-    rhs,
     run,
     step,
 )

@@ -167,6 +167,18 @@ def _check_finite(k: np.ndarray, A: np.ndarray, time: float, boundary: np.ndarra
             raise DivergenceError(node=int(np.argmax(nodes)), time=time)
 
 
+class Update(NamedTuple):
+    """The linear part of a forward Euler step of size dt.  rows is
+    March.rows with its Laplacian (last) row times dt and the node's own
+    slot raised by 1 - dt delta, so its last column contracted with k is
+    k + dt (lap k - delta k) and any columns before it are the gradient;
+    a_factor is 1 + dt g, by which A advances."""
+
+    dt: float
+    rows: np.ndarray
+    a_factor: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class March:
     """What every step of one run reads, built once from the table, the
@@ -174,9 +186,11 @@ class March:
     params.g_spec) and neumann the cloud's NeumannOperator.  forcing, if
     given, is called as forcing(positions, time) and added to the capital
     equation (manufactured solutions).  rows is the C-contiguous block of
-    coefficient rows rhs contracts: table.lap[None], or with taxis the
-    gradient rows coeffs[:dim] before it.  differentiates_a: rhs reads A's
-    derivatives (taxis or technology diffusion), so a step projects A."""
+    coefficient rows A is contracted with: table.lap[None], or with taxis
+    the gradient rows coeffs[:dim] before it.  differentiates_a: a step
+    reads A's derivatives (taxis or technology diffusion), so it projects
+    A.  update(dt) holds the Update of the last step size only, so a run
+    builds one per distinct dt it steps with."""
 
     table: StencilTable
     params: ModelParams
@@ -185,6 +199,7 @@ class March:
     neumann: NeumannOperator = field(init=False)
     rows: np.ndarray = field(init=False)
     differentiates_a: bool = field(init=False)
+    _update: Update | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         table = self.table
@@ -195,6 +210,20 @@ class March:
                            np.concatenate([table.coeffs[:table.cloud.dim], lap]))
         object.__setattr__(self, "differentiates_a",
                            self.params.chi != 0.0 or self.params.tech_diffusion != 0.0)
+
+    def update(self, dt: float) -> Update:
+        """The Update of step size dt, built only when dt is not the step
+        size of the last call."""
+        if self._update is None or self._update.dt != dt:
+            object.__setattr__(self, "_update", self.build_update(dt))
+        return self._update
+
+    def build_update(self, dt: float) -> Update:
+        """A fresh Update of step size dt; rows keeps its bits."""
+        rows = self.rows.copy()
+        rows[-1] *= dt
+        rows[-1, -1] += 1.0 - dt * self.params.delta
+        return Update(dt, rows, 1.0 + dt * self.g_field)
 
     def impose_zero_flux(self, k: np.ndarray, A: np.ndarray | None = None) -> None:
         """Impose zero flux on k, and on A if given, in place: each boundary
@@ -210,49 +239,19 @@ class March:
         return State(k=k, A=A, time=time)
 
 
-def rhs(state: State, march: March) -> tuple[np.ndarray, np.ndarray]:
-    """The semi-discrete right-hand sides (dk/dt, dA/dt) at every node.
-
-    Each field is contracted once with march.rows, so the Laplacian is its
-    last column and, for taxis, the gradient its first dim columns; A is
-    differentiated only for taxis or technology diffusion.  The sums are
-    built in place, as fresh arrays, in the order of lap + flux + A f(k) -
-    delta k + forcing and D lap_A + A g, so each rounding is the plain
-    expression's.
-    """
-    table, params = march.table, march.params
-    k, A = state.k, state.A
-    chi = params.chi
-    dk = table.derivatives(k, march.rows)
-    rhs_k = dk[:, -1]
-    if march.differentiates_a:
-        da = table.derivatives(A, march.rows)
-        rhs_a = da[:, -1]
-        if chi != 0.0:
-            flux = dk[:, 0] * da[:, 0]
-            if table.cloud.dim == 2:
-                flux += dk[:, 1] * da[:, 1]
-            flux *= -chi
-            flux -= chi * k * rhs_a
-            rhs_k += flux
-        rhs_a *= params.tech_diffusion
-        rhs_a += A * march.g_field
-    else:  # a zero term is left out, not added: that could only turn -0.0 to +0.0
-        rhs_a = A * march.g_field
-
-    # Undershoots from the explicit step feed the production term as zero.
-    rhs_k += A * production(np.maximum(k, 0.0), params)
-    rhs_k -= params.delta * k
-    if march.forcing is not None:
-        rhs_k += march.forcing(table.cloud.positions, state.time)
-    return rhs_k, rhs_a
-
-
 def step(state: State, march: March, dt: float) -> State:
-    """One forward Euler step on rhs (so one call of forcing), zero flux on
-    each field the next step differentiates (k, and A if
-    march.differentiates_a), and one divergence check of the state it
-    returns.
+    """One forward Euler step, zero flux on each field the next step
+    differentiates (k, and A if march.differentiates_a), and one divergence
+    check of the state it returns.  This is the one place the model's terms
+    are written.
+
+    k is contracted once with march.update(dt).rows, whose last column is
+    already k + dt (lap k - delta k); to it are added, in this order,
+    -chi dt (grad k . grad A + k lap A) with taxis, dt A f(k+) and dt
+    forcing, calling forcing once.  A advances as A (1 + dt g), plus
+    (D lap A) dt with technology diffusion, its derivatives contracted with
+    march.rows; D lap A is formed first, so a direct caller hears of an A
+    that overflows there, as the contraction itself reports nothing.
 
     Reads only level-n values, so the node update order is immaterial, and
     writes none of them: the update owns its arrays and takes zero flux in
@@ -263,14 +262,37 @@ def step(state: State, march: March, dt: float) -> State:
     the overflow and invalid-value warnings of its march; a direct caller
     of step owns them.
     """
-    new_k, new_a = rhs(state, march)
-    new_k *= dt
-    new_k += state.k
-    new_a *= dt
-    new_a += state.A
+    table, params = march.table, march.params
+    k, A = state.k, state.A
+    update = march.update(dt)
+    dk = table.derivatives(k, update.rows)
+    new_k = dk[:, -1]
+    new_a = A * update.a_factor
+    if march.differentiates_a:
+        da = table.derivatives(A, march.rows)
+        lap_a = da[:, -1]
+        if params.chi != 0.0:
+            flux = dk[:, 0] * da[:, 0]
+            if table.cloud.dim == 2:
+                flux += dk[:, 1] * da[:, 1]
+            flux += k * lap_a
+            flux *= -params.chi * dt
+            new_k += flux
+        if params.tech_diffusion != 0.0:
+            lap_a *= params.tech_diffusion
+            lap_a *= dt
+            new_a += lap_a
+
+    # Undershoots from the explicit step feed the production term as zero.
+    gain = production(np.maximum(k, 0.0), params)
+    gain *= A
+    gain *= dt
+    new_k += gain
+    if march.forcing is not None:
+        new_k += dt * march.forcing(table.cloud.positions, state.time)
     march.impose_zero_flux(new_k, new_a if march.differentiates_a else None)
     new = State(k=new_k, A=new_a, time=state.time + dt)
-    _check_finite(new_k, new_a, new.time, march.table.cloud.boundary)
+    _check_finite(new_k, new_a, new.time, table.cloud.boundary)
     return new
 
 

@@ -332,8 +332,9 @@ def derivatives(table, field: np.ndarray) -> np.ndarray:
 
 def plain_rhs(state, march):
     """The right-hand sides (dk/dt, dA/dt) as plain array expressions, each
-    Laplacian one contraction of table.lap with the field over the stars.
-    scheme.rhs builds the same sums in place and must match this bit for bit."""
+    Laplacian one contraction of table.lap with the field over the stars:
+    the semi-discrete form scheme.step once added to the state after the
+    fact.  euler_step on it is step up to rounding."""
     table = march.table
     return _expression_rhs(state, march,
                            lambda field, d: np.einsum("sn,sn->n", table.lap, field[table.stars]))
@@ -341,8 +342,8 @@ def plain_rhs(state, march):
 
 def two_column_rhs(state, march):
     """plain_rhs with each Laplacian the sum of the xx and yy columns of a
-    full derivatives result (the xx column in 1D): the form rhs had before
-    it contracted one precombined Laplacian row."""
+    full derivatives result (the xx column in 1D): the form the right-hand
+    side had before it contracted one precombined Laplacian row."""
     dim = march.table.cloud.dim
     return _expression_rhs(state, march, lambda field, d: d[:, dim] if dim == 1
                            else d[:, dim] + d[:, dim + 1])
@@ -385,6 +386,38 @@ def euler_step(state, march, dt, rhs=plain_rhs):
     with np.errstate(over="ignore", invalid="ignore"):
         k_new = state.k + dt * rhs_k
         a_new = state.A + dt * rhs_a
+    return State(k=march.neumann.project(k_new), A=march.neumann.project(a_new),
+                 time=state.time + dt)
+
+
+def folded_step(state, march, dt):
+    """The forward-Euler step in the order scheme.step sums it, as plain
+    expressions on fresh arrays, both fields projected, without the
+    divergence check: k's update row is dt lap with the node's own slot
+    raised by 1 - dt delta, then come -chi dt (grad k . grad A + k lap A),
+    (A f(k+)) dt and dt forcing; A advances as A (1 + dt g) + (D lap A) dt.
+    step must match this bit for bit."""
+    table, params = march.table, march.params
+    k, A = state.k, state.A
+    lap = table.lap
+    block = np.concatenate([dt * lap[:-1], (dt * lap[-1] + (1.0 - dt * params.delta))[None]])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_new = np.einsum("sn,sn->n", block, k[table.stars])
+        lap_a = np.einsum("sn,sn->n", lap, A[table.stars])
+        if params.chi != 0.0:
+            dk, da = table.derivatives(k), table.derivatives(A)
+            if table.cloud.dim == 1:
+                grad_dot = dk[:, 0] * da[:, 0]
+            else:
+                grad_dot = dk[:, 0] * da[:, 0] + dk[:, 1] * da[:, 1]
+            k_new = k_new + (-params.chi * dt) * (grad_dot + k * lap_a)
+        k_new = k_new + (A * production(np.maximum(k, 0.0), params)) * dt
+        if march.forcing is not None:
+            k_new = k_new + dt * march.forcing(table.cloud.positions, state.time)
+        a_new = A * (1.0 + dt * march.g_field)
+        if params.tech_diffusion != 0.0:
+            a_new = a_new + (params.tech_diffusion * lap_a) * dt
     return State(k=march.neumann.project(k_new), A=march.neumann.project(a_new),
                  time=state.time + dt)
 

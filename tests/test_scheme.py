@@ -25,17 +25,18 @@ from meshless_growth import (
     generate_regular,
     get_preset,
     production,
-    rhs,
     run,
     step,
 )
 from meshless_growth.output import snapshot_filename
+from meshless_growth import scheme
 from meshless_growth.scheme import DIVERGENCE_LIMIT, _check_finite
 from oracles import (
     apply_stencil,
     center_coeffs,
     euler_step,
     flux_term,
+    folded_step,
     neighbor_coeffs,
     plain_rhs,
     two_column_rhs,
@@ -158,15 +159,15 @@ def _step_case(name, changes, forced):
 
 @pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
 def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
-    # euler_step projects both fields; step projects A only where rhs
-    # differentiates it.  Elsewhere each node's A, boundary ones included,
-    # is its own forward Euler product, and its projection is euler_step's A.
+    # folded_step projects both fields; step projects A only where it
+    # differentiates A.  Elsewhere each node's A, boundary ones included,
+    # is its own forward Euler product, and its projection is folded_step's A.
     march, got = _step_case(name, changes, forced)
     ref, own = got, got.A
     for _ in range(50):  # 5e-4 is under every case's step bound
         got = step(got, march, 5e-4)
-        ref = euler_step(ref, march, 5e-4)
-        own = own + 5e-4 * (own * march.g_field)
+        ref = folded_step(ref, march, 5e-4)
+        own = own * (1.0 + 5e-4 * march.g_field)
     assert got.k.tobytes() == ref.k.tobytes()
     if march.differentiates_a:
         assert got.A.tobytes() == ref.A.tobytes()
@@ -179,16 +180,6 @@ def test_step_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
 
 
 @pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
-def test_rhs_matches_the_plain_expressions_bit_for_bit(name, changes, forced):
-    march, state = _step_case(name, changes, forced)
-    for _ in range(20):
-        got, ref = rhs(state, march), plain_rhs(state, march)
-        assert got[0].tobytes() == ref[0].tobytes()
-        assert got[1].tobytes() == ref[1].tobytes()
-        state = step(state, march, 5e-4)
-
-
-@pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
 def test_step_leaves_the_state_arrays_as_they_were(name, changes, forced):
     # step projects its own update in place, never the arrays it reads.
     march, state = _step_case(name, changes, forced)
@@ -197,7 +188,7 @@ def test_step_leaves_the_state_arrays_as_they_were(name, changes, forced):
     assert state.k.tobytes() == k and state.A.tobytes() == A
 
 
-# (preset, model changes, the width of the derivatives rhs asks for each
+# (preset, model changes, the width of the derivatives step asks for each
 # field it differentiates): the Laplacian row alone, for k without taxis or
 # technology diffusion and for A too with diffusion, and with taxis the
 # gradient rows before it.
@@ -213,7 +204,7 @@ PARTS_IDS = [f"{n}{'-D' if c else ''}" for n, c, _ in PARTS_CASES]
 
 
 @pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
-def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths, monkeypatch):
+def test_step_differentiates_only_the_parts_its_terms_read(name, changes, widths, monkeypatch):
     march, state = _step_case(name, changes, False)
     shapes = []
     full = StencilTable.derivatives
@@ -224,7 +215,7 @@ def test_rhs_differentiates_only_the_parts_its_terms_read(name, changes, widths,
         return out
 
     monkeypatch.setattr(StencilTable, "derivatives", recorder)
-    rhs(state, march)
+    step(state, march, 5e-4)
     assert shapes == [(march.table.cloud.n_nodes, w) for w in widths]
 
 
@@ -255,27 +246,103 @@ def test_march_rows_are_the_laplacian_and_gradient_rows_bit_for_bit(case):
         assert got.tobytes() == want.tobytes()
 
 
+def _assert_within_rounding(march, got, ref):
+    """Each field of got lies within 1e-12 of ref's largest value there, A
+    compared after its projection (a step leaves boundary A unprojected
+    where no operator reads it)."""
+    got_a = march.neumann.project(got.A)  # idempotent: boundary values read interior ones
+    assert got.time == ref.time
+    assert np.abs(got.k - ref.k).max() <= 1e-12 * np.abs(ref.k).max()
+    assert np.abs(got_a - ref.A).max() <= 1e-12 * np.abs(ref.A).max()
+
+
+@pytest.mark.parametrize("case", EQUALITY_IDS)
+def test_step_agrees_with_euler_on_the_right_hand_side(case):
+    # 500 steps against forward Euler on plain_rhs, which forms the
+    # right-hand side and adds the state back: step folds the linear part
+    # of the update into its row, so the sums are reordered, in 1D too.
+    march, got, dt = _equality_case(case)
+    ref = got
+    for _ in range(500):
+        got = step(got, march, dt)
+        ref = euler_step(ref, march, dt)
+    _assert_within_rounding(march, got, ref)
+
+
 @pytest.mark.parametrize("case", EQUALITY_IDS)
 def test_one_row_laplacian_march_agrees_with_the_two_column_form(case):
     # 500 steps against two_column_rhs, whose Laplacian sums the xx and yy
-    # columns: 1D's Laplacian row is the xx row, so every bit agrees; in 2D
-    # the sum is reordered, and A keeps its bits where k cannot reach it (D = 0).
+    # columns: the sums are reordered, and the update row folds in the state.
     march, got, dt = _equality_case(case)
     ref = got
     for _ in range(500):
         got = step(got, march, dt)
         ref = euler_step(ref, march, dt, rhs=two_column_rhs)
-    got_a = march.neumann.project(got.A)  # idempotent: boundary values read interior ones
-    assert got.time == ref.time
-    if march.table.cloud.dim == 1:
-        assert got.k.tobytes() == ref.k.tobytes()
-        assert got_a.tobytes() == ref.A.tobytes()
-        return
-    assert np.abs(got.k - ref.k).max() <= 1e-12 * np.abs(ref.k).max()
-    if march.params.tech_diffusion == 0.0:
-        assert got_a.tobytes() == ref.A.tobytes()
-    else:
-        assert np.abs(got_a - ref.A).max() <= 1e-12 * np.abs(ref.A).max()
+    _assert_within_rounding(march, got, ref)
+
+
+@pytest.mark.parametrize("case", EQUALITY_IDS)
+def test_the_update_rows_fold_the_linear_part_into_march_rows(case):
+    march, _, dt = _equality_case(case)
+    rows = march.rows.tobytes()
+    update = march.update(dt)
+    want = march.rows.copy()
+    want[-1] = march.rows[-1] * dt
+    want[-1, -1] = march.rows[-1, -1] * dt + (1.0 - dt * march.params.delta)
+    assert update.dt == dt and update.rows.flags.c_contiguous
+    assert update.rows.tobytes() == want.tobytes()
+    assert update.a_factor.tobytes() == (1.0 + dt * march.g_field).tobytes()
+    assert march.rows.tobytes() == rows
+    assert march.update(dt) is update
+
+
+def _count_builds(monkeypatch):
+    """The step sizes of every Update built and of every step taken."""
+    built, stepped = [], []
+    build, full_step = March.build_update, scheme.step
+
+    def recorder(march, dt):
+        built.append(dt)
+        return build(march, dt)
+
+    def stepper(state, march, dt):
+        stepped.append(dt)
+        return full_step(state, march, dt)
+
+    monkeypatch.setattr(March, "build_update", recorder)
+    monkeypatch.setattr(scheme, "step", stepper)
+    return built, stepped
+
+
+def _changes(sizes):
+    """The step sizes of a sequence at each change, the first included."""
+    return [dt for i, dt in enumerate(sizes) if i == 0 or dt != sizes[i - 1]]
+
+
+def test_a_run_builds_one_update_per_step_size(monkeypatch):
+    # One for the run's dt and one for its truncated last step; adapt
+    # builds one more per event, and no other step builds one.
+    built, stepped = _count_builds(monkeypatch)
+    cloud = generate_regular(21, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    params = ModelParams(alpha1=0.0, delta=0.01)
+    init = State(k=1 + 0.5 * np.random.default_rng(1).random(21), A=np.ones(21), time=0.0)
+    traj = run(cloud, table, params, init, SchemeConfig(dt=1e-4, t_final=0.01234))
+    assert len(stepped) == traj.log[-1].step == 124 and stepped[-1] < 1e-4
+    assert built == [1e-4, stepped[-1]] == _changes(stepped)
+    # Capital growing past the peak of f' lowers the bound, so adapt shrinks
+    # dt after the run's dt has stepped.
+    built.clear(), stepped.clear()
+    params = ModelParams(alpha1=1.0, delta=0.0)
+    init = State(k=init.k - 0.5, A=np.full(21, 100.0), time=0.0)
+    dt = 0.99 * dt_bound(table, init, params).global_dt
+    traj = run(cloud, table, params, init, SchemeConfig(dt=dt, t_final=0.02,
+                                                        stability_mode="adapt",
+                                                        stability_interval=4))
+    events = [e.step for e in traj.stability_events if e.action == "adapt"]
+    assert events == [8] and traj.diverged is None
+    assert built == _changes(stepped)
+    assert len(built) == 1 + len(events) + (stepped[-1] != stepped[-2]) == 3
 
 
 PROJECTION_IDS = [*PRESET_NAMES, "jittered-48x48"]
@@ -299,7 +366,7 @@ def test_the_closure_reads_interior_nodes_only(case):
 
 
 @pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
-def test_step_projects_only_the_fields_rhs_differentiates(name, changes, widths, monkeypatch):
+def test_step_projects_only_the_fields_it_differentiates(name, changes, widths, monkeypatch):
     # One projection per field the next step reads the boundary values of:
     # k alone without taxis or technology diffusion, k and A with either.
     march, state = _step_case(name, changes, False)
