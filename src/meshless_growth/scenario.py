@@ -331,8 +331,10 @@ def parse_scenario_text(text: str, name: str = "scenario", overrides=None) -> Sc
         cp.read_string(text)
         for key, value in (overrides or {}).items():
             if value is not None:
-                section, option = key.split(".")
-                cp.read_dict({section: {option: value}})
+                parts = key.split(".")
+                if len(parts) != 2 or not all(parts):
+                    _fail(key, "an override key is section.key")
+                cp.read_dict({parts[0]: {parts[1]: value}})
     except configparser.Error as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 

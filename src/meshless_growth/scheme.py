@@ -3,7 +3,7 @@
 Each step advances interior nodes with forward Euler on the stencil
 derivatives and then overwrites boundary nodes so the discrete normal
 derivative vanishes of k, and of A if a step differentiates it; every
-state run records or bounds has both fields projected.  One method,
+state run records has both fields projected.  One method,
 March.impose_zero_flux, imposes zero flux in either case.  Edge stars
 hold interior nodes only and corner stars interior and edge nodes, so
 each boundary value is an explicit weighted sum of interior values: no
@@ -139,16 +139,12 @@ class NeumannOperator:
         b, i = np.nonzero(on_boundary)
         np.add.at(self.closure, b, weights[b, i, None] * self.closure[col[stars[b, i]]])
 
-    def project(self, field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """field with its boundary values replaced by the closure's, in a
-        copy, or in place with out=field (March.impose_zero_flux does so): cols
-        holds interior nodes only, and the product reads them all before
-        the write.  An out that is not field receives the boundary values
-        alone."""
-        if out is None:
-            out = field.copy()
-        out[self.boundary_idx] = self.closure @ field[self.cols]
-        return out
+    def project(self, field: np.ndarray) -> np.ndarray:
+        """field, its boundary values replaced in place by the closure's:
+        cols holds interior nodes only, and the product reads them all
+        before the write."""
+        field[self.boundary_idx] = self.closure @ field[self.cols]
+        return field
 
 
 def _check_finite(k: np.ndarray, A: np.ndarray, time: float, boundary: np.ndarray) -> None:
@@ -230,7 +226,7 @@ class March:
         value becomes the closure's weighted sum of interior values, which
         the write leaves as they were."""
         for values in (k,) if A is None else (k, A):
-            self.neumann.project(values, out=values)
+            self.neumann.project(values)
 
     def project(self, k: np.ndarray, A: np.ndarray, time: float) -> State:
         """The State at time of copies of k and A, both with zero flux."""
@@ -356,9 +352,10 @@ def run(
                 break
 
             if mode != "off" and step_idx % interval == 0:
-                bounded = march.project(state.k, state.A, state.time)
-                report = stability.dt_bound(table, bounded, params)
-                last_bound = report.global_dt
+                # The march's own state: boundary A goes unprojected only
+                # where chi = 0, and the bound reads A off a star's own node
+                # only times chi.
+                last_bound = stability.dt_bound(table, state, params).global_dt
                 if dt > last_bound * (1 + 1e-12):
                     action = "adapt" if mode == "adapt" else "violation"
                     traj.stability_events.append(

@@ -18,7 +18,11 @@ update at the star is a contraction for
 with g the growth rate at the center, and that bound enters the minimum too.
 The bounds are evaluated at every interior star (boundary nodes are set by
 the flux condition, not by the explicit update), all stars at once on the
-stencil table's packed arrays, and the sharpest one is reported.
+stencil table's packed arrays.  The frozen-coefficient max-norm argument
+bounds a star's growth per step only when the step bound holds at every
+star, so the reported bound is the least one over every star with a
+positive denominator; stars failing the sign condition are listed, not
+left out of the minimum.
 """
 
 from __future__ import annotations
@@ -82,12 +86,11 @@ class StabilityReport:
 def dt_bound(table: StencilTable, state: State, params: ModelParams) -> StabilityReport:
     """Evaluate the bound at every interior star and take the minimum.
 
-    Stars failing the sign condition are listed in violations; when any star
-    passes it, the capital bound is the minimum over passing stars, otherwise
-    it falls back to the minimum finite bound (the marginal case m00 = Phi2,
-    e.g. pure diffusion with delta = 0, has zero margin yet a perfectly
-    usable bound).  All stars without a positive denominator is an error.
-    The global bound is the smaller of that and the technology bound.
+    The capital bound is the least dt_max over every star with a positive
+    denominator, whether or not it passes the sign condition; stars failing
+    that are listed in violations.  No star with a positive denominator is
+    an error.  The global bound is the smaller of the capital bound and the
+    technology bound.
     """
     nodes = table.cloud.interior_indices
     # Star sums run over the slot axis of the table's (s+1, N) arrays, for
@@ -115,14 +118,9 @@ def dt_bound(table: StencilTable, state: State, params: ModelParams) -> Stabilit
     denom = m00 + phi1 + phi2
     with np.errstate(divide="ignore", invalid="ignore"):
         dt_max = np.where(denom > 0, 2.0 / denom, np.nan)
-    finite = denom > 0
-    admissible = finite & (margin > 0)
-    if admissible.any():
-        global_dt = float(dt_max[admissible].min())
-    elif finite.any():
-        global_dt = float(dt_max[finite].min())
-    else:
+    if not (denom > 0).any():
         raise NoAdmissibleTimeStepError("no star yields a positive step bound")
+    global_dt = float(np.nanmin(dt_max))
 
     if params.tech_diffusion != 0.0:
         g = tech_rate_field(table.cloud, params.g_spec)[nodes]

@@ -296,9 +296,7 @@ def dt_bound(table, state, params):
         margin = m00 + phi1 - phi2
         denom = m00 + phi1 + phi2
         rows.append((node, phi1, phi2, margin, 2.0 / denom if denom > 0 else None))
-    admissible = [r[4] for r in rows if r[3] > 0 and r[4] is not None]
-    finite = [r[4] for r in rows if r[4] is not None]
-    global_dt = min(admissible) if admissible else min(finite)
+    global_dt = min(r[4] for r in rows if r[4] is not None)
     if params.tech_diffusion != 0.0:
         for node, *_ in rows:
             spread = laplacian_center(table, node) \

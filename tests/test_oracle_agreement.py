@@ -478,7 +478,7 @@ def test_compressed_closure_matches_dense_inverse(name, cloud, table):
     assert not np.isin(op.cols, b_idx).any()
     assert op.closure.shape == (b_idx.size, op.cols.size)
     for field in _fields(cloud.n_nodes, 3):
-        got = op.project(field)
+        got = op.project(field.copy())
         ref = oracles.dense_project(cloud, table, field)
         assert np.array_equal(got[cloud.interior_indices], field[cloud.interior_indices])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -245,6 +245,10 @@ def test_with_overrides():
     with pytest.raises(ScenarioError, match=r"^scheme\.dt: must be positive and finite$"):
         parse_scenario_text(MINIMAL, overrides={"scheme.dt": -1.0})
     assert parse_scenario_text(MINIMAL, overrides={"output.dir": "o"}).output_dir == "o"
+    for key in ("dt", "scheme.dt.x", ".dt"):  # not two names joined by one dot
+        message = rf"^{re.escape(key)}: an override key is section\.key$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario_text(MINIMAL, overrides={key: "0.002"})
 
 
 def test_piecewise_field_evaluation():

@@ -120,7 +120,7 @@ def test_neumann_projection_idempotent_and_zero_flux():
     rng = np.random.default_rng(4)
     op = NeumannOperator(cloud, table)
     once = op.project(rng.uniform(1, 2, cloud.n_nodes))
-    twice = op.project(once)
+    twice = op.project(once.copy())
     assert np.allclose(once, twice, rtol=0, atol=1e-12)
     dk = table.derivatives(once)
     for b in cloud.boundary_indices:
@@ -188,6 +188,19 @@ def test_step_leaves_the_state_arrays_as_they_were(name, changes, forced):
     assert state.k.tobytes() == k and state.A.tobytes() == A
 
 
+@pytest.mark.parametrize("name,changes,forced", STEP_CASES, ids=STEP_CASE_IDS)
+def test_the_bound_of_a_marched_state_is_the_bound_of_its_projection(name, changes, forced):
+    # run bounds the state its march holds.  Its boundary A goes unprojected
+    # where chi = 0 and D = 0, and the bound reads A off a star's own node
+    # only times chi, so the bound is the projected state's bit for bit.
+    march, state = _step_case(name, changes, forced)
+    for _ in range(50):
+        state = step(state, march, 5e-4)
+    projected = march.project(state.k, state.A, state.time)
+    bound = dt_bound(march.table, state, march.params).global_dt
+    assert bound == dt_bound(march.table, projected, march.params).global_dt
+
+
 # (preset, model changes, the width of the derivatives step asks for each
 # field it differentiates): the Laplacian row alone, for k without taxis or
 # technology diffusion and for A too with diffusion, and with taxis the
@@ -250,7 +263,7 @@ def _assert_within_rounding(march, got, ref):
     """Each field of got lies within 1e-12 of ref's largest value there, A
     compared after its projection (a step leaves boundary A unprojected
     where no operator reads it)."""
-    got_a = march.neumann.project(got.A)  # idempotent: boundary values read interior ones
+    got_a = march.neumann.project(got.A.copy())  # idempotent: boundary values read interior ones
     assert got.time == ref.time
     assert np.abs(got.k - ref.k).max() <= 1e-12 * np.abs(ref.k).max()
     assert np.abs(got_a - ref.A).max() <= 1e-12 * np.abs(ref.A).max()
@@ -349,18 +362,8 @@ PROJECTION_IDS = [*PRESET_NAMES, "jittered-48x48"]
 
 
 @pytest.mark.parametrize("case", PROJECTION_IDS)
-def test_projection_in_place_has_the_bits_of_the_copy(case):
-    # step projects its update in place.
-    march = _equality_case(case)[0]
-    field = np.random.default_rng(9).uniform(0.5, 2.0, march.table.cloud.n_nodes)
-    want = march.neumann.project(field)
-    assert march.neumann.project(field, out=field) is field
-    assert field.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("case", PROJECTION_IDS)
 def test_the_closure_reads_interior_nodes_only(case):
-    # So an in-place projection reads no value it writes.
+    # So the projection, which writes in place, reads no value it writes.
     op = _equality_case(case)[0].neumann
     assert np.intersect1d(op.cols, op.boundary_idx).size == 0
 
@@ -373,9 +376,9 @@ def test_step_projects_only_the_fields_it_differentiates(name, changes, widths, 
     calls = []
     full = NeumannOperator.project
 
-    def recorder(op, field, out=None):
+    def recorder(op, field):
         calls.append(field)
-        return full(op, field, out)
+        return full(op, field)
 
     monkeypatch.setattr(NeumannOperator, "project", recorder)
     step(state, march, 5e-4)
@@ -515,7 +518,7 @@ def test_constant_fields_are_fixed_by_projection():
     table = build_all_stencils(cloud, 3)
     op = NeumannOperator(cloud, table)
     c = np.full(cloud.n_nodes, 3.7)
-    assert np.allclose(op.project(c), c, rtol=0, atol=1e-12)
+    assert np.allclose(op.project(c.copy()), c, rtol=0, atol=1e-12)
 
 
 def test_uniform_state_stays_uniform():
@@ -557,13 +560,15 @@ def test_run_initial_state_is_projected():
 
 
 def _is_projected(march, state):
-    return all(march.neumann.project(f).tobytes() == f.tobytes() for f in (state.k, state.A))
+    return all(march.neumann.project(f.copy()).tobytes() == f.tobytes() for f in (state.k, state.A))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_every_recorded_state_is_projected(name):
     # Steps leave boundary A unprojected where no operator reads it; run
-    # projects each state it records, and hands the step bound that state.
+    # projects each state it records.  It bounds the march's own state,
+    # whose bound is the recorded state's: the bound reads boundary A only
+    # times chi.
     scenario = get_preset(name, {"scheme.t_final": 1.0, "scheme.snapshot_times": "0, 0.5, 1"})
     cloud = scenario.cloud.build()
     table = scenario.star.build_table(cloud)

@@ -1,4 +1,5 @@
-"""Explicit step bound: heat-equation values, taxis terms, fallbacks."""
+"""Explicit step bound: heat-equation values, taxis terms, the f' fallback,
+and the least bound over every star."""
 
 import logging
 
@@ -15,7 +16,9 @@ from meshless_growth import (
     dt_bound,
     generate_jittered,
     generate_regular,
+    get_preset,
     production_derivative,
+    run,
 )
 from oracles import center_coeffs, neighbor_coeffs
 
@@ -137,6 +140,22 @@ def test_singular_f_prime_falls_back_to_sup(caplog):
     assert len([rec for rec in caplog.records if "singular" in rec.message]) == 1
 
 
+def test_the_bound_is_the_least_over_every_star():
+    # growth-1d-chi1 at t = 20: the tightest star, node 1, fails the sign
+    # condition (margin -344), and its 1.581e-3 is the bound, not the
+    # 2.054e-3 of the tightest star that passes it.
+    scenario = get_preset("growth-1d-chi1")
+    cloud = scenario.cloud.build()
+    table = scenario.star.build_table(cloud)
+    traj = run(cloud, table, scenario.model, scenario.initial_state(cloud), scenario.scheme)
+    report = dt_bound(table, traj.final, scenario.model)
+    assert traj.diverged is None and report.global_dt == np.nanmin(report.dt_max)
+    tightest = report.nodes[np.nanargmin(report.dt_max)]
+    assert tightest == 1 and tightest in report.violations
+    assert report.global_dt < report.dt_max[report.margin > 0].min()
+    assert report.global_dt == pytest.approx(1.581e-3, rel=1e-3)
+
+
 def test_no_admissible_step_raises():
     # a production slope dwarfing m00 + Phi2 drives every denominator negative
     cloud = generate_regular(5, 1.0, dim=1)  # h = 0.25, m00 = Phi2 = 32
@@ -148,7 +167,7 @@ def test_no_admissible_step_raises():
 
 
 def test_running_at_half_bound_is_stable_and_tenfold_diverges():
-    from meshless_growth import SchemeConfig, run
+    from meshless_growth import SchemeConfig
 
     cloud = generate_regular(21, 1.0, dim=1)
     table = build_all_stencils(cloud, 2)
@@ -170,7 +189,7 @@ def test_tech_diffusion_bound_keeps_adapt_run_stable():
     # diverged at t ~ 1.257
     from dataclasses import replace
 
-    from meshless_growth import NeumannOperator, SchemeConfig, State, get_preset, run
+    from meshless_growth import NeumannOperator, SchemeConfig
 
     scenario = get_preset("growth-2d-delta005")
     params = replace(scenario.model, tech_diffusion=3.0)
@@ -178,7 +197,8 @@ def test_tech_diffusion_bound_keeps_adapt_run_stable():
     table = scenario.star.build_table(cloud)
     initial = scenario.initial_state(cloud)
     op = NeumannOperator(cloud, table)
-    projected = State(k=op.project(initial.k), A=op.project(initial.A), time=initial.time)
+    projected = State(k=op.project(initial.k.copy()), A=op.project(initial.A.copy()),
+                      time=initial.time)
     report = dt_bound(table, projected, params)
     assert report.global_dt == pytest.approx(6.844e-4, rel=1e-3)
     assert report.global_dt < np.nanmin(report.dt_max)  # the technology bound is the minimum
