@@ -37,8 +37,11 @@ def snapshot_filename(requested_time: float) -> str:
     return f"snap_t{requested_time:.6f}.csv"
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchemeConfig:
+    """A run's step, horizon, snapshot times and stability mode, checked
+    when built; snapshot_times is kept as a tuple of floats, -0 as 0."""
+
     dt: float
     t_final: float
     snapshot_times: tuple[float, ...] = ()
@@ -64,7 +67,7 @@ class SchemeConfig:
             if snapshot_filename(a) == snapshot_filename(b):
                 raise ValueError(f"snapshot_times: {a!r} and {b!r} "
                                  f"would both write {snapshot_filename(b)}")
-        object.__setattr__(self, "snapshot_times", times)
+        self.snapshot_times = times
 
 
 @dataclass(frozen=True)
@@ -163,19 +166,6 @@ def _check_finite(k: np.ndarray, A: np.ndarray, time: float, boundary: np.ndarra
             raise DivergenceError(node=int(np.argmax(nodes)), time=time)
 
 
-class Update(NamedTuple):
-    """The linear part of a forward Euler step of size dt.  rows is
-    March.rows with its Laplacian (last) row times dt and the node's own
-    slot raised by 1 - dt delta, so its last column contracted with k is
-    k + dt (lap k - delta k) and any columns before it are the gradient;
-    a_factor is 1 + dt g, by which A advances."""
-
-    dt: float
-    rows: np.ndarray
-    a_factor: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class March:
     """What every step of one run reads, built once from the table, the
     parameters and an optional forcing: g_field is tech_rate_field(cloud,
@@ -185,41 +175,33 @@ class March:
     coefficient rows A is contracted with: table.lap[None], or with taxis
     the gradient rows coeffs[:dim] before it.  differentiates_a: a step
     reads A's derivatives (taxis or technology diffusion), so it projects
-    A.  update(dt) holds the Update of the last step size only, so a run
-    builds one per distinct dt it steps with."""
+    A."""
 
-    table: StencilTable
-    params: ModelParams
-    forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
-    g_field: np.ndarray = field(init=False)
-    neumann: NeumannOperator = field(init=False)
-    rows: np.ndarray = field(init=False)
-    differentiates_a: bool = field(init=False)
-    _update: Update | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        table = self.table
-        object.__setattr__(self, "g_field", tech_rate_field(table.cloud, self.params.g_spec))
-        object.__setattr__(self, "neumann", NeumannOperator(table.cloud, table))
+    def __init__(self, table: StencilTable, params: ModelParams,
+                 forcing: Callable[[np.ndarray, float], np.ndarray] | None = None):
+        self.table, self.params, self.forcing = table, params, forcing
+        self.g_field = tech_rate_field(table.cloud, params.g_spec)
+        self.neumann = NeumannOperator(table.cloud, table)
         lap = table.lap[None]
-        object.__setattr__(self, "rows", lap if self.params.chi == 0.0 else
-                           np.concatenate([table.coeffs[:table.cloud.dim], lap]))
-        object.__setattr__(self, "differentiates_a",
-                           self.params.chi != 0.0 or self.params.tech_diffusion != 0.0)
+        self.rows = (lap if params.chi == 0.0 else
+                     np.concatenate([table.coeffs[:table.cloud.dim], lap]))
+        self.differentiates_a = params.chi != 0.0 or params.tech_diffusion != 0.0
+        self._dt = self._update = None
 
-    def update(self, dt: float) -> Update:
-        """The Update of step size dt, built only when dt is not the step
-        size of the last call."""
-        if self._update is None or self._update.dt != dt:
-            object.__setattr__(self, "_update", self.build_update(dt))
+    def update(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """The linear part of a forward Euler step of size dt, as the pair
+        (rows, a_factor): rows is a copy of self.rows with its Laplacian
+        (last) row times dt and the node's own slot raised by 1 - dt delta,
+        so its last column contracted with k is k + dt (lap k - delta k) and
+        any columns before it are the gradient; a_factor is 1 + dt g, by
+        which A advances.  The pair of the last distinct dt is kept, so a
+        run builds one per step size it steps with."""
+        if dt != self._dt:
+            rows = self.rows.copy()
+            rows[-1] *= dt
+            rows[-1, -1] += 1.0 - dt * self.params.delta
+            self._dt, self._update = dt, (rows, 1.0 + dt * self.g_field)
         return self._update
-
-    def build_update(self, dt: float) -> Update:
-        """A fresh Update of step size dt; rows keeps its bits."""
-        rows = self.rows.copy()
-        rows[-1] *= dt
-        rows[-1, -1] += 1.0 - dt * self.params.delta
-        return Update(dt, rows, 1.0 + dt * self.g_field)
 
     def impose_zero_flux(self, k: np.ndarray, A: np.ndarray | None = None) -> None:
         """Impose zero flux on k, and on A if given, in place: each boundary
@@ -241,10 +223,10 @@ def step(state: State, march: March, dt: float) -> State:
     check of the state it returns.  This is the one place the model's terms
     are written.
 
-    k is contracted once with march.update(dt).rows, whose last column is
-    already k + dt (lap k - delta k); to it are added, in this order,
-    -chi dt (grad k . grad A + k lap A) with taxis, dt A f(k+) and dt
-    forcing, calling forcing once.  A advances as A (1 + dt g), plus
+    k is contracted once with the rows of march.update(dt), whose last
+    column is already k + dt (lap k - delta k); to it are added, in this
+    order, -chi dt (grad k . grad A + k lap A) with taxis, dt A f(k+) and
+    dt forcing, calling forcing once.  A advances as A (1 + dt g), plus
     (D lap A) dt with technology diffusion, its derivatives contracted with
     march.rows; D lap A is formed first, so a direct caller hears of an A
     that overflows there, as the contraction itself reports nothing.
@@ -260,10 +242,10 @@ def step(state: State, march: March, dt: float) -> State:
     """
     table, params = march.table, march.params
     k, A = state.k, state.A
-    update = march.update(dt)
-    dk = table.derivatives(k, update.rows)
+    rows, a_factor = march.update(dt)
+    dk = table.derivatives(k, rows)
     new_k = dk[:, -1]
-    new_a = A * update.a_factor
+    new_a = A * a_factor
     if march.differentiates_a:
         da = table.derivatives(A, march.rows)
         lap_a = da[:, -1]
@@ -308,7 +290,8 @@ def run(
     stability_interval steps and violations are recorded; in "adapt" the
     step additionally shrinks to 0.9x the bound whenever it exceeds it.
     Divergence aborts the march and returns the partial trajectory; a
-    non-finite initial value raises ValueError naming its field and node.
+    non-finite initial value raises ValueError naming its field and node,
+    and a non-finite initial time raises ValueError too.
     """
     if initial.k.shape != (cloud.n_nodes,):
         raise ValueError("initial state size does not match the cloud")
@@ -318,6 +301,8 @@ def run(
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"initial {name} is not finite at node {bad[0]}: {values[bad[0]]}")
+    if not np.isfinite(initial.time):
+        raise ValueError(f"initial time is not finite: {initial.time}")
     traj = Trajectory(cloud=cloud)
     march = March(table, params, forcing)
     # Project the initial data too, so even the t=0 snapshot honors zero flux.

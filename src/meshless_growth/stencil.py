@@ -52,7 +52,8 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     Returns the packed slots coeffs (nd, s+1, M), C-contiguous: slot i < s
     holds neighbor i's coefficients and slot s holds -m_0, so derivative j
     at star m is sum_i coeffs[j, i, m] Ui with U_s = U0, components ordered
-    as DERIV_NAMES.  Raises DegenerateStarError for the first row whose
+    as DERIV_NAMES.  A star with a non-finite or zero offset raises
+    ValueError.  Raises DegenerateStarError for the first row whose
     moment matrix is not positive definite to reciprocal condition
     RCOND_FLOOR; errors name rows as nodes, which they are when
     build_all_stencils stacks one star per node.  A row passes if the
@@ -60,6 +61,9 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     test of M, so verdicts and messages are those of that test alone.
     """
     n_stars, s, dim = offsets.shape
+    bad = np.flatnonzero(~np.isfinite(offsets).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"star at node {bad[0]} contains a non-finite offset")
     r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
     scaled = offsets / r[:, None, None]
     dist = np.sqrt((scaled ** 2).sum(axis=2))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_cloud_stores_its_positions_as_a_float_array(dim, s):
         table = build_all_stencils(cloud, s)
         assert np.array_equal(table.stars, expect.stars)
         assert table.coeffs.tobytes() == expect.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("build, why", [
+    (lambda: NodeCloud(np.eye(3), 1.0), r"^positions must have shape \(N, 1\) or \(N, 2\), "
+                                        r"got \(3, 3\)$"),
+    (lambda: generate_jittered(5, 1.0, dim=3), r"^dim: must be 1 or 2, got 3$"),
+], ids=["positions", "generator"])
+def test_a_cloud_of_three_dimensions_is_rejected(build, why):
+    with pytest.raises(CloudError, match=why):
+        build()
 
 
 def test_cloud_rejects_duplicates():
@@ -249,6 +260,17 @@ def test_star_validation():
         assert np.unique(row).size == 8 and center not in row
     with pytest.raises(ValueError, match="zero offset"):
         compute_stencil(np.array([[[0.1], [0.0]]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_compute_stencil_rejects_a_non_finite_offset(bad):
+    # Scaled, inf once read as a zero offset after a divide warning, and nan
+    # failed the eigenvalue solve.
+    offsets = np.array([[[0.1], [-0.1]], [[0.2], [bad]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^star at node 1 contains a non-finite offset$"):
+            compute_stencil(offsets)
 
 
 def _quadrant_oracle(h, k):

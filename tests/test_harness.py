@@ -72,6 +72,14 @@ def test_fd_equivalence_rejects_nonuniform():
         fd_equivalence(cloud)
 
 
+@pytest.mark.parametrize("dim, center", [(1, r"\[0\.5\]"), (2, r"\[0\.5 0\.5\]")],
+                         ids=["1d", "2d"])
+def test_fd_equivalence_needs_a_node_at_the_center(dim, center):
+    # An even number of nodes per axis puts no node at the center.
+    with pytest.raises(ValueError, match=f"^no grid node at {center}$"):
+        fd_equivalence(generate_regular(4, 1.0, dim=dim))
+
+
 def test_manufactured_solution_satisfies_neumann():
     # cos(pi x / L) has zero slope at 0 and L by construction
     cloud = generate_regular(41, 2.0, dim=1)
@@ -110,6 +118,12 @@ def test_spatial_study_converges_on_rough_1d_clouds():
         finest.append(result.levels[-1][1])
     assert np.median(orders) >= 1.5, orders
     assert max(finest) < 1e-3, finest
+
+
+def test_a_study_of_one_level_fits_no_order():
+    result = convergence_study([generate_regular(9, 1.0, dim=1)])
+    assert len(result.levels) == 1 and result.levels[0][0] == 0.125
+    assert 0 < result.levels[0][1] < 1e-2 and result.observed_order is None
 
 
 def test_temporal_study_raises_on_a_diverged_level():

@@ -1,6 +1,6 @@
-"""The package's modules import one another without a cycle, and the
+"""The package's modules import one another without a cycle, the
 zero-flux projection of a state is built in one module and imposed by one
-function."""
+function, and no frozen object is written after its __post_init__."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,25 @@ def test_only_scheme_names_the_neumann_operator():
     assert "scheme" in users  # the parse sees the class's own module
     assert users <= {"scheme", "__init__"}, sorted(users - {"scheme", "__init__"})
     assert len(readers(PACKAGE / "scheme.py", "neumann", "project")) == 1
+
+
+def test_only_a_post_init_writes_through_object_setattr():
+    # A frozen dataclass settles its derived fields once, in __post_init__;
+    # a write from any other function changes a frozen object after it is
+    # built, as a cache would.
+    callers = set()
+
+    def visit(module, node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "object"):
+            callers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    assert ("cloud", "__post_init__") in callers  # the parse sees NodeCloud's
+    assert {f for _, f in callers} == {"__post_init__"}, sorted(callers)

@@ -263,6 +263,15 @@ def test_piecewise_field_evaluation():
         FieldSpec(kind="piecewise", points=((0.5, 1.0), (0.0, 2.0)))
 
 
+def test_a_spec_of_an_unknown_kind_is_rejected_when_used():
+    # parse_scenario_text rejects the kind first; a spec built directly
+    # fails when it is built or evaluated.
+    with pytest.raises(ScenarioError, match=r"^cloud\.kind: unknown kind 'hex'$"):
+        CloudSpec(kind="hex").build()
+    with pytest.raises(ScenarioError, match=r"^kind: unknown initial field kind 'hex'$"):
+        FieldSpec(kind="hex").evaluate(generate_regular(3, 1.0, dim=1))
+
+
 def test_gaussian_bump_field_evaluation():
     cloud = generate_regular(11, 1.0, dim=2)
     spec = FieldSpec(kind="gaussians", base=0.05,
@@ -341,10 +350,11 @@ def test_file_field_round_trip(tmp_path):
 
 @pytest.mark.parametrize("rows, where", [
     ("0,1\n1,2\n1,3\n2,4\n", "4: node 1 repeats line 3"),
+    ("0,1\n\n1,2\n1,3\n2,4\n", "5: node 1 repeats line 4"),
     ("0,1\n1,nan\n2,4\n", "3: value of node 1 must be finite"),
     ("0,1\n1,inf\n2,4\n", "3: value of node 1 must be finite"),
     ("0,1\n1,2\n2,-inf\n", "4: value of node 2 must be finite"),
-], ids=["repeated", "nan", "inf", "-inf"])
+], ids=["repeated", "repeated-after-a-blank-row", "nan", "inf", "-inf"])
 def test_field_file_rejects_a_repeated_node_or_a_non_finite_value(tmp_path, rows, where):
     path = tmp_path / "k0.csv"
     path.write_text("node,value\n" + rows)
@@ -506,6 +516,8 @@ def _kind_cases():
 
 @pytest.mark.parametrize("text", [
     *(pytest.param(MINIMAL.replace(old, new), id=case) for case, *_, old, new in _kind_cases()),
+    pytest.param(MINIMAL.replace(K0_CONSTANT, "k0_kind = piecewise\nk0_points = 0:1, 1:2,"),
+                 id="k0_points-trailing-comma"),
     # a preset diff that brings back a key its kind does not read fails here
     *(pytest.param(preset_text(name), id=name) for name in PRESET_NAMES),
 ])

@@ -297,32 +297,37 @@ def test_one_row_laplacian_march_agrees_with_the_two_column_form(case):
 @pytest.mark.parametrize("case", EQUALITY_IDS)
 def test_the_update_rows_fold_the_linear_part_into_march_rows(case):
     march, _, dt = _equality_case(case)
-    rows = march.rows.tobytes()
-    update = march.update(dt)
+    before = march.rows.tobytes()
+    rows, a_factor = update = march.update(dt)
     want = march.rows.copy()
     want[-1] = march.rows[-1] * dt
     want[-1, -1] = march.rows[-1, -1] * dt + (1.0 - dt * march.params.delta)
-    assert update.dt == dt and update.rows.flags.c_contiguous
-    assert update.rows.tobytes() == want.tobytes()
-    assert update.a_factor.tobytes() == (1.0 + dt * march.g_field).tobytes()
-    assert march.rows.tobytes() == rows
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == want.tobytes()
+    assert a_factor.tobytes() == (1.0 + dt * march.g_field).tobytes()
+    assert march.rows.tobytes() == before
     assert march.update(dt) is update
 
 
 def _count_builds(monkeypatch):
-    """The step sizes of every Update built and of every step taken."""
-    built, stepped = [], []
-    build, full_step = March.build_update, scheme.step
+    """The step sizes of every update built, told by rows that are not the
+    last call's, and of every step taken."""
+    built, stepped, last = [], [], None
+    update, full_step = March.update, scheme.step
 
     def recorder(march, dt):
-        built.append(dt)
-        return build(march, dt)
+        nonlocal last
+        rows, _ = pair = update(march, dt)
+        if rows is not last:  # last is held, so new rows are another object
+            built.append(dt)
+            last = rows
+        return pair
 
     def stepper(state, march, dt):
         stepped.append(dt)
         return full_step(state, march, dt)
 
-    monkeypatch.setattr(March, "build_update", recorder)
+    monkeypatch.setattr(March, "update", recorder)
     monkeypatch.setattr(scheme, "step", stepper)
     return built, stepped
 
@@ -412,7 +417,7 @@ def test_step_names_the_interior_node_that_went_bad(field, value):
     assert cloud.boundary_indices.min() < node
     state = State(k=np.ones(n), A=np.ones(n), time=0.5)
     if field == "k":
-        march = replace(march, forcing=lambda pos, t: _at(node, value, len(pos)))
+        march = March(march.table, march.params, lambda pos, t: _at(node, value, len(pos)))
     else:  # without taxis or diffusion only the node's own update reads A there
         state = State(k=state.k, A=state.A + _at(node, value, n), time=0.5)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
@@ -426,7 +431,8 @@ def test_step_drops_a_bad_boundary_value_the_projection_overwrites():
     n = cloud.n_nodes
     node = int(cloud.boundary_indices[3])
     state = State(k=np.ones(n), A=np.ones(n), time=0.0)
-    out = step(state, replace(march, forcing=lambda pos, t: _at(node, np.nan, len(pos))), 1e-3)
+    march = March(march.table, march.params, lambda pos, t: _at(node, np.nan, len(pos)))
+    out = step(state, march, 1e-3)
     assert np.isfinite(out.k).all()
 
 
@@ -440,8 +446,8 @@ def test_step_names_the_interior_node_before_a_lower_boundary_one():
     node, low = int(neumann.cols[neumann.cols.size // 2]), int(cloud.boundary_indices[0])
     assert low < node
     state = State(k=np.ones(n), A=np.ones(n), time=0.0)
-    march = replace(march, forcing=lambda pos, t: _at(node, np.nan, len(pos))
-                    + _at(low, np.nan, len(pos)))
+    march = March(march.table, march.params,
+                  lambda pos, t: _at(node, np.nan, len(pos)) + _at(low, np.nan, len(pos)))
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
         step(state, march, 1e-3)
     assert err.value.node == node
@@ -459,7 +465,7 @@ def test_a_step_that_diverges_calls_forcing_once():
 
     state = State(k=np.ones(n), A=np.ones(n), time=0.25)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
-        step(state, replace(march, forcing=forcing), 1e-3)
+        step(state, March(march.table, march.params, forcing), 1e-3)
     assert err.value.node == node and calls == [0.25]
 
 
@@ -826,6 +832,17 @@ def test_run_rejects_a_non_finite_initial_state_before_its_march(name, node, val
         with pytest.raises(ValueError, match=rf"^initial {name} is not finite at node {node}: "):
             run(cloud, table, ModelParams(), State(fields["k"], fields["A"], 0.0),
                 SchemeConfig(dt=1e-4, t_final=1e-3))
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_run_rejects_a_non_finite_initial_time(time):
+    # Marched, nan would end as a divergence at t = nan, and inf would take
+    # no step and record snapshots at t = inf.
+    cloud = generate_regular(9, 1.0, dim=1)
+    table = build_all_stencils(cloud, 2)
+    with pytest.raises(ValueError, match="^initial time is not finite: "):
+        run(cloud, table, ModelParams(), State(np.ones(9), np.ones(9), time),
+            SchemeConfig(dt=1e-4, t_final=1e-3, snapshot_times=(0.0, 5e-4)))
 
 
 def test_degenerate_boundary_star_detected():
