@@ -122,30 +122,22 @@ def _cmd_verify(args) -> int:
     checks.append(("classical difference recovery 2D",
                    fd_equivalence(generate_regular(11, 1.0, dim=2)), 1e-12))
 
-    ok = True
-    lines = []
-    for name, value, tol in checks:
-        status = "pass" if value <= tol else "FAIL"
-        ok = ok and value <= tol
-        lines.append((name, value, tol, status))
+    lines = [(name, value, tol, "pass" if value <= tol else "FAIL") for name, value, tol in checks]
+    for name, value, tol, status in lines:
         print(f"{status}: {name}: {value:.3e} (tolerance {tol:.0e})")
     if out:
         os.makedirs(out, exist_ok=True)
         write_csv(os.path.join(out, "verify_report.csv"),
                   ["check", "value", "tolerance", "status"], lines)
-    return 0 if ok else 1
+    return 0 if all(status == "pass" for *_, status in lines) else 1
 
 
 def _print_levels(title: str, result, label: str, fmt: str) -> None:
     """One line per level with its rate against the previous level."""
     print(title)
-    prev = None
-    for x, err in result.levels:
-        rate = "-"
-        if prev is not None:
-            rate = f"{math.log(prev[1] / err) / math.log(prev[0] / x):.3f}"
+    for prev, (x, err) in zip([None, *result.levels], result.levels):
+        rate = "-" if prev is None else f"{math.log(prev[1] / err) / math.log(prev[0] / x):.3f}"
         print(f"  {label}={x:{fmt}}  max error={err:.6e}  rate={rate}")
-        prev = (x, err)
     print(f"  observed order: {result.observed_order:.3f}")
 
 

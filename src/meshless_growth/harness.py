@@ -205,9 +205,4 @@ def temporal_convergence_study(cloud: NodeCloud, *,
 
 def regular_refinement(base: int, levels: int, length: float = 1.0, dim: int = 1):
     """Clouds with nodes-per-axis base, 2*base-1, ... (halving h each level)."""
-    out = []
-    n = base
-    for _ in range(levels):
-        out.append(generate_regular(n, length, dim))
-        n = 2 * n - 1
-    return out
+    return [generate_regular((base - 1) * 2 ** i + 1, length, dim) for i in range(levels)]

@@ -25,7 +25,7 @@ from . import stability
 from .cloud import NodeCloud
 from .errors import DegenerateBoundaryStarError, DivergenceError
 from .model import ModelParams, State, production, tech_rate_field
-from .stencil import StencilTable
+from .stencil import StencilTable, c_einsum
 
 # A field beyond this magnitude is reported as divergence rather than value.
 DIVERGENCE_LIMIT = 1e12
@@ -113,10 +113,12 @@ class NeumannOperator:
     star of boundary node b, whose own slot holds -m_0^b, so U_b is the sum
     of its neighbors weighted by w_i = (n . m_i^b) / (n . m_0^b).  An edge
     star holds interior nodes only, and a corner star adds edge nodes, each
-    of which stands for its own weighted row: closure (n_b, len(cols))
-    maps the values at cols, the sorted interior nodes that boundary stars
-    reach, to the boundary values.  A star that reads a boundary node whose
-    own star reads the boundary is rejected.
+    of which stands for its own weighted row.  The rows are padded columns
+    (ELLPACK, as StencilTable's stars): boundary node boundary_idx[b] takes
+    sum_j w[j, b] U_idx[j, b], idx and w (width, n_b), each row's interior
+    nodes in ascending order, a corner's duplicate columns summed, and the
+    row padded with its first column at weight 0.  A star that reads a
+    boundary node whose own star reads the boundary is rejected.
     """
 
     def __init__(self, cloud: NodeCloud, table: StencilTable):
@@ -125,28 +127,36 @@ class NeumannOperator:
         # n . m_i over every slot, (n_b, s+1); the last is -(n . m_0)
         rows = (table.coeffs[:cloud.dim, :, b_idx] * cloud.normals[b_idx].T[:, None]).sum(axis=0).T
         on_boundary = cloud.boundary[stars]
-        col = np.zeros(cloud.n_nodes, dtype=np.intp)  # a boundary node's closure row
-        col[b_idx] = np.arange(b_idx.size)
-        chained = (on_boundary & on_boundary.any(axis=1)[col[stars]]).any(axis=1)
+        row = np.zeros(cloud.n_nodes, dtype=np.intp)  # a boundary node's closure row
+        row[b_idx] = np.arange(b_idx.size)
+        chained = (on_boundary & on_boundary.any(axis=1)[row[stars]]).any(axis=1)
         flat = np.abs(rows[:, -1]) < 1e-14 * np.sqrt((table.coeffs[:, -1, b_idx] ** 2).sum(axis=0))
         for bad, why in ((flat, "normal derivative has no center contribution"),
                          (chained, "its star reads a boundary node whose star reads the boundary")):
             if bad.any():
                 raise DegenerateBoundaryStarError(int(b_idx[bad.argmax()]), why)
         weights = rows[:, :-1] / -rows[:, -1:]
-        self.cols = np.flatnonzero(np.bincount(stars[~on_boundary], minlength=cloud.n_nodes))
-        col[self.cols] = np.arange(self.cols.size)  # and an interior node's closure column
-        self.closure = np.zeros((b_idx.size, self.cols.size))
-        self.closure[np.nonzero(~on_boundary)[0], col[stars[~on_boundary]]] = weights[~on_boundary]
-        # A corner adds the rows of its edge neighbors, scaled by its weights.
+        # A row's entries: its interior slots, then, for each edge node in a
+        # corner's star, that node's row scaled by the corner's weight.
         b, i = np.nonzero(on_boundary)
-        np.add.at(self.closure, b, weights[b, i, None] * self.closure[col[stars[b, i]]])
+        edge = row[stars[b, i]]
+        owner = np.concatenate([np.nonzero(~on_boundary)[0], np.repeat(b, stars.shape[1])])
+        node = np.concatenate([stars[~on_boundary], stars[edge].ravel()])
+        weight = np.concatenate([weights[~on_boundary], (weights[b, i, None] * weights[edge]).ravel()])
+        # One column per (row, node), its entries summed in the order above.
+        key, entry = np.unique(owner * cloud.n_nodes + node, return_inverse=True)
+        owner, node = np.divmod(key, cloud.n_nodes)
+        slot = np.arange(key.size) - np.searchsorted(owner, owner)  # the entry's place in its row
+        self.idx = np.repeat(node[slot == 0][None], slot.max() + 1, axis=0)
+        self.w = np.zeros(self.idx.shape)
+        self.idx[slot, owner], self.w[slot, owner] = node, np.bincount(entry, weight)
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """field, its boundary values replaced in place by the closure's:
-        cols holds interior nodes only, and the product reads them all
-        before the write."""
-        field[self.boundary_idx] = self.closure @ field[self.cols]
+        idx holds interior nodes only, read before the write.  Like
+        StencilTable.derivatives, the contraction reports no floating-point
+        errors, and a non-finite value reaches only the rows that read it."""
+        field[self.boundary_idx] = c_einsum("sn,sn->n", self.w, field[self.idx])
         return field
 
 
@@ -236,9 +246,10 @@ def step(state: State, march: March, dt: float) -> State:
     place.  That write leaves each interior value as the update made it, so
     a DivergenceError names the first interior node that went bad, or, if
     none did, the first boundary node whose value in the state is bad; a
-    bad boundary value the write replaced is not reported.  run silences
-    the overflow and invalid-value warnings of its march; a direct caller
-    of step owns them.
+    bad boundary value the write replaced is not reported.  The zero-flux
+    write, like the contractions, reports no floating-point errors.  run
+    silences the overflow and invalid-value warnings of the rest of its
+    march; a direct caller of step owns them.
     """
     table, params = march.table, march.params
     k, A = state.k, state.A

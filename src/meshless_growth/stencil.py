@@ -52,7 +52,8 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     Returns the packed slots coeffs (nd, s+1, M), C-contiguous: slot i < s
     holds neighbor i's coefficients and slot s holds -m_0, so derivative j
     at star m is sum_i coeffs[j, i, m] Ui with U_s = U0, components ordered
-    as DERIV_NAMES.  A star with a non-finite or zero offset raises
+    as DERIV_NAMES.  A star with a non-finite or zero offset, or whose
+    radius (its largest offset norm) squares to 0 or overflows, raises
     ValueError.  Raises DegenerateStarError for the first row whose
     moment matrix is not positive definite to reciprocal condition
     RCOND_FLOOR; errors name rows as nodes, which they are when
@@ -64,7 +65,12 @@ def compute_stencil(offsets: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(offsets).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"star at node {bad[0]} contains a non-finite offset")
-    r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
+    with np.errstate(over="ignore"):  # squares that overflow give r = inf, rejected below
+        r = np.sqrt((offsets ** 2).sum(axis=2)).max(axis=1)  # (M,) star radii
+    bad = np.flatnonzero((r == 0) | (r == np.inf))
+    if bad.size:
+        raise ValueError(f"star at node {bad[0]} has radius {r[bad[0]]}: its offsets are too "
+                         f"{'small' if r[bad[0]] == 0 else 'large'} to scale")
     scaled = offsets / r[:, None, None]
     dist = np.sqrt((scaled ** 2).sum(axis=2))
     zero = np.flatnonzero((dist == 0).any(axis=1))

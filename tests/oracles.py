@@ -7,7 +7,8 @@ flux, the growth rate, and the stencil dump, snapshot, run-log and
 stability CSVs written row by row.  The others are the plainer dense forms
 of the per-step kernels: derivatives on node-major arrays, the boundary
 closure as a dense (n_b, N) gather times the inverse of the boundary
-matrix, whatever the stars, the closed Laplacian that it gives, and the
+matrix, whatever the stars, the closed Laplacian that it gives, the
+padded closure rows scattered into a dense matrix, and the
 right-hand sides and the forward-Euler step written as plain expressions;
 production from two powers; the growth rate and the Gaussian bumps each
 with its own copy of the Gaussian; the per-node stencil views of a
@@ -446,6 +447,14 @@ def dense_projection(cloud, table) -> np.ndarray:
 def dense_project(cloud, table, field: np.ndarray) -> np.ndarray:
     """Zero-flux projection of one field by the dense projection matrix."""
     return dense_projection(cloud, table) @ np.asarray(field, dtype=float)
+
+
+def closure_matrix(op, n_nodes: int) -> np.ndarray:
+    """A NeumannOperator's padded rows scattered into a dense (n_b, N)
+    matrix, entries that share a column summed."""
+    dense = np.zeros((op.boundary_idx.size, n_nodes))
+    np.add.at(dense, (np.broadcast_to(np.arange(op.boundary_idx.size), op.idx.shape), op.idx), op.w)
+    return dense
 
 
 def closed_laplacian(cloud, table) -> np.ndarray:

@@ -88,4 +88,40 @@ def test_closure_rows_read_their_stars_and_their_edge_neighbors_stars():
         edges = star[cloud.boundary[star]]
         assert edges.size == 0 or np.count_nonzero(cloud.normals[node]) == 2
         reach = np.union1d(star, table.stars[:-1].T[edges].ravel())
-        assert op.cols[op.closure[row] != 0].tolist() == reach[~cloud.boundary[reach]].tolist()
+        assert op.idx[op.w[:, row] != 0, row].tolist() == reach[~cloud.boundary[reach]].tolist()
+
+
+@pytest.mark.parametrize("case", ["growth-2d-delta005", "jittered-48x48"])
+def test_closure_rows_are_padded_with_their_first_column(case):
+    # Each row holds its distinct columns in ascending order, then repeats
+    # its first column at weight 0 up to the widest row.
+    if case == "jittered-48x48":
+        cloud = generate_jittered(48, 1.0, dim=2, jitter=0.1, seed=11)
+        table = build_all_stencils(cloud, 8)
+    else:
+        scenario = get_preset(case)
+        cloud = scenario.cloud.build()
+        table = scenario.star.build_table(cloud)
+    op = NeumannOperator(cloud, table)
+    width, n_b = op.idx.shape
+    assert op.w.shape == (width, n_b) and n_b == cloud.boundary_indices.size
+    assert width == {"growth-2d-delta005": 12, "jittered-48x48": 14}[case]
+    for row in range(n_b):
+        cols, weights = op.idx[:, row], op.w[:, row]
+        distinct = np.unique(cols)
+        assert cols[:distinct.size].tolist() == distinct.tolist()
+        assert np.all(weights[:distinct.size] != 0)
+        assert np.all(cols[distinct.size:] == cols[0]) and np.all(weights[distinct.size:] == 0)
+    assert 0 < np.count_nonzero(op.w == 0) < width * n_b
+
+
+def _closure_nbytes(nodes_per_axis):
+    cloud = generate_jittered(nodes_per_axis, 1.0, dim=2, jitter=0.1, seed=11)
+    op = NeumannOperator(cloud, build_all_stencils(cloud, 8))
+    return sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+
+
+def test_closure_memory_grows_with_the_boundary_not_with_n():
+    # N grows 4x from 48x48 to 96x96 and the boundary 2x; a dense
+    # (n_b, n_cols) closure grew about 4x over that step (0.51 -> 2.24 MB).
+    assert _closure_nbytes(96) <= 2.5 * _closure_nbytes(48)

@@ -273,6 +273,24 @@ def test_compute_stencil_rejects_a_non_finite_offset(bad):
             compute_stencil(offsets)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: compute_stencil(np.array([[[0.1], [-0.1]], [[1e-200], [-1e-200]]])),
+     "star at node 1 has radius 0.0: its offsets are too small to scale"),
+    (lambda: compute_stencil(np.array([[[0.1], [-0.1]], [[1e200], [-1e200]]])),
+     "star at node 1 has radius inf: its offsets are too large to scale"),
+    (lambda: build_all_stencils(generate_regular(5, 1e-170, dim=1), 2),
+     "star at node 0 has radius 0.0: its offsets are too small to scale"),
+], ids=["underflow", "overflow", "cloud-of-width-4e-170"])
+def test_compute_stencil_rejects_a_radius_it_cannot_scale(build, message):
+    # The squared offsets underflow to a radius of 0, which once scaled them
+    # to NaN coefficients (the cloud built a table of 30), or overflow to
+    # inf, which read as a zero offset.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def _quadrant_oracle(h, k):
     if h > 0 and k >= 0:
         return 0

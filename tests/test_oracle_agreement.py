@@ -474,9 +474,11 @@ def test_compressed_closure_matches_dense_inverse(name, cloud, table):
     op = NeumannOperator(cloud, table)
     b_idx = cloud.boundary_indices
     reached = set(table.stars[:-1].T[b_idx].ravel().tolist()) - set(b_idx.tolist())
-    assert op.cols.tolist() == sorted(reached)  # only the interior nodes boundary stars reach
-    assert not np.isin(op.cols, b_idx).any()
-    assert op.closure.shape == (b_idx.size, op.cols.size)
+    assert np.unique(op.idx).tolist() == sorted(reached)  # only the interior nodes boundary stars reach
+    assert not np.isin(op.idx, b_idx).any()
+    assert op.idx.shape == op.w.shape == (op.idx.shape[0], b_idx.size)
+    ref = oracles.dense_projection(cloud, table)[b_idx]
+    assert np.abs(oracles.closure_matrix(op, cloud.n_nodes) - ref).max() <= 1e-12 * np.abs(ref).max()
     for field in _fields(cloud.n_nodes, 3):
         got = op.project(field.copy())
         ref = oracles.dense_project(cloud, table, field)

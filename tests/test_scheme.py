@@ -370,7 +370,7 @@ PROJECTION_IDS = [*PRESET_NAMES, "jittered-48x48"]
 def test_the_closure_reads_interior_nodes_only(case):
     # So the projection, which writes in place, reads no value it writes.
     op = _equality_case(case)[0].neumann
-    assert np.intersect1d(op.cols, op.boundary_idx).size == 0
+    assert np.intersect1d(op.idx, op.boundary_idx).size == 0
 
 
 @pytest.mark.parametrize("name,changes,widths", PARTS_CASES, ids=PARTS_IDS)
@@ -400,6 +400,17 @@ def _at(node, value, n):
     return np.where(np.arange(n) == node, value, 0.0)
 
 
+def _rows_reading(neumann, node):
+    """The boundary rows of the closure that read node with nonzero weight."""
+    return ((neumann.idx == node) & (neumann.w != 0)).any(axis=0)
+
+
+def _closure_read_node(neumann):
+    """An interior node the closure reads, from the middle of their list."""
+    read = np.unique(neumann.idx[neumann.w != 0])
+    return int(read[read.size // 2])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["k", "A"])
 def test_step_names_the_interior_node_that_went_bad(field, value):
@@ -407,20 +418,18 @@ def test_step_names_the_interior_node_that_went_bad(field, value):
     cloud, neumann = march.table.cloud, march.neumann
     n = cloud.n_nodes
     # An interior node the boundary closure reads: projecting spreads its
-    # value to every boundary node, lower-numbered ones included.  The
-    # closure's zero weights times an infinity make NaN, which a direct
-    # caller hears of.
-    node = int(neumann.cols[neumann.cols.size // 2])
-    with np.errstate(invalid="ignore"):
-        spread_field = neumann.project(_at(node, value, n))
-    assert not np.isfinite(spread_field[cloud.boundary_indices]).any()
-    assert cloud.boundary_indices.min() < node
+    # value to exactly the boundary rows that read it, a lower-numbered one
+    # included, and warns of nothing.
+    node = _closure_read_node(neumann)
+    spread = ~np.isfinite(neumann.project(_at(node, value, n))[cloud.boundary_indices])
+    assert spread.tolist() == _rows_reading(neumann, node).tolist()
+    assert cloud.boundary_indices[spread].min() < node and not spread.all()
     state = State(k=np.ones(n), A=np.ones(n), time=0.5)
     if field == "k":
         march = March(march.table, march.params, lambda pos, t: _at(node, value, len(pos)))
     else:  # without taxis or diffusion only the node's own update reads A there
         state = State(k=state.k, A=state.A + _at(node, value, n), time=0.5)
-    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+    with pytest.raises(DivergenceError) as err:
         step(state, march, 1e-3)
     assert err.value.node == node and err.value.time == 0.5 + 1e-3
 
@@ -439,16 +448,17 @@ def test_step_drops_a_bad_boundary_value_the_projection_overwrites():
 def test_step_names_the_interior_node_before_a_lower_boundary_one():
     # The interior value is the update's own; the boundary value the update
     # made is replaced by the zero-flux closure, which the interior NaN
-    # spreads to every boundary node.
+    # spreads to the boundary rows that read it, the lowest of them too.
     march = _bad_node_setup()
     cloud, neumann = march.table.cloud, march.neumann
     n = cloud.n_nodes
-    node, low = int(neumann.cols[neumann.cols.size // 2]), int(cloud.boundary_indices[0])
+    node = _closure_read_node(neumann)
+    low = int(cloud.boundary_indices[_rows_reading(neumann, node)].min())
     assert low < node
     state = State(k=np.ones(n), A=np.ones(n), time=0.0)
     march = March(march.table, march.params,
                   lambda pos, t: _at(node, np.nan, len(pos)) + _at(low, np.nan, len(pos)))
-    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+    with pytest.raises(DivergenceError) as err:
         step(state, march, 1e-3)
     assert err.value.node == node
 
@@ -456,7 +466,7 @@ def test_step_names_the_interior_node_before_a_lower_boundary_one():
 def test_a_step_that_diverges_calls_forcing_once():
     march = _bad_node_setup()
     n = march.table.cloud.n_nodes
-    node = int(march.neumann.cols[0])
+    node = int(march.neumann.idx.min())
     calls = []
 
     def forcing(pos, t):
@@ -464,9 +474,28 @@ def test_a_step_that_diverges_calls_forcing_once():
         return _at(node, np.inf, len(pos))
 
     state = State(k=np.ones(n), A=np.ones(n), time=0.25)
-    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+    with pytest.raises(DivergenceError) as err:
         step(state, March(march.table, march.params, forcing), 1e-3)
     assert err.value.node == node and calls == [0.25]
+
+
+@pytest.mark.parametrize("field,value", [("k", np.nan), ("A", np.nan), ("A", np.inf)])
+def test_a_direct_step_on_one_non_finite_interior_value_raises_without_a_warning(field, value):
+    # The first interior node, which a corner row reads: every interior
+    # node whose star reads it comes after it, so the step names it.  An
+    # infinite A makes k infinite there, which a dense closure's zero
+    # weights once turned into NaN with a warning.
+    march = _bad_node_setup()
+    cloud, neumann = march.table.cloud, march.neumann
+    n, node = cloud.n_nodes, int(cloud.interior_indices[0])
+    assert _rows_reading(neumann, node).any()
+    values = {"k": np.ones(n), "A": np.ones(n)}
+    values[field][node] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            step(State(time=0.0, **values), march, 1e-3)
+    assert err.value.node == node
 
 
 def test_taxis_preset_divergence_is_reported_at_node_66():
